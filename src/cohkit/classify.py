@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
-from .channels import (
-    KrausMap,
-    SchurMatrix,
-    extract_schur_matrix,
-    minimal_representation,
-)
+from .channels import KrausMap, SchurMatrix, extract_schur_matrix
 
 __all__ = [
     "Hamiltonian",
@@ -109,20 +104,24 @@ def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
     ops = [as_matrix(k) for k in kraus]
     if not ops:
         raise ValueError("Kraus list must be nonempty")
-    d = ops[0].shape[1]
-    for j in range(d):
-        rows: set[int] = set()
-        for k in ops:
-            rows.update(int(r) for r in np.flatnonzero(np.abs(k[:, j]) > tol.abs_eps))
-        if len(rows) > 1:
-            return False
-    return True
+    rows_hit = np.any(np.abs(np.stack(ops)) > tol.abs_eps, axis=0)  # (row, column)
+    return bool(np.all(np.sum(rows_hit, axis=0) <= 1))
 
 
-def _basis_images(m: KrausMap) -> np.ndarray:
-    # images[i, :, j, :] = map(|i><j|)
+def _projector_images(m: KrausMap) -> np.ndarray:
+    # images[i] = map(|i><i|)
     t = np.stack(m.kraus)
-    return np.einsum("sai,sbj->iajb", t, np.conj(t))
+    return np.einsum("sai,sbi->iab", t, np.conj(t))
+
+
+def _unit_schur(schur: SchurMatrix | None, images: np.ndarray, eps: float) -> SchurMatrix | None:
+    # the gi predicate: Schur form, every basis projector fixed, unit diagonal
+    ii = np.arange(images.shape[0])
+    moved = images.copy()
+    moved[ii, ii, ii] -= 1.0
+    if schur is None or np.max(np.linalg.norm(moved, axis=(1, 2))) > eps:
+        return None
+    return schur if np.max(np.abs(np.real(np.diag(schur.matrix)) - 1.0)) <= eps else None
 
 
 def classify_channel(
@@ -130,59 +129,43 @@ def classify_channel(
 ) -> ClassificationReport:
     d = m.dim
     eps = tol.abs_eps * d
-    images = _basis_images(m)
+    t = np.stack(m.kraus)  # (s, a, i)
     ii = np.arange(d)
 
-    io = all(is_incoherent_operator(k, tol) for k in m.kraus)
-    if io:
-        # basis projectors must map to diagonal rank-<=1 pieces operator by operator
-        for k in m.kraus:
-            for j in range(d):
-                col = k[:, j]
-                img = np.outer(col, np.conj(col))
-                if frobenius(img - np.diag(np.diag(img))) > eps:
-                    io = False
-                    break
-            if not io:
-                break
+    # io: each operator sends each basis projector to a diagonal piece; for a
+    # column c with p = |c|^2 the off-diagonal norm of |c><c| is
+    # sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms
+    p = np.abs(t) ** 2
+    below = np.zeros_like(p)
+    below[:, 1:] = np.cumsum(p[:, :-1], axis=1)
+    pieces_off = np.sqrt(2.0 * np.sum(p * below, axis=1))
+    io = all(is_incoherent_operator(k, tol) for k in m.kraus) and bool(np.max(pieces_off) <= eps)
+    fi = io and same_form(m.kraus, tol)
+    sio = all(is_incoherent_operator(k, tol) and is_incoherent_operator(dagger(k), tol) for k in m.kraus)
 
-    forms = same_form(m.kraus, tol)
     schur = extract_schur_matrix(m, tol)
-
-    diag_images = images[ii, :, ii, :]  # (i, a, b)
-    mio = True
-    fixed = True
-    for i in range(d):
-        img = diag_images[i]
-        if frobenius(img - np.diag(np.diag(img))) > eps:
-            mio = False
-        target = np.zeros((d, d), dtype=complex)
-        target[i, i] = 1.0
-        if frobenius(img - target) > eps:
-            fixed = False
-
-    gi = bool(fixed and schur is not None and np.max(np.abs(np.real(np.diag(schur.matrix)) - 1.0)) <= eps)
     sgi = schur is not None
-    fi = bool(io and forms)
-    sio = bool(
-        all(is_incoherent_operator(k, tol) and is_incoherent_operator(dagger(k), tol) for k in m.kraus)
-    )
-
+    images = _projector_images(m)
+    gi = _unit_schur(schur, images, eps) is not None
+    off = images.copy()
+    off[:, ii, ii] = 0.0
+    mio = bool(np.max(np.linalg.norm(off, axis=(1, 2))) <= eps)
     dio = mio
     if dio:
-        diags = np.einsum("iaja->ija", images)
-        mask = ~np.eye(d, dtype=bool)
-        if float(np.max(np.abs(diags[mask]))) > eps:
-            dio = False
+        diags = np.einsum("sai,saj->ija", t, np.conj(t))  # diags[i, j] = diagonal of map(|i><j|)
+        dio = bool(np.max(np.abs(diags[~np.eye(d, dtype=bool)]), initial=0.0) <= eps)
 
     tio: bool | None = None
     if hamiltonian is not None:
         if hamiltonian.dim != d:
             raise ValueError("Hamiltonian dimension does not match the map")
-        h = np.diag(np.asarray(hamiltonian.energies, dtype=float))
-        sop = sum(np.kron(k, np.conj(k)) for k in m.kraus)
-        gen = -1j * (np.kron(h, np.eye(d)) - np.kron(np.eye(d), h))
-        tio = bool(frobenius(sop @ gen - gen @ sop) <= 1e-9 * d * d)
+        # [sop, generator] at u = (a, i), v = (b, j) is (K^T conj K)[u, v] * (delta_u - delta_v),
+        # delta_(a,i) = E_i - E_a; only entries nonzero in some K_s count (d x d when diagonal)
+        e = np.asarray(hamiltonian.energies, dtype=float)
+        live = np.flatnonzero(np.any(t != 0.0, axis=0))
+        k = t.reshape(len(m.kraus), d * d)[:, live]
+        delta = (e[None, :] - e[:, None]).reshape(-1)[live]
+        tio = frobenius((k.T @ np.conj(k)) * (delta[:, None] - delta[None, :])) <= 1e-9 * d * d
 
     return ClassificationReport(io=io, gi=gi, sgi=sgi, fi=fi, sio=sio, mio=mio, dio=dio, tio=tio, schur=schur)
 
@@ -218,23 +201,15 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     raise ValueError("no mixable operator pair found despite differing forms")
 
 
-def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitness:
-    """Decide extremality of a unit-diagonal Schur channel among all channels.
-
-    The channel with diagonal Kraus operators D_1 .. D_n is extremal iff the
-    n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
-    a minimal representation, so it is representation-independent.
-    """
-    report = classify_channel(m, tol=tol)
-    if not report.gi:
+def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[np.ndarray, ExtremalityWitness]:
+    # A of a gi channel and its extremality; minimal_representation's relative cut on
+    # eigh(A) keeps round-off eigenvalues of a list padded beyond the rank out
+    unit = _unit_schur(extract_schur_matrix(m, tol), _projector_images(m), tol.abs_eps * m.dim)
+    if unit is None:
         raise ValueError("map is not a unit-diagonal Schur channel")
-    mini = minimal_representation(m, tol)
-    d = m.dim
-    diags = []
-    for k in mini.kraus:
-        if frobenius(k - np.diag(np.diag(k))) > tol.abs_eps * d:
-            raise ValueError("minimal representation was unexpectedly non-diagonal")
-        diags.append(np.diag(k).copy())
+    w, v = hermitian_eigen(unit.matrix, tol)
+    keep = np.flatnonzero(w > 1e-9 * max(float(w[-1]), 0.0))
+    diags = [np.sqrt(w[k]) * v[:, k] for k in keep]
     n = len(diags)
     rows = np.array([np.conj(diags[i]) * diags[j] for i in range(n) for j in range(n)])
     sing = np.linalg.svd(rows, compute_uv=False)
@@ -248,12 +223,25 @@ def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitn
             np.conj(a) * b,
             a * np.conj(b),
         ]
-    return ExtremalityWitness(
+    return unit.matrix, ExtremalityWitness(
         extremal=bool(rank == n * n),
         rank_found=rank,
         rank_required=n * n,
         witness_vectors=witness,
     )
+
+
+def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitness:
+    """Decide extremality of a unit-diagonal Schur channel among all channels.
+
+    The channel with diagonal Kraus operators D_1 .. D_n is extremal iff the
+    n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
+    the minimal diagonal representation taken from eigh of the d x d Schur
+    matrix A, so it is representation-independent. Cost: O(n d^3) for the gi
+    check on basis-projector images, O(n^2 d^2) to read A from the Kraus
+    operators, O(d^3) for eigh(A); no d^2 x d^2 Choi matrix is formed.
+    """
+    return _gi_extremality(m, tol)[1]
 
 
 def _realize_polygon(radii: np.ndarray, target: complex) -> np.ndarray:
@@ -340,19 +328,17 @@ def mixed_unitary_decompose(
     keeps the remainder PSD, so the remainder's rank drops every step; for
     dim <= 3 this always terminates with at most dim terms.
 
+    A is read once from the Kraus diagonals; the extremality test and every
+    peeling step use eigh of a d x d matrix, O(d^3), and no Choi matrix.
+
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a
     proof of impossibility.
     """
-    report = classify_channel(m, tol=tol)
-    if not report.gi or report.schur is None:
-        raise ValueError("map is not a unit-diagonal Schur channel")
-    wit = gi_extremality(m, tol)
+    a0, wit = _gi_extremality(m, tol)
     if wit.extremal and wit.rank_required > 1:
         return None
-    a0 = report.schur.matrix.copy()
-    a = a0.copy()
-    d = a.shape[0]
+    a = a0
     rng = np.random.default_rng(seed)
     terms: list[tuple[float, np.ndarray]] = []
     remaining = 1.0

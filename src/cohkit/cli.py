@@ -100,6 +100,13 @@ def _complex_parts(doc: dict, where: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _number(x, where: str) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{where}: expected a number, got {x!r}") from exc
+
+
 def _parse_document(path: str) -> tuple[str, object]:
     doc = _load_json(path)
     kind = doc.get("kind")
@@ -111,7 +118,7 @@ def _parse_document(path: str) -> tuple[str, object]:
         for row in data:
             if not isinstance(row, list) or len(row) != 2:
                 raise DocumentError(f"{path}: each amplitude must be an [re, im] pair")
-            amps.append(float(row[0]) + 1j * float(row[1]))
+            amps.append(_number(row[0], f"{path}.data") + 1j * _number(row[1], f"{path}.data"))
         return kind, np.asarray(amps, dtype=complex)
     if kind in ("density", "channel_schur"):
         return kind, _complex_parts(doc, path)
@@ -129,7 +136,7 @@ def _parse_document(path: str) -> tuple[str, object]:
         energies = doc.get("energies")
         if not isinstance(energies, list) or not energies:
             raise DocumentError(f"{path}: hamiltonian needs a nonempty 'energies' list")
-        return kind, [float(x) for x in energies]
+        return kind, [_number(x, f"{path}.energies") for x in energies]
     raise DocumentError(f"{path}: unknown document kind {kind!r}")
 
 

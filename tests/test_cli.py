@@ -175,6 +175,27 @@ def test_exit_parse_on_missing_or_malformed(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_parse_on_non_numeric_amplitude(tmp_path, capsys):
+    bad = _write(tmp_path / "bad.json", {"kind": "state_vector", "data": [["a", 0], [1, 0]]})
+    plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
+    code, _, err = _run(capsys, ["prob", "sgi", bad, plus])
+    assert code == 2 and "error" in json.loads(err)
+
+
+def test_exit_parse_on_null_amplitude(tmp_path, capsys):
+    bad = _write(tmp_path / "bad.json", {"kind": "state_vector", "data": [[None, 0], [1, 0]]})
+    plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
+    code, _, err = _run(capsys, ["prob", "sgi", bad, plus])
+    assert code == 2 and "error" in json.loads(err)
+
+
+def test_exit_parse_on_non_numeric_energy(tmp_path, capsys):
+    ident = _write(tmp_path / "id.json", _kraus_doc([np.eye(2)]))
+    ham = _write(tmp_path / "h.json", {"kind": "hamiltonian", "energies": [0, [1]]})
+    code, _, err = _run(capsys, ["classify", ident, "--hamiltonian", ham])
+    assert code == 2 and "error" in json.loads(err)
+
+
 def test_exit_invalid_on_bad_inputs(tmp_path, capsys):
     short = _write(tmp_path / "short.json", _vector_doc([0.5, 0.5]))
     plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
