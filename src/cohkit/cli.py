@@ -81,9 +81,11 @@ def _load_json(path: str) -> dict:
 
 
 def _real_matrix(obj, where: str) -> np.ndarray:
+    if not isinstance(obj, list) or not all(isinstance(row, list) for row in obj):
+        raise DocumentError(f"{where}: expected a two-dimensional matrix")
     try:
-        a = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        a = np.asarray([[_number(x, where) for x in row] for row in obj], dtype=float)
+    except ValueError as exc:
         raise DocumentError(f"{where}: expected a numeric matrix") from exc
     if a.ndim != 2:
         raise DocumentError(f"{where}: expected a two-dimensional matrix")
@@ -101,9 +103,12 @@ def _complex_parts(doc: dict, where: str) -> np.ndarray:
 
 
 def _number(x, where: str) -> float:
+    # JSON numbers only: null, strings and booleans are not entries
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise DocumentError(f"{where}: expected a number, got {x!r}")
     try:
         return float(x)
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise DocumentError(f"{where}: expected a number, got {x!r}") from exc
 
 

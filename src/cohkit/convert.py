@@ -2,34 +2,37 @@
 
 Deterministic conversions under unit-diagonal Schur channels preserve the
 populations in the reference basis, so the deciders hinge on the diagonal of
-the source and target. Fully incoherent channels can additionally permute
-and erase basis labels, which weakens every diagonal constraint to one up to
-permutation and makes the coherence rank the operative monotone.
+the source and target. Column j of every Kraus operator of a fully incoherent
+channel lands in one row f(j), so those channels relabel and merge
+populations: fi_deterministic_pure searches for such a label map, and
+sfi_probability pairs sorted populations in O(d log d).
 
-Verdicts are three-valued: possible is True, False, or None. None marks a
-case the implemented closed forms do not decide and a bounded search did not
-resolve; it is never a claim of impossibility.
+Verdicts are three-valued: possible is True, False, or None. None means only
+that a bounded search (PSD completion, label-map backtracking) ran out of
+budget; it is never a claim of impossibility.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, hermitian_eigen, is_psd
-from .states import CoherenceSet, DensityMatrix, PureState, coherence_set, plus_state
+from .states import DensityMatrix, PureState, coherence_set, plus_state
 from .channels import (
+    CompletenessClass,
     KrausMap,
     Permutation,
     SchurMatrix,
     apply,
+    completeness_class,
     diagonal_unitary,
     permutation_unitary,
     schur_map,
 )
+from .classify import BudgetExhaustedError, same_form
 from . import oracle
 
 __all__ = [
@@ -306,15 +309,49 @@ def reduce_joint(a_joint: SchurMatrix, sigma: DensityMatrix, tol: Tolerance = DE
     return SchurMatrix(reduced, tol)
 
 
-def _moduli_match(psi: np.ndarray, phi: np.ndarray) -> list[tuple[int, int]] | None:
-    order_s = np.argsort(-np.abs(psi), kind="stable")
-    order_t = np.argsort(-np.abs(phi), kind="stable")
-    pairs = []
-    for i, j in zip(order_s, order_t):
-        if abs(abs(psi[i]) - abs(phi[j])) > 1e-9:
-            return None
-        pairs.append((int(i), int(j)))
-    return pairs
+def _label_map(items: list[float], caps: list[float], limit: int) -> list[int] | None:
+    # target label per source population (items descending) such that every
+    # label is used and its populations sum to its cap within 1e-9, or None;
+    # BudgetExhaustedError after limit placements. Bin completion: the largest
+    # unplaced population opens a label, smaller ones complete it; one
+    # candidate per distinct capacity or population is tried at each level.
+    assigned = [-1] * len(items)
+    nodes = 0
+
+    def dead(cap: float) -> bool:
+        # short of its population, but every source population overfills it
+        return 1e-9 < cap < items[-1] - 1e-9
+
+    def place(b: int, start: int) -> bool:
+        nonlocal nodes
+        if b < 0:  # every label is unused or complete: open one
+            used = set(assigned) - {-1}
+            if assigned.count(-1) < len(caps) - len(used):
+                return False
+            if -1 not in assigned:
+                return True
+            k = assigned.index(-1)
+            moves = [(k, c, (caps[c], c in used)) for c in range(len(caps))]
+        else:
+            moves = [(i, b, items[i]) for i in range(start, len(items)) if assigned[i] < 0]
+        tried = set()
+        for i, c, key in moves:
+            if items[i] > caps[c] + 1e-9 or key in tried:
+                continue
+            tried.add(key)
+            nodes += 1
+            if nodes > limit:
+                raise BudgetExhaustedError
+            cap = caps[c]
+            if dead(cap - items[i]):
+                continue
+            caps[c], assigned[i] = cap - items[i], c
+            if place(c if caps[c] > 1e-9 else -1, i + 1):
+                return True
+            caps[c], assigned[i] = cap, -1
+        return False
+
+    return None if any(dead(c) for c in caps) or not place(-1, 0) else assigned
 
 
 def fi_deterministic_pure(
@@ -325,44 +362,57 @@ def fi_deterministic_pure(
 ) -> ConversionVerdict:
     """Deterministic pure-to-pure conversion under fully incoherent channels.
 
-    The coherence rank cannot grow. Equal ranks require the moduli multisets
-    to match (witness: permutation times diagonal-phase unitary). A rank-1
-    target is always reachable (erase toward the target label). The strictly
-    intermediate case is delegated to a bounded two-branch search and comes
-    back possible or undecided, never impossible.
+    Possible iff some label map f from the source support onto the target
+    support coarse-grains the populations: |phi_r|^2 = sum over f(j) = r of
+    |psi_j|^2 within 1e-9. f is found by backtracking, each placement counting
+    against budget.max_iterations: exponential in d at worst, at most 64
+    placements at d = 7 and 2,048 at d = 12 on random pairs. False carries a
+    reason; None means only that the budget ran out.
+
+    The witness has as many branches as the largest fibre F -> r; F's columns
+    are those of phase(phi_r) Q^dag, Q unitary with first column
+    psi_F / |psi_F|. It must be one-form, trace preserving and of fidelity
+    1 - 1e-8 (or what f promises, if less), else ArithmeticError.
     """
     _check_dims(psi.dim, phi.dim)
-    d = psi.dim
-    rank_s = len(coherence_set(psi, tol).members)
-    rank_t = len(coherence_set(phi, tol).members)
-    if rank_t > rank_s:
+    amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
+    src = np.flatnonzero(amp_s > tol.abs_eps)
+    tgt = np.flatnonzero(amp_t > tol.abs_eps)
+    if tgt.size > src.size:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
-    if rank_t == rank_s:
-        pairs = _moduli_match(psi.amplitudes, phi.amplitudes)
-        if pairs is None:
-            return ConversionVerdict(False, 0.0, None, Reason.NOT_UNITARILY_EQUIVALENT)
-        k = np.zeros((d, d), dtype=complex)
-        for i, j in pairs:
-            if abs(psi.amplitudes[i]) > tol.abs_eps:
-                ratio = phi.amplitudes[j] / psi.amplitudes[i]
-                k[j, i] = ratio / abs(ratio)
-            else:
-                k[j, i] = 1.0
-        return ConversionVerdict(True, 1.0, KrausMap([k], tol), None)
-    if rank_t == 1:
-        target = int(np.argmax(np.abs(phi.amplitudes)))
-        phase = phi.amplitudes[target] / abs(phi.amplitudes[target])
-        base = fi_erase(target, d)
-        ops = [phase * k for k in base.kraus]
-        return ConversionVerdict(True, 1.0, KrausMap(ops, tol), None)
-    if d > 4:
+    order = src[np.argsort(-amp_s[src], kind="stable")]
+    limit = (budget or oracle.SearchBudget()).max_iterations
+    try:
+        f = _label_map((amp_s[order] ** 2).tolist(), (amp_t[tgt] ** 2).tolist(), limit)
+    except BudgetExhaustedError:
         return ConversionVerdict(None, 0.0, None, None)
-    if budget is None:
-        budget = oracle.SearchBudget()
-    found = oracle.search_fi_map(psi, phi, budget)
-    if found is None:
-        return ConversionVerdict(None, 0.0, None, None)
-    return ConversionVerdict(True, 1.0, found, None)
+    if f is None:
+        reason = Reason.NOT_UNITARILY_EQUIVALENT if tgt.size == src.size else Reason.DIAGONAL_MISMATCH
+        return ConversionVerdict(False, 0.0, None, reason)
+    labels = tgt[f]
+    d = psi.dim
+    ops = np.zeros((int(np.max(np.bincount(labels))), d, d), dtype=complex)
+    for r in tgt:
+        fibre = order[labels == r]
+        u = psi.amplitudes[fibre] / np.linalg.norm(psi.amplitudes[fibre])
+        frame = u[:, None]  # a unitary with first column u
+        if u.size > 1:
+            q, upper = np.linalg.qr(np.column_stack([u, np.eye(u.size)]))
+            frame = q * upper[0, 0]  # |r_00| = |u| = 1
+        ops[: fibre.size, r, fibre] = phi.amplitudes[r] / amp_t[r] * dagger(frame)
+    # labels outside the source support go to unused rows, one each, as e_0
+    ops[0, np.delete(np.arange(d), tgt)[: d - src.size], np.delete(np.arange(d), src)] = 1.0
+    # populations below 1e-9 may trade labels, so f itself may promise less
+    # than 1 - 1e-8: sum over r of |phi_r| |psi_F| squared
+    promised = float(amp_t @ np.sqrt(np.bincount(labels, weights=amp_s[order] ** 2, minlength=d))) ** 2
+    overlap = (ops @ psi.amplitudes) @ np.conj(phi.amplitudes)
+    if (
+        not same_form(ops)
+        or completeness_class(list(ops)) is not CompletenessClass.TRACE_PRESERVING
+        or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - 1e-8, promised - 1e-10)
+    ):
+        raise ArithmeticError("rounding broke the fully incoherent witness")
+    return ConversionVerdict(True, 1.0, KrausMap(list(ops)), None)
 
 
 def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
@@ -394,16 +444,10 @@ def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
 
 def plus3_reachable(phi: PureState, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the uniform qutrit state converts deterministically to phi
-    under fully incoherent channels (moduli up to permutation)."""
+    under fully incoherent channels (fi_deterministic_pure from plus_3)."""
     if phi.dim != 3:
         raise ValueError("target must be a qutrit state")
-    moduli = np.sort(np.abs(phi.amplitudes))[::-1]
-    targets = [
-        np.array([1.0, 0.0, 0.0]),
-        np.array([np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 3.0), 0.0]),
-        np.full(3, 1.0 / np.sqrt(3.0)),
-    ]
-    return any(float(np.max(np.abs(moduli - t))) <= 1e-9 for t in targets)
+    return fi_deterministic_pure(plus_state(3), phi, tol).possible is True
 
 
 def _rank_lowering_fi_kraus(d: int) -> list[np.ndarray]:
@@ -437,35 +481,32 @@ def plus3_witness(kind: str, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
 
 
 def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> SfiBound:
-    """Permutation-optimized stochastic conversion bound for fully incoherent maps.
+    """Relabeling-optimized stochastic conversion bound for fully incoherent maps.
 
-    Maximizes the single-branch probability over all relabelings of the
-    source; the bound is attained (exact) when the coherence ranks agree,
-    in which case the optimal map is returned. Dimensions above 8 are
-    rejected (factorial scan).
+    max over relabelings sigma of min over the target support of
+    |psi_sigma(i)|^2 / |phi_i|^2, attained by pairing source and target
+    populations in the same sorted order: uncrossing two pairs never lowers
+    the smaller ratio, and correctly rounded division is monotone, so the
+    float equals that of a scan over all d! relabelings. O(d log d), no
+    dimension cap. Exact when the coherence ranks agree; the optimal map is
+    then returned.
     """
     _check_dims(psi.dim, phi.dim)
     d = psi.dim
-    if d > 8:
-        raise ValueError("factorial permutation scan is limited to dimension <= 8")
     rank_s = len(coherence_set(psi, tol).members)
     rank_t = len(coherence_set(phi, tol).members)
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
     support_t = np.flatnonzero(tsq > tol.abs_eps**2)
-    perms = np.array(list(itertools.permutations(range(d))), dtype=int)
-    ratios = psq[perms[:, support_t]] / tsq[support_t][None, :]
-    mins = np.min(ratios, axis=1)
-    best = int(np.argmax(mins))
-    bound = float(min(max(mins[best], 0.0), 1.0))
+    # sigma[i]: the source label paired with target label i
+    sigma = np.empty(d, dtype=int)
+    sigma[np.argsort(-tsq, kind="stable")] = np.argsort(-psq, kind="stable")
+    worst = np.min(psq[sigma[support_t]] / tsq[support_t])
+    bound = float(min(max(worst, 0.0), 1.0))
     exact = rank_s == rank_t
     witness = None
     if exact:
-        sigma = perms[best]
-        mapping = [0] * d
-        for i in range(d):
-            mapping[int(sigma[i])] = i
-        p_unitary = permutation_unitary(Permutation(tuple(mapping)))
+        p_unitary = permutation_unitary(Permutation(tuple(np.argsort(sigma).tolist())))
         permuted = PureState(p_unitary @ psi.amplitudes)
         inner = sgi_optimal_probability(permuted, phi, tol)
         if inner.map is not None:

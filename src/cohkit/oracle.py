@@ -218,6 +218,10 @@ def _unit_frame(x: np.ndarray) -> np.ndarray:
 def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchBudget()) -> KrausMap | None:
     """Search for a two-branch fully incoherent channel taking psi to phi.
 
+    Test oracle only: convert.fi_deterministic_pure decides these
+    conversions exactly, and the tests check that it says possible wherever
+    this search finds a witness.
+
     Scope: coherence rank of phi at least 2 and strictly below that of psi,
     dimension at most 4. Enumerates the assignments of source labels to
     target labels (at most two per target, forced by trace preservation),

@@ -88,11 +88,22 @@ def test_convert_gi_pure_rule(tmp_path, capsys):
 
 def test_convert_fi_undecided_exit(tmp_path, capsys):
     src = _write(tmp_path / "plus3.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))
-    dst = _write(tmp_path / "half.json", _vector_doc(np.sqrt([0.5, 0.5, 0.0])))
-    code, out, _ = _run(capsys, ["convert", "fi", src, dst])
+    dst = _write(tmp_path / "rank2.json", _vector_doc(np.sqrt([2 / 3, 1 / 3, 0.0])))
+    code, out, _ = _run(capsys, ["--budget", "1", "convert", "fi", src, dst])
     assert code == 4
     verdict = json.loads(out)["verdict"]
     assert verdict["possible"] is None
+    code, out, _ = _run(capsys, ["convert", "fi", src, dst])
+    assert code == 0 and json.loads(out)["verdict"]["possible"] is True
+
+
+def test_convert_fi_impossible_exit(tmp_path, capsys):
+    src = _write(tmp_path / "plus3.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))
+    dst = _write(tmp_path / "half.json", _vector_doc(np.sqrt([0.5, 0.5, 0.0])))
+    code, out, _ = _run(capsys, ["convert", "fi", src, dst])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["possible"] is False and verdict["reason"] == "DiagonalMismatch"
 
 
 def test_prob_sgi_value(tmp_path, capsys):
@@ -189,10 +200,47 @@ def test_exit_parse_on_null_amplitude(tmp_path, capsys):
     assert code == 2 and "error" in json.loads(err)
 
 
+def test_exit_parse_on_numeric_strings(tmp_path, capsys):
+    # entries are JSON numbers in every document kind, never numeric strings
+    bad = _write(tmp_path / "bad.json", {"kind": "state_vector", "data": [["0.6", 0], ["0.8", 0]]})
+    plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
+    code, _, err = _run(capsys, ["prob", "sgi", bad, plus])
+    assert code == 2 and "error" in json.loads(err)
+    ident = _write(tmp_path / "id.json", _kraus_doc([np.eye(2)]))
+    ham = _write(tmp_path / "h.json", {"kind": "hamiltonian", "energies": [0, "1"]})
+    code, _, err = _run(capsys, ["classify", ident, "--hamiltonian", ham])
+    assert code == 2 and "error" in json.loads(err)
+
+
 def test_exit_parse_on_non_numeric_energy(tmp_path, capsys):
     ident = _write(tmp_path / "id.json", _kraus_doc([np.eye(2)]))
     ham = _write(tmp_path / "h.json", {"kind": "hamiltonian", "energies": [0, [1]]})
     code, _, err = _run(capsys, ["classify", ident, "--hamiltonian", ham])
+    assert code == 2 and "error" in json.loads(err)
+
+
+@pytest.mark.parametrize("entry", [None, "a", True])
+def test_exit_parse_on_bad_density_entry(tmp_path, capsys, entry):
+    doc = _density_doc(np.eye(2) / 2)
+    doc["re"][0][1] = entry
+    bad = _write(tmp_path / "rho.json", doc)
+    code, _, err = _run(capsys, ["convert", "gi", bad, bad])
+    assert code == 2 and "error" in json.loads(err)
+
+
+def test_exit_parse_on_null_schur_entry(tmp_path, capsys):
+    doc = _schur_doc(np.eye(2))
+    doc["im"][1][0] = None
+    bad = _write(tmp_path / "a.json", doc)
+    code, _, err = _run(capsys, ["classify", bad])
+    assert code == 2 and "error" in json.loads(err)
+
+
+def test_exit_parse_on_null_kraus_entry(tmp_path, capsys):
+    doc = _kraus_doc([np.eye(2)])
+    doc["operators"][0]["re"][0][0] = None
+    bad = _write(tmp_path / "k.json", doc)
+    code, _, err = _run(capsys, ["classify", bad])
     assert code == 2 and "error" in json.loads(err)
 
 

@@ -317,11 +317,13 @@ def test_fi_pure_rank_lowering_search():
     assert pure_fidelity(phi, out) > 1.0 - 1e-8
 
 
-def test_fi_pure_rank_lowering_undecided():
+def test_fi_pure_rank_lowering_impossible():
+    # no sum of thirds equals one half
     psi = plus_state(3)
     phi = PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0]))
     v = fi_deterministic_pure(psi, phi)
-    assert v.possible is None and v.map is None
+    assert v.possible is False and v.map is None
+    assert v.reason is Reason.DIAGONAL_MISMATCH
 
 
 def test_build_fi_rank2_map_validation():
@@ -384,10 +386,17 @@ def test_sfi_probability_rank_drop_is_lower_bound():
     assert abs(b.lower_bound - 2.0 / 3.0) < 1e-12
 
 
-def test_sfi_probability_dimension_cap():
+def test_sfi_probability_no_dimension_cap():
     rng = np.random.default_rng(11)
-    with pytest.raises(ValueError):
-        sfi_probability(rand_pure(rng, 9), rand_pure(rng, 9))
+    psi, phi = rand_pure(rng, 12), rand_pure(rng, 12)
+    b = sfi_probability(psi, phi)
+    assert b.exact and b.map is not None
+    psq = np.sort(np.abs(psi.amplitudes) ** 2)
+    tsq = np.sort(np.abs(phi.amplitudes) ** 2)
+    assert b.lower_bound == min(float(np.min(psq / tsq)), 1.0)
+    out, prob = apply(b.map, psi.density())
+    assert abs(prob - b.lower_bound) < 1e-10
+    assert pure_fidelity(phi, out / prob) > 1.0 - 1e-9
 
 
 def test_fi_erase():
