@@ -3,153 +3,20 @@
 The package decides which operation classes a channel belongs to, whether
 states convert into each other under those classes, with what probability,
 and how the answers behave under composition, reduction, and mixing.
+
+Each public name is declared once, in the `__all__` of its layer module.
 """
 
+from . import channels, classify, convert, oracle, states
 from .linalg import DEFAULT_TOL, Tolerance
-from .states import (
-    CoherenceSet,
-    DensityMatrix,
-    PureState,
-    coherence_rank,
-    coherence_set,
-    continuity_bound,
-    dephase,
-    majorizes,
-    plus_state,
-    rel_entropy_coherence,
-)
-from .channels import (
-    CompletenessClass,
-    KrausMap,
-    Permutation,
-    SchurMatrix,
-    apply,
-    choi_matrix,
-    completeness_class,
-    dephasing_channel,
-    diagonal_unitary,
-    extract_schur_matrix,
-    identity_channel,
-    minimal_representation,
-    permutation_unitary,
-    schur_map,
-    tensor_channels,
-    transform_representation,
-)
-from .classify import (
-    BudgetExhaustedError,
-    ClassificationReport,
-    ExtremalityWitness,
-    Hamiltonian,
-    classify_channel,
-    expose_hidden_coherence,
-    extremal_nonunitary_gi_kraus,
-    gi_extremality,
-    is_incoherent_operator,
-    mixed_unitary_decompose,
-    pio_pattern_gap,
-    pio_witness_channel,
-    same_form,
-)
-from .convert import (
-    ActivationDemo,
-    ConversionVerdict,
-    Reason,
-    SfiBound,
-    build_fi_rank2_map,
-    complete_sgi,
-    fi_activation_demo,
-    fi_deterministic_pure,
-    fi_erase,
-    fi_max_mixed_reachable,
-    gi_deterministic,
-    gi_deterministic_pure,
-    gi_pure_parent,
-    plus3_reachable,
-    plus3_witness,
-    reduce_joint,
-    sfi_probability,
-    sgi_mixed_to_pure,
-    sgi_optimal_probability,
-)
-from .oracle import (
-    FeasibilityResult,
-    SearchBudget,
-    monte_carlo_protocol,
-    psd_complete,
-    search_cr,
-    search_fi_map,
-    search_sgi_probability,
-)
+from .states import *  # noqa: F401,F403
+from .channels import *  # noqa: F401,F403
+from .classify import *  # noqa: F401,F403
+from .convert import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_TOL",
-    "Tolerance",
-    "CoherenceSet",
-    "DensityMatrix",
-    "PureState",
-    "coherence_rank",
-    "coherence_set",
-    "continuity_bound",
-    "dephase",
-    "majorizes",
-    "plus_state",
-    "rel_entropy_coherence",
-    "CompletenessClass",
-    "KrausMap",
-    "Permutation",
-    "SchurMatrix",
-    "apply",
-    "choi_matrix",
-    "completeness_class",
-    "dephasing_channel",
-    "diagonal_unitary",
-    "extract_schur_matrix",
-    "identity_channel",
-    "minimal_representation",
-    "permutation_unitary",
-    "schur_map",
-    "tensor_channels",
-    "transform_representation",
-    "BudgetExhaustedError",
-    "ClassificationReport",
-    "ExtremalityWitness",
-    "Hamiltonian",
-    "classify_channel",
-    "expose_hidden_coherence",
-    "extremal_nonunitary_gi_kraus",
-    "gi_extremality",
-    "is_incoherent_operator",
-    "mixed_unitary_decompose",
-    "pio_pattern_gap",
-    "pio_witness_channel",
-    "same_form",
-    "ActivationDemo",
-    "ConversionVerdict",
-    "Reason",
-    "SfiBound",
-    "build_fi_rank2_map",
-    "complete_sgi",
-    "fi_activation_demo",
-    "fi_deterministic_pure",
-    "fi_erase",
-    "fi_max_mixed_reachable",
-    "gi_deterministic",
-    "gi_deterministic_pure",
-    "gi_pure_parent",
-    "plus3_reachable",
-    "plus3_witness",
-    "reduce_joint",
-    "sfi_probability",
-    "sgi_mixed_to_pure",
-    "sgi_optimal_probability",
-    "FeasibilityResult",
-    "SearchBudget",
-    "monte_carlo_protocol",
-    "psd_complete",
-    "search_cr",
-    "search_fi_map",
-    "search_sgi_probability",
+__all__ = ["DEFAULT_TOL", "Tolerance"] + [
+    name for layer in (states, channels, classify, convert, oracle) for name in layer.__all__
 ]

@@ -22,33 +22,21 @@ import sys
 
 import numpy as np
 
-from .linalg import Tolerance, dagger, frobenius, partial_trace_second
-from .states import DensityMatrix, PureState, plus_state
-from .channels import (
-    KrausMap,
-    SchurMatrix,
-    apply,
-    choi_matrix,
-    schur_map,
-)
+from .linalg import Tolerance
+from .states import DensityMatrix, PureState
+from .channels import KrausMap, SchurMatrix, schur_map
 from .classify import (
     BudgetExhaustedError,
     Hamiltonian,
     classify_channel,
-    expose_hidden_coherence,
-    extremal_nonunitary_gi_kraus,
     gi_extremality,
-    is_incoherent_operator,
     mixed_unitary_decompose,
 )
 from .convert import (
     ConversionVerdict,
-    fi_activation_demo,
     fi_deterministic_pure,
     gi_deterministic,
     gi_deterministic_pure,
-    plus3_reachable,
-    plus3_witness,
     reduce_joint,
     sfi_probability,
     sgi_optimal_probability,
@@ -59,8 +47,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_BUDGET = 4
-
-_DEMOS = ("plus3", "activation", "nonconvex", "extremal", "no-total-order")
 
 
 class DocumentError(Exception):
@@ -152,12 +138,11 @@ def _expect_pure(path: str, tol: Tolerance) -> PureState:
     return PureState(payload)
 
 
-def _expect_density(path: str, tol: Tolerance) -> DensityMatrix:
-    kind, payload = _parse_document(path)
+def _as_density(path: str, kind: str, payload, tol: Tolerance) -> DensityMatrix:
     if kind == "state_vector":
-        return DensityMatrix(PureState(payload).density())
+        return DensityMatrix(PureState(payload).density(), tol)
     if kind == "density":
-        return DensityMatrix(payload)
+        return DensityMatrix(payload, tol)
     raise ValueError(f"{path}: expected a state document, got {kind}")
 
 
@@ -247,14 +232,13 @@ def _cmd_classify(args, tol: Tolerance, budget: SearchBudget) -> int:
 
 def _cmd_convert(args, tol: Tolerance, budget: SearchBudget) -> int:
     if args.mode == "gi":
-        src_kind, _ = _parse_document(args.source)
-        dst_kind, _ = _parse_document(args.target)
-        if src_kind == "state_vector" and dst_kind == "state_vector":
-            verdict = gi_deterministic_pure(_expect_pure(args.source, tol), _expect_pure(args.target, tol), tol)
+        src, dst = _parse_document(args.source), _parse_document(args.target)
+        if src[0] == dst[0] == "state_vector":
+            verdict = gi_deterministic_pure(PureState(src[1]), PureState(dst[1]), tol)
             rule = "pure-conversion-equal-moduli"
         else:
             verdict = gi_deterministic(
-                _expect_density(args.source, tol), _expect_density(args.target, tol), tol, budget
+                _as_density(args.source, *src, tol), _as_density(args.target, *dst, tol), tol, budget
             )
             rule = "population-preserving-completion"
     else:
@@ -320,7 +304,7 @@ def _cmd_extremal(args, tol: Tolerance, budget: SearchBudget) -> int:
 
 def _cmd_reduce(args, tol: Tolerance, budget: SearchBudget) -> int:
     joint = _expect_schur(args.joint, tol)
-    sigma = _expect_density(args.state, tol)
+    sigma = _as_density(args.state, *_parse_document(args.state), tol)
     reduced = reduce_joint(joint, sigma, tol)
     doc = _schur_json(reduced)
     if args.out:
@@ -337,136 +321,6 @@ def _cmd_reduce(args, tol: Tolerance, budget: SearchBudget) -> int:
         tol,
         args.seed,
     )
-    return EXIT_OK
-
-
-def _demo_plus3(tol: Tolerance) -> dict:
-    source = plus_state(3)
-    targets = {
-        "erase": np.array([1.0, 0.0, 0.0], dtype=complex),
-        "rank2": np.array(
-            [np.sqrt(2.0 / 3.0) * np.exp(1j * np.pi / 4.0), np.sqrt(1.0 / 3.0), 0.0]
-        ),
-        "identity": source.amplitudes,
-    }
-    checks = {}
-    ok = True
-    for kind, target in targets.items():
-        witness = plus3_witness(kind, tol)
-        out, prob = apply(witness, source.density())
-        fid = float(np.real(np.conj(target) @ out @ target))
-        reachable = plus3_reachable(PureState(target), tol)
-        flags = classify_channel(witness, tol=tol)
-        good = bool(reachable and flags.fi and abs(prob - 1.0) <= 1e-10 and fid >= 1.0 - 1e-10)
-        checks[kind] = {"reachable": reachable, "fidelity": fid, "fi": flags.fi, "ok": good}
-        ok = ok and good
-    stranger = PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0], dtype=complex))
-    rejected = not plus3_reachable(stranger, tol)
-    ok = ok and rejected
-    return {"pass": ok, "targets": checks, "unreachable_pattern_rejected": rejected}
-
-
-def _demo_activation(tol: Tolerance) -> dict:
-    demo = fi_activation_demo(tol)
-    expected = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    close = frobenius(demo.reduced_output.matrix - expected) <= 1e-12
-    reasons = [v.reason.value if v.reason else None for v in demo.single_copy_verdicts]
-    flags = classify_channel(demo.joint_map, tol=tol)
-    ok = bool(close and flags.fi and not demo.one_copy_possible)
-    return {
-        "pass": ok,
-        "joint_map_fi": flags.fi,
-        "reduced": _matrix_json(demo.reduced_output.matrix),
-        "one_copy_possible": demo.one_copy_possible,
-        "single_copy_reasons": reasons,
-    }
-
-
-def _demo_nonconvex(tol: Tolerance) -> dict:
-    flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    phase = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    root = np.sqrt(0.5)
-    mixture = KrausMap([root * flip, root * phase], tol)
-    flags = classify_channel(mixture, tol=tol)
-    witness = expose_hidden_coherence(mixture, tol)
-    ok = bool(flags.io and not flags.fi and witness is not None)
-    coherent_op = False
-    choi_gap = None
-    if witness is not None:
-        coherent_op = any(not is_incoherent_operator(k, tol) for k in witness.kraus)
-        choi_gap = float(frobenius(choi_matrix(witness) - choi_matrix(mixture)))
-        ok = ok and coherent_op and choi_gap <= 1e-10 * mixture.dim
-    return {
-        "pass": ok,
-        "io": flags.io,
-        "fi": flags.fi,
-        "witness_has_coherent_operator": coherent_op,
-        "choi_gap": choi_gap,
-        "witness": _kraus_json(witness) if witness is not None else None,
-    }
-
-
-def _demo_extremal(tol: Tolerance, seed: int) -> dict:
-    channel = extremal_nonunitary_gi_kraus(4)
-    witness = gi_extremality(channel, tol)
-    nonunitary = len(channel.kraus) > 1
-    try:
-        terms = mixed_unitary_decompose(channel, seed=seed, tol=tol)
-    except BudgetExhaustedError:
-        terms = None
-    ok = bool(witness.extremal and nonunitary and terms is None)
-    return {
-        "pass": ok,
-        "extremal": witness.extremal,
-        "rank_found": witness.rank_found,
-        "rank_required": witness.rank_required,
-        "decomposition": "not_mixed_unitary" if terms is None else "unexpected",
-    }
-
-
-def _demo_no_total_order(tol: Tolerance) -> dict:
-    chi = PureState(np.array([np.sqrt(0.5), 0.5, 0.5], dtype=complex))
-    psi = PureState(np.array([0.5, np.sqrt(5.0 / 8.0), np.sqrt(1.0 / 8.0)], dtype=complex))
-    plus = plus_state(3)
-    pairs = {
-        "chi_to_plus": (chi, plus, 3.0 / 4.0),
-        "plus_to_chi": (plus, chi, 2.0 / 3.0),
-        "plus_to_psi": (plus, psi, 8.0 / 15.0),
-        "psi_to_plus": (psi, plus, 3.0 / 8.0),
-        "psi_to_chi": (psi, chi, 1.0 / 2.0),
-        "chi_to_psi": (chi, psi, 2.0 / 5.0),
-    }
-    values = {}
-    ok = True
-    for name, (src, dst, expected) in pairs.items():
-        got = sgi_optimal_probability(src, dst, tol).probability
-        values[name] = got
-        ok = ok and abs(got - expected) <= 1e-10
-    cycle = (
-        values["chi_to_plus"] > values["plus_to_chi"]
-        and values["plus_to_psi"] > values["psi_to_plus"]
-        and values["psi_to_chi"] > values["chi_to_psi"]
-    )
-    return {"pass": bool(ok and cycle), "probabilities": values, "cyclic_preference": bool(cycle)}
-
-
-def _cmd_demo(args, tol: Tolerance, budget: SearchBudget) -> int:
-    rules = {
-        "plus3": "uniform-qutrit-reachable-set",
-        "activation": "two-copy-activation",
-        "nonconvex": "hidden-coherence-mixture",
-        "extremal": "extremal-nonunitary-schur-channel",
-        "no-total-order": "cyclic-conversion-probabilities",
-    }
-    builders = {
-        "plus3": lambda: _demo_plus3(tol),
-        "activation": lambda: _demo_activation(tol),
-        "nonconvex": lambda: _demo_nonconvex(tol),
-        "extremal": lambda: _demo_extremal(tol, args.seed),
-        "no-total-order": lambda: _demo_no_total_order(tol),
-    }
-    verdict = builders[args.name]()
-    _print_report(f"demo {args.name}", rules[args.name], [], verdict, tol, args.seed)
     return EXIT_OK
 
 
@@ -508,10 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("state")
     p_reduce.add_argument("--out", default=None)
     p_reduce.set_defaults(func=_cmd_reduce)
-
-    p_demo = sub.add_parser("demo", help="run a built-in demonstration")
-    p_demo.add_argument("name", choices=list(_DEMOS))
-    p_demo.set_defaults(func=_cmd_demo)
 
     return parser
 

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, hermitian_eigen, is_psd
+from .linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, hermitian_eigen, is_psd, partial_trace_second
 from .states import DensityMatrix, PureState, coherence_set, plus_state
 from .channels import (
     CompletenessClass,
@@ -49,8 +49,6 @@ __all__ = [
     "reduce_joint",
     "fi_deterministic_pure",
     "build_fi_rank2_map",
-    "plus3_reachable",
-    "plus3_witness",
     "sfi_probability",
     "fi_erase",
     "fi_max_mixed_reachable",
@@ -442,44 +440,6 @@ def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     return KrausMap(ops, tol)
 
 
-def plus3_reachable(phi: PureState, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the uniform qutrit state converts deterministically to phi
-    under fully incoherent channels (fi_deterministic_pure from plus_3)."""
-    if phi.dim != 3:
-        raise ValueError("target must be a qutrit state")
-    return fi_deterministic_pure(plus_state(3), phi, tol).possible is True
-
-
-def _rank_lowering_fi_kraus(d: int) -> list[np.ndarray]:
-    # two-branch map folding label 2 onto label 0; on the uniform state each
-    # branch leaves a quarter-turn phase on label 0
-    root = 1.0 / np.sqrt(2.0)
-    k1 = np.zeros((d, d), dtype=complex)
-    k2 = np.zeros((d, d), dtype=complex)
-    k1[0, 0], k1[0, 2], k1[1, 1] = 1j * root, root, root
-    k2[0, 0], k2[0, 2], k2[1, 1] = root, 1j * root, root
-    for extra in range(3, d):
-        k1[extra, extra] = root
-        k2[extra, extra] = root
-    return [k1, k2]
-
-
-def plus3_witness(kind: str, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Witness maps for the three reachable targets of the uniform qutrit state.
-
-    kind: 'erase' (to a basis state), 'rank2' (to the rank-2 target
-    sqrt(2/3)e^{i pi/4}|0> + sqrt(1/3)|1>), or 'identity' (stay at the
-    uniform state).
-    """
-    if kind == "erase":
-        return fi_erase(0, 3)
-    if kind == "rank2":
-        return KrausMap(_rank_lowering_fi_kraus(3), tol)
-    if kind == "identity":
-        return KrausMap([np.eye(3, dtype=complex)], tol)
-    raise ValueError("kind must be one of 'erase', 'rank2', 'identity'")
-
-
 def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> SfiBound:
     """Relabeling-optimized stochastic conversion bound for fully incoherent maps.
 
@@ -506,11 +466,13 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     exact = rank_s == rank_t
     witness = None
     if exact:
-        p_unitary = permutation_unitary(Permutation(tuple(np.argsort(sigma).tolist())))
-        permuted = PureState(p_unitary @ psi.amplitudes)
-        inner = sgi_optimal_probability(permuted, phi, tol)
-        if inner.map is not None:
-            witness = KrausMap([inner.map.kraus[0] @ p_unitary], tol)
+        # one branch K[t, sigma(t)] = phi_t / psi_sigma(t) on the target support, max |K| = 1
+        tp = np.abs(phi.amplitudes) > tol.abs_eps
+        v = np.zeros(d, dtype=complex)
+        v[tp] = phi.amplitudes[tp] / psi.amplitudes[sigma[tp]]
+        k = np.zeros((d, d), dtype=complex)
+        k[np.arange(d), sigma] = v / float(np.max(np.abs(v)))
+        witness = KrausMap([k], tol)
     return SfiBound(lower_bound=bound, exact=exact, map=witness)
 
 
@@ -537,18 +499,16 @@ def fi_max_mixed_reachable(rho: DensityMatrix) -> bool:
 def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
     """Two copies of the uniform qubit state reach a state whose single copy is blocked.
 
-    A fully incoherent channel on the two-qubit space takes the product of
-    two uniform qubits to a pure state whose first marginal has populations
-    (3/4, 1/4). One copy alone cannot reach that marginal: its populations
-    are (1/2, 1/2) under every relabeling, and unit-diagonal Schur channels
-    preserve populations."""
-    joint = KrausMap(_rank_lowering_fi_kraus(4), tol)
+    The witness of fi_deterministic_pure takes the product of two uniform
+    qubits to the pure state (1+i, 1, 0, 1)/2, whose first marginal has
+    populations (3/4, 1/4). One copy alone cannot reach that marginal: its
+    populations are (1/2, 1/2) under every relabeling, and unit-diagonal
+    Schur channels preserve populations."""
     source = plus_state(4)
+    joint = fi_deterministic_pure(source, PureState(np.array([1 + 1j, 1, 0, 1]) / 2), tol).map
     out, prob = apply(joint, source.density())
     if abs(prob - 1.0) > 1e-12:
         raise AssertionError("activation map must be trace preserving on the product state")
-    from .linalg import partial_trace_second
-
     reduced = DensityMatrix(partial_trace_second(out, 2, 2))
     marginal = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex))
     verdicts = []

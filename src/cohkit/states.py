@@ -73,8 +73,8 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if not is_psd(m, self.tol):
             raise ValueError("density matrix must be Hermitian PSD within tolerance")
-        if abs(float(np.real(np.trace(m))) - 1.0) > 1e-10:
-            raise ValueError("density matrix must have unit trace within 1e-10")
+        if abs(float(np.real(np.trace(m))) - 1.0) > self.tol.abs_eps * m.shape[0]:
+            raise ValueError("density matrix must have unit trace within tol.abs_eps * dim")
         self.matrix = m
 
     @property

@@ -25,6 +25,7 @@ from cohkit import (
     extract_schur_matrix,
     extremal_nonunitary_gi_kraus,
     fi_activation_demo,
+    fi_deterministic_pure,
     gi_extremality,
     gi_pure_parent,
     identity_channel,
@@ -33,8 +34,6 @@ from cohkit import (
     monte_carlo_protocol,
     pio_pattern_gap,
     pio_witness_channel,
-    plus3_reachable,
-    plus3_witness,
     plus_state,
     reduce_joint,
     rel_entropy_coherence,
@@ -181,16 +180,17 @@ def test_uniform_qutrit_reachable_set():
         "identity": source.amplitudes,
     }
     ok = True
-    for kind, target in targets.items():
-        m = plus3_witness(kind)
+    for target in targets.values():
+        verdict = fi_deterministic_pure(source, PureState(target))
+        ok = ok and verdict.possible is True
+        m = verdict.map
         ok = ok and completeness_class(m.kraus) is CompletenessClass.TRACE_PRESERVING
         ok = ok and classify_channel(m).fi
         out, prob = apply(m, source.density())
         ok = ok and abs(prob - 1.0) <= 1e-10
         ok = ok and pure_fidelity(target, out) >= 1.0 - 1e-10
-        ok = ok and plus3_reachable(PureState(target))
     stranger = PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0]))
-    ok = ok and not plus3_reachable(stranger)
+    ok = ok and fi_deterministic_pure(source, stranger).possible is False
     ok = ok and search_fi_map(source, stranger, SearchBudget(max_iterations=100000)) is None
     _verdict("uniform-qutrit-reachable-set", ok)
 

@@ -167,13 +167,6 @@ def test_reduce_writes_reloadable_schur(tmp_path, capsys):
     assert flags["gi"]
 
 
-def test_demo_pass_flags(capsys):
-    for name in ("plus3", "no-total-order"):
-        code, out, _ = _run(capsys, ["demo", name])
-        assert code == 0
-        assert json.loads(out)["verdict"]["pass"] is True
-
-
 def test_exit_parse_on_missing_or_malformed(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", str(tmp_path / "absent.json")])
     assert code == 2 and "error" in json.loads(err)

@@ -18,8 +18,6 @@ from cohkit import (
     gi_deterministic,
     gi_deterministic_pure,
     gi_pure_parent,
-    plus3_reachable,
-    plus3_witness,
     plus_state,
     reduce_joint,
     schur_map,
@@ -339,11 +337,15 @@ def test_build_fi_rank2_map_validation():
 
 
 def test_plus3_reachable_and_witnesses():
-    assert plus3_reachable(PureState(np.array([0.0, 1.0, 0.0], dtype=complex)))
-    assert plus3_reachable(PureState(np.array([np.sqrt(1.0 / 3.0), 0.0, np.sqrt(2.0 / 3.0)])))
-    assert plus3_reachable(plus_state(3))
-    assert not plus3_reachable(PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])))
     source = plus_state(3)
+
+    def reachable(phi):
+        return fi_deterministic_pure(source, phi).possible
+
+    assert reachable(PureState(np.array([0.0, 1.0, 0.0], dtype=complex)))
+    assert reachable(PureState(np.array([np.sqrt(1.0 / 3.0), 0.0, np.sqrt(2.0 / 3.0)])))
+    assert reachable(plus_state(3))
+    assert not reachable(PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0])))
     targets = {
         "erase": np.array([1.0, 0.0, 0.0], dtype=complex),
         "rank2": np.array(
@@ -351,14 +353,12 @@ def test_plus3_reachable_and_witnesses():
         ),
         "identity": source.amplitudes,
     }
-    for kind, target in targets.items():
-        m = plus3_witness(kind)
+    for target in targets.values():
+        m = fi_deterministic_pure(source, PureState(target)).map
         assert classify_channel(m).fi
         out, prob = apply(m, source.density())
         assert abs(prob - 1.0) < 1e-10
         assert pure_fidelity(target, out) > 1.0 - 1e-10
-    with pytest.raises(ValueError):
-        plus3_witness("other")
 
 
 def test_sfi_probability_equal_rank():

@@ -7,6 +7,7 @@ from cohkit import (
     SearchBudget,
     apply,
     classify_channel,
+    fi_deterministic_pure,
     monte_carlo_protocol,
     plus_state,
     psd_complete,
@@ -113,9 +114,8 @@ def test_monte_carlo_deterministic():
 
 
 def test_monte_carlo_trace_preserving_has_empty_failure_slot():
-    from cohkit import plus3_witness
-
-    m = plus3_witness("rank2")
+    rank2 = np.array([np.sqrt(2.0 / 3.0) * np.exp(1j * np.pi / 4.0), np.sqrt(1.0 / 3.0), 0.0])
+    m = fi_deterministic_pure(plus_state(3), PureState(rank2)).map
     rho = DensityMatrix(plus_state(3).density())
     emp, counts = monte_carlo_protocol(m, rho, 5000, seed=1, success_branches=(0, 1))
     assert counts[-1] == 0

@@ -13,7 +13,7 @@ from cohkit import (
     plus_state,
     rel_entropy_coherence,
 )
-from cohkit.linalg import relative_entropy
+from cohkit.linalg import DEFAULT_TOL, Tolerance, relative_entropy
 
 from conftest import rand_density, rand_pure
 
@@ -35,6 +35,14 @@ def test_density_matrix_validation():
     rho = DensityMatrix(np.eye(2) / 2)
     assert rho.dim == 2
     assert np.allclose(rho.diagonal(), [0.5, 0.5])
+
+
+def test_density_matrix_trace_follows_tolerance():
+    # trace 1 + 4e-9: inside abs_eps * d = 2e-6, outside 2e-9
+    m = np.diag([0.5 + 2e-9, 0.5 + 2e-9])
+    assert DensityMatrix(m, Tolerance(1e-6, 1e-6)).dim == 2
+    with pytest.raises(ValueError):
+        DensityMatrix(m, DEFAULT_TOL)
 
 
 def test_plus_state_and_coherence_set():
