@@ -64,13 +64,23 @@ def _kraus_list(kraus) -> list[np.ndarray]:
 
 
 def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass:
-    """Classify sum_i K_i^dag K_i as trace preserving, non-increasing, or invalid."""
+    """Classify sum_i K_i^dag K_i as trace preserving, non-increasing, or invalid.
+
+    When the sum is exactly diagonal (diagonal operators, or one nonzero per
+    row and column) its eigenvalues are read off the diagonal without eigh.
+    """
     ops = _kraus_list(kraus)
     d = ops[0].shape[0]
     s = sum(dagger(k) @ k for k in ops)
     if frobenius(s - np.eye(d)) <= tol.abs_eps * d:
         return CompletenessClass.TRACE_PRESERVING
-    w, _ = hermitian_eigen(s, tol)
+    diag = np.diagonal(s)
+    # a diagonal passes hermitian_eigen's check when 2 ||Im diag|| <= abs_eps * d (complex
+    # products leave round-off there), and eigh of it returns the sorted real diagonal
+    if np.count_nonzero(s) == np.count_nonzero(diag) and 2.0 * frobenius(diag.imag) <= tol.abs_eps * d:
+        w = np.sort(diag.real)
+    else:
+        w, _ = hermitian_eigen(s, tol)
     scale = float(np.max(np.abs(w)))
     if w[-1] <= 1.0 + tol.abs_eps + tol.rel_eps * scale:
         return CompletenessClass.TRACE_NON_INCREASING

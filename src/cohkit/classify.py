@@ -61,10 +61,8 @@ class Hamiltonian:
         e = [float(x) for x in self.energies]
         if len(e) < 1 or not all(np.isfinite(x) for x in e):
             raise ValueError("energies must be a nonempty finite sequence")
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                if e[i] == e[j]:
-                    raise ValueError("energies must be pairwise distinct")
+        if len(set(e)) < len(e):
+            raise ValueError("energies must be pairwise distinct")
         object.__setattr__(self, "energies", tuple(e))
 
     @property
@@ -104,24 +102,31 @@ def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
     ops = [as_matrix(k) for k in kraus]
     if not ops:
         raise ValueError("Kraus list must be nonempty")
-    rows_hit = np.any(np.abs(np.stack(ops)) > tol.abs_eps, axis=0)  # (row, column)
-    return bool(np.all(np.sum(rows_hit, axis=0) <= 1))
+    return _one_form(np.abs(np.stack(ops)) > tol.abs_eps)
 
 
-def _projector_images(m: KrausMap) -> np.ndarray:
-    # images[i] = map(|i><i|)
-    t = np.stack(m.kraus)
-    return np.einsum("sai,sbi->iab", t, np.conj(t))
+def _one_form(hit: np.ndarray) -> bool:
+    # hit[s, a, i] = |K_s[a, i]| > abs_eps; per column, at most one row hit across operators
+    return bool(np.all(np.sum(np.any(hit, axis=0), axis=0) <= 1))
 
 
-def _unit_schur(schur: SchurMatrix | None, images: np.ndarray, eps: float) -> SchurMatrix | None:
-    # the gi predicate: Schur form, every basis projector fixed, unit diagonal
+def _image_norms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # images[i] = map(|i><i|) = C_i C_i^dag, where C_i[a, s] = t[s, a, i]; returns the Frobenius
+    # norms of each image's off-diagonal part and of images[i] - |i><i|, summed from
+    # non-negative squares only: a difference of squares cancels at abs_eps * d
+    c = np.ascontiguousarray(t.transpose(2, 1, 0))  # contiguous, so matmul hands each C_i to BLAS
+    images = c @ np.conj(c).transpose(0, 2, 1)
     ii = np.arange(images.shape[0])
-    moved = images.copy()
-    moved[ii, ii, ii] -= 1.0
-    if schur is None or np.max(np.linalg.norm(moved, axis=(1, 2))) > eps:
-        return None
-    return schur if np.max(np.abs(np.real(np.diag(schur.matrix)) - 1.0)) <= eps else None
+    sq = (np.conj(images) * images).real
+    sq[:, ii, ii] = 0.0
+    off = np.sum(sq, axis=(1, 2))
+    return np.sqrt(off), np.sqrt(off + np.sum(np.abs(images[:, ii, ii] - np.eye(ii.size)) ** 2, axis=1))
+
+
+def _unit_schur(schur: SchurMatrix | None, moved: np.ndarray, eps: float) -> SchurMatrix | None:
+    # the gi predicate: Schur form and every basis projector fixed (moved from _image_norms);
+    # moved[i] >= |A_ii - 1| since A_ii = map(|i><i|)[i, i], so A's diagonal is 1 within eps
+    return schur if schur is not None and np.max(moved) <= eps else None
 
 
 def classify_channel(
@@ -129,31 +134,33 @@ def classify_channel(
 ) -> ClassificationReport:
     d = m.dim
     eps = tol.abs_eps * d
-    t = np.stack(m.kraus)  # (s, a, i)
-    ii = np.arange(d)
+    t = np.stack(m.kraus)  # t[s, a, i] = K_s[a, i]
+    mod = np.abs(t)
+    hit = mod > tol.abs_eps
 
-    # io: each operator sends each basis projector to a diagonal piece; for a
-    # column c with p = |c|^2 the off-diagonal norm of |c><c| is
-    # sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms
-    p = np.abs(t) ** 2
-    below = np.zeros_like(p)
-    below[:, 1:] = np.cumsum(p[:, :-1], axis=1)
-    pieces_off = np.sqrt(2.0 * np.sum(p * below, axis=1))
-    io = all(is_incoherent_operator(k, tol) for k in m.kraus) and bool(np.max(pieces_off) <= eps)
-    fi = io and same_form(m.kraus, tol)
-    sio = all(is_incoherent_operator(k, tol) and is_incoherent_operator(dagger(k), tol) for k in m.kraus)
+    # one mask gives io, sio and fi: hits per column (K incoherent), per row (K^dag incoherent) and
+    # rows hit per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
+    # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms
+    io = bool(np.all(np.sum(hit, axis=1) <= 1))
+    sio = io and bool(np.all(np.sum(hit, axis=2) <= 1))
+    if io:
+        p = mod**2
+        below = np.zeros_like(p)
+        below[:, 1:] = np.cumsum(p[:, :-1], axis=1)
+        io = bool(np.max(np.sqrt(2.0 * np.sum(p * below, axis=1))) <= eps)
+    fi = io and _one_form(hit)
 
     schur = extract_schur_matrix(m, tol)
     sgi = schur is not None
-    images = _projector_images(m)
-    gi = _unit_schur(schur, images, eps) is not None
-    off = images.copy()
-    off[:, ii, ii] = 0.0
-    mio = bool(np.max(np.linalg.norm(off, axis=(1, 2))) <= eps)
-    dio = mio
-    if dio:
-        diags = np.einsum("sai,saj->ija", t, np.conj(t))  # diags[i, j] = diagonal of map(|i><j|)
-        dio = bool(np.max(np.abs(diags[~np.eye(d, dtype=bool)]), initial=0.0) <= eps)
+    off, moved = _image_norms(t)
+    gi = _unit_schur(schur, moved, eps) is not None
+    mio = dio = bool(np.max(off) <= eps)
+    if mio:
+        # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i]
+        r = np.ascontiguousarray(t.transpose(1, 2, 0))
+        diags = np.abs(r @ np.conj(r).transpose(0, 2, 1))
+        diags[:, np.arange(d), np.arange(d)] = 0.0
+        dio = bool(np.max(diags) <= eps)
 
     tio: bool | None = None
     if hamiltonian is not None:
@@ -180,54 +187,43 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     representation already has one shared form (nothing hidden to expose).
     """
     ops = m.kraus
-    if not all(is_incoherent_operator(k, tol) for k in ops):
+    hit = np.abs(np.stack(ops)) > tol.abs_eps  # hit[s, a, i]
+    if np.any(np.sum(hit, axis=1) > 1):
         raise ValueError("representation is not incoherent")
-    if same_form(ops, tol):
+    # pair[j, s1, s2]: s1 and s2 both hit column j, in different rows; the first pair in
+    # (column, s1, s2) order has s1 < s2 and is mixed
+    has, row = np.any(hit, axis=1).T, np.argmax(hit, axis=1).T  # (column, operator)
+    pair = has[:, :, None] & has[:, None, :] & (row[:, :, None] != row[:, None, :])
+    if not pair.any():
         return None
-    d = m.dim
-    for j in range(d):
-        hits: list[tuple[int, int]] = []
-        for s, k in enumerate(ops):
-            nz = np.flatnonzero(np.abs(k[:, j]) > tol.abs_eps)
-            if nz.size:
-                hits.append((s, int(nz[0])))
-        for (s1, r1), (s2, r2) in ((a, b) for a in hits for b in hits):
-            if s1 < s2 and r1 != r2:
-                root = 1.0 / np.sqrt(2.0)
-                new_ops = [k.copy() for k in ops]
-                new_ops[s1] = root * (ops[s1] + ops[s2])
-                new_ops[s2] = root * (ops[s1] - ops[s2])
-                return KrausMap(new_ops, tol)
-    raise ValueError("no mixable operator pair found despite differing forms")
+    _, s1, s2 = np.unravel_index(np.argmax(pair), pair.shape)
+    root = 1.0 / np.sqrt(2.0)
+    new_ops = [k.copy() for k in ops]
+    new_ops[s1] = root * (ops[s1] + ops[s2])
+    new_ops[s2] = root * (ops[s1] - ops[s2])
+    return KrausMap(new_ops, tol)
 
 
 def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[np.ndarray, ExtremalityWitness]:
     # A of a gi channel and its extremality; minimal_representation's relative cut on
     # eigh(A) keeps round-off eigenvalues of a list padded beyond the rank out
-    unit = _unit_schur(extract_schur_matrix(m, tol), _projector_images(m), tol.abs_eps * m.dim)
+    moved = _image_norms(np.stack(m.kraus))[1]
+    unit = _unit_schur(extract_schur_matrix(m, tol), moved, tol.abs_eps * m.dim)
     if unit is None:
         raise ValueError("map is not a unit-diagonal Schur channel")
     w, v = hermitian_eigen(unit.matrix, tol)
     keep = np.flatnonzero(w > 1e-9 * max(float(w[-1]), 0.0))
-    diags = [np.sqrt(w[k]) * v[:, k] for k in keep]
-    n = len(diags)
-    rows = np.array([np.conj(diags[i]) * diags[j] for i in range(n) for j in range(n)])
+    x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
+    n = len(keep)  # row i * n + j holds conj(x_i) * x_j
+    rows = (np.conj(x)[:, None, :] * x[None, :, :]).reshape(n * n, m.dim)
     sing = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sing > 1e-9 * float(sing[0]))) if sing.size and sing[0] > 0 else 0
     witness = None
     if n == 2:
-        a, b = diags
-        witness = [
-            np.abs(a) ** 2,
-            np.abs(b) ** 2,
-            np.conj(a) * b,
-            a * np.conj(b),
-        ]
+        a, b = x
+        witness = [np.abs(a) ** 2, np.abs(b) ** 2, np.conj(a) * b, a * np.conj(b)]
     return unit.matrix, ExtremalityWitness(
-        extremal=bool(rank == n * n),
-        rank_found=rank,
-        rank_required=n * n,
-        witness_vectors=witness,
+        extremal=bool(rank == n * n), rank_found=rank, rank_required=n * n, witness_vectors=witness
     )
 
 
@@ -238,8 +234,8 @@ def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitn
     n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
     the minimal diagonal representation taken from eigh of the d x d Schur
     matrix A, so it is representation-independent. Cost: O(n d^3) for the gi
-    check on basis-projector images, O(n^2 d^2) to read A from the Kraus
-    operators, O(d^3) for eigh(A); no d^2 x d^2 Choi matrix is formed.
+    check, one batched matmul for the basis-projector images and one squared-
+    modulus pass; O(n^2 d^2) for A; O(d^3) for eigh(A); no Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 
@@ -328,8 +324,9 @@ def mixed_unitary_decompose(
     keeps the remainder PSD, so the remainder's rank drops every step; for
     dim <= 3 this always terminates with at most dim terms.
 
-    A is read once from the Kraus diagonals; the extremality test and every
-    peeling step use eigh of a d x d matrix, O(d^3), and no Choi matrix.
+    A is read once from the Kraus diagonals and the gi check is one batched
+    matmul, O(n d^3); the extremality test and every peeling step use eigh of
+    a d x d matrix, O(d^3), and no Choi matrix.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a

@@ -9,9 +9,9 @@ Document kinds:
 - hamiltonian:   {"kind": "hamiltonian", "energies": [..]}
 
 Exit codes: 0 result computed (the verdict's truth value is part of the
-report, never the exit code), 2 unreadable or malformed document, 3 a
-well-formed document that fails validation or does not fit the command,
-4 a bounded search gave up before reaching a decision.
+report, never the exit code), 2 unreadable or malformed document or bad
+flag, 3 a well-formed document that fails validation or does not fit the
+command, 4 a bounded search gave up before reaching a decision.
 """
 
 from __future__ import annotations
@@ -135,12 +135,12 @@ def _expect_pure(path: str, tol: Tolerance) -> PureState:
     kind, payload = _parse_document(path)
     if kind != "state_vector":
         raise ValueError(f"{path}: expected a state_vector document, got {kind}")
-    return PureState(payload)
+    return PureState(payload, tol)
 
 
 def _as_density(path: str, kind: str, payload, tol: Tolerance) -> DensityMatrix:
     if kind == "state_vector":
-        return DensityMatrix(PureState(payload).density(), tol)
+        return DensityMatrix(PureState(payload, tol).density(), tol)
     if kind == "density":
         return DensityMatrix(payload, tol)
     raise ValueError(f"{path}: expected a state document, got {kind}")
@@ -234,7 +234,7 @@ def _cmd_convert(args, tol: Tolerance, budget: SearchBudget) -> int:
     if args.mode == "gi":
         src, dst = _parse_document(args.source), _parse_document(args.target)
         if src[0] == dst[0] == "state_vector":
-            verdict = gi_deterministic_pure(PureState(src[1]), PureState(dst[1]), tol)
+            verdict = gi_deterministic_pure(PureState(src[1], tol), PureState(dst[1], tol), tol)
             rule = "pure-conversion-equal-moduli"
         else:
             verdict = gi_deterministic(
@@ -324,12 +324,20 @@ def _cmd_reduce(args, tol: Tolerance, budget: SearchBudget) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    # a zero tolerance rejects ordinary float documents, so only finite positive values parse
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohkit",
         description="Classify incoherence-compatible channels and decide basis-coherence conversions.",
     )
-    parser.add_argument("--tol", type=float, default=1e-9, help="absolute and relative tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="absolute and relative tolerance (> 0)")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     parser.add_argument("--budget", type=int, default=10000, help="iteration budget for searches")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -125,7 +125,7 @@ def gi_pure_parent(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[Pu
     """Pure state with the same diagonal as rho, plus a Schur channel mapping it to rho."""
     diag = np.clip(rho.diagonal(), 0.0, None)
     total = float(np.sum(diag))
-    psi = PureState(np.sqrt(diag / total).astype(complex))
+    psi = PureState(np.sqrt(diag / total).astype(complex), tol)
     d = rho.dim
     support = diag > tol.abs_eps
     a = np.eye(d, dtype=complex)
@@ -505,7 +505,7 @@ def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
     populations are (1/2, 1/2) under every relabeling, and unit-diagonal
     Schur channels preserve populations."""
     source = plus_state(4)
-    joint = fi_deterministic_pure(source, PureState(np.array([1 + 1j, 1, 0, 1]) / 2), tol).map
+    joint = fi_deterministic_pure(source, PureState(np.array([1 + 1j, 1, 0, 1]) / 2, tol), tol).map
     out, prob = apply(joint, source.density())
     if abs(prob - 1.0) > 1e-12:
         raise AssertionError("activation map must be trace preserving on the product state")

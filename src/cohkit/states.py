@@ -40,6 +40,7 @@ class PureState:
     """Normalized amplitude vector over the reference basis."""
 
     amplitudes: np.ndarray
+    tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amplitudes, dtype=complex)
@@ -47,8 +48,8 @@ class PureState:
             raise ValueError("amplitudes must be a nonempty 1-d array")
         if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
             raise ValueError("amplitudes must be finite")
-        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > 1e-10:
-            raise ValueError("amplitudes must have unit norm within 1e-10")
+        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > self.tol.abs_eps * a.size:
+            raise ValueError("amplitudes must have unit squared norm within tol.abs_eps * dim")
         self.amplitudes = a
 
     @property

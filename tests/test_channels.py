@@ -30,6 +30,29 @@ def test_completeness_class():
     assert completeness_class([1.5 * np.eye(2)]) is CompletenessClass.INVALID
 
 
+@pytest.mark.parametrize("offset", [-1e-12, 1e-12])
+def test_completeness_class_diagonal_route_matches_eigh(offset):
+    # an exactly diagonal sum K^dag K is classified from its diagonal; the same operators
+    # rotated by a unitary give a sum with round-off off the diagonal, classified by eigh.
+    # Values sit 1e-12 either side of the trace-preservation and the invalid thresholds.
+    d = 4
+    u = rand_unitary(np.random.default_rng(3), d)
+    top = (1.0 + 1e-9) / (1.0 - 1e-9)  # w = 1 + abs_eps + rel_eps * w
+    below = offset < 0
+    cases = [
+        ([1.0 - (4e-9 + offset), 1.0, 1.0, 1.0], "trace_preserving" if below else "trace_non_increasing"),
+        ([top + offset, 0.5, 0.25, 0.0], "trace_non_increasing" if below else "invalid"),
+    ]
+    for values, expected in cases:
+        ops = [np.diag(np.sqrt(values) * np.exp(1j * np.arange(d)))]
+        rotated = [u @ k for k in ops]
+        for kraus, off_diagonal in ((ops, False), (rotated, True)):
+            s = sum(dagger(k) @ k for k in kraus)
+            assert (np.count_nonzero(s - np.diag(np.diag(s))) > 0) == off_diagonal
+        assert completeness_class(ops) is CompletenessClass(expected)
+        assert completeness_class(rotated) is CompletenessClass(expected)
+
+
 def test_kraus_map_validation():
     with pytest.raises(ValueError):
         KrausMap([1.5 * np.eye(2)])

@@ -20,6 +20,7 @@ from cohkit import (
     same_form,
     schur_map,
 )
+from cohkit.linalg import Tolerance
 
 from conftest import (
     rand_fi_map,
@@ -41,6 +42,16 @@ def test_is_incoherent_operator():
     assert is_incoherent_operator(SX)
     assert is_incoherent_operator(np.zeros((2, 2)))
     assert not is_incoherent_operator(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_io_needs_diagonal_pieces_beyond_the_mask():
+    # the column (2, 0.9 abs_eps) holds one entry above abs_eps, but the off-diagonal norm
+    # of its basis image, 2 * sqrt(2) * 0.9e-9 = 2.5e-9, exceeds abs_eps * d = 2e-9; such an
+    # entry needs a construction tolerance that admits sum K^dag K = 4
+    k = np.array([[2.0, 0.0], [0.9e-9, 0.0]])
+    report = classify_channel(KrausMap([k], Tolerance(10.0, 10.0)))
+    assert is_incoherent_operator(k) and report.sio and not report.io
+    assert classify_channel(KrausMap([k / 2.0])).io
 
 
 def test_same_form():

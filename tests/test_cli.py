@@ -249,6 +249,35 @@ def test_exit_invalid_on_bad_inputs(tmp_path, capsys):
     assert code == 3
 
 
+def test_tolerance_reaches_pure_state_validation(tmp_path, capsys):
+    # squared norm 1 + 1e-8 lies within --tol 1e-6 * d but not within the default 1e-9 * d
+    loose = _write(tmp_path / "loose.json", _vector_doc(np.sqrt([0.5, 0.25, 0.25]) * np.sqrt(1.0 + 1e-8)))
+    plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))
+    code, out, _ = _run(capsys, ["--tol", "1e-6", "prob", "sgi", loose, plus])
+    assert code == 0
+    assert abs(json.loads(out)["verdict"]["probability"] - 0.75) <= 1e-6
+    code, _, _ = _run(capsys, ["prob", "sgi", loose, plus])
+    assert code == 3
+
+
+def test_state_vector_validated_by_one_rule(tmp_path, capsys):
+    # squared norm 1 + 5e-11: a state_vector read as a pure state and as a density
+    # passes or fails together at each --tol
+    amps = np.sqrt([0.5, 0.25, 0.25]) * np.sqrt(1.0 + 5e-11)
+    vec = _write(tmp_path / "s.json", _vector_doc(amps))
+    rho = _write(tmp_path / "rho.json", _density_doc(np.outer(amps, amps) / (1.0 + 5e-11)))
+    for tol, expected in (("1e-12", 3), ("1e-9", 0)):
+        codes = {_run(capsys, ["--tol", tol, "convert", "gi", vec, target])[0] for target in (vec, rho)}
+        assert codes == {expected}
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tiny"])
+def test_exit_parse_on_bad_tolerance(tmp_path, capsys, value):
+    plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
+    code, out, err = _run(capsys, [f"--tol={value}", "prob", "sgi", plus, plus])
+    assert code == 2 and out == "" and "--tol" in err
+
+
 def test_deterministic_output(tmp_path, capsys):
     chi = _write(tmp_path / "chi.json", _vector_doc([np.sqrt(0.5), 0.5, 0.5]))
     plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))

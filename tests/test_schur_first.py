@@ -1,6 +1,8 @@
 """The Schur-first formulas of extract_schur_matrix and classify_channel against
-the literal formulas they replace: the d^4 basis-image tensor and the
-Kronecker-product commutator for tio. The references live here only."""
+the literal formulas they replace: the d^4 basis-image tensor, the
+Kronecker-product commutator for tio, the per-operator io, sio and fi tests and
+the per-column pair search of expose_hidden_coherence. The references live here
+only."""
 
 import numpy as np
 import pytest
@@ -14,9 +16,12 @@ from cohkit import (
     SchurMatrix,
     Tolerance,
     classify_channel,
+    expose_hidden_coherence,
     extract_schur_matrix,
     gi_extremality,
+    is_incoherent_operator,
     mixed_unitary_decompose,
+    same_form,
 )
 from cohkit.linalg import frobenius
 
@@ -79,7 +84,10 @@ def _ref_flags(m, h, tol=DEFAULT_TOL):
     sop = sum(np.kron(k, np.conj(k)) for k in m.kraus)
     gen = -1j * (np.kron(hm, np.eye(d)) - np.kron(np.eye(d), hm))
     tio = bool(frobenius(sop @ gen - gen @ sop) <= 1e-9 * d * d)
-    return {"io": bool(io), "mio": mio, "dio": dio, "gi": gi, "sgi": schur is not None, "tio": tio}
+    sio = all(is_incoherent_operator(k, tol) and is_incoherent_operator(np.conj(k).T, tol) for k in m.kraus)
+    fi = bool(io) and same_form(m.kraus, tol)
+    flags = {"io": bool(io), "fi": fi, "sio": sio, "mio": mio, "dio": dio, "gi": gi, "sgi": schur is not None}
+    return {**flags, "tio": tio}
 
 
 def _unitary(rng, n):
@@ -113,6 +121,44 @@ def _damping(rng, d):
     return out
 
 
+def _label_maps(rng, d, n, shared):
+    # operators sending column j to row f_s(j) with a phase, some columns zeroed: incoherent,
+    # of one form when f_s is shared, with incoherent adjoints when f_s is a permutation.
+    # Dividing by the largest fibre keeps sum K^dag K <= 1; the random overall scale keeps
+    # norms built from the threshold entries off exact ties with abs_eps * d (one operator
+    # with weight 1 and a fibre of 2 puts the Schur residual exactly on it)
+    weights = rng.dirichlet(np.ones(n)) * rng.uniform(0.25, 1.0)
+    labels = rng.permutation(d) if rng.random() < 0.5 else rng.integers(0, d, size=d)
+    out = []
+    for s in range(n):
+        f = labels if shared else (rng.permutation(d) if rng.random() < 0.5 else rng.integers(0, d, size=d))
+        k = np.zeros((d, d), dtype=complex)
+        k[f, np.arange(d)] = np.sqrt(weights[s] / np.max(np.bincount(f))) * np.exp(2j * np.pi * rng.random(d))
+        out.append(k * (rng.random((1, d)) > 0.2))
+    return out
+
+
+def _fixed_edge(rng, d, delta, e2, spread, tol=DEFAULT_TOL):
+    """Basis projector i moved at the gi threshold: map(|i><i|) = (1 - delta)|i><i| + |c><c|.
+
+    c lives on `spread` other rows, |c|^2 = e2; delta and e2 are given in units of
+    abs_eps * d. At 0.5 and 0.8 each alone is within it, while the norm of the move,
+    sqrt(delta^2 + e2^2), and the part of it off the diagonal lie on either side of it."""
+    i, *rows = rng.choice(d, size=spread + 1, replace=False)
+    delta, e2 = delta * tol.abs_eps * d, e2 * tol.abs_eps * d
+    k0 = np.diag(np.exp(2j * np.pi * rng.random(d)))
+    k0[i, i] *= np.sqrt(1.0 - delta)
+    k1 = np.zeros((d, d), dtype=complex)
+    k1[rows, i] = np.sqrt(e2 / len(rows)) * np.exp(2j * np.pi * rng.random(len(rows)))
+    return [k0, k1]
+
+
+def _at_threshold(rng, ops, factor, tol=DEFAULT_TOL):
+    """Add entries of modulus factor * abs_eps at random places, at the masks' threshold."""
+    d = ops[0].shape[0]
+    return [k + factor * tol.abs_eps * np.exp(2j * np.pi * rng.random((d, d))) * (rng.random((d, d)) < 0.3) for k in ops]
+
+
 def _hamiltonian(rng, d):
     return Hamiltonian(tuple(float(x) for x in np.sort(rng.uniform(0.0, 10.0, size=d)) + np.arange(d)))
 
@@ -134,7 +180,19 @@ def _noisy(rng, ops, factor, tol=DEFAULT_TOL):
     return [k + np.sqrt(u) * e for k, e in zip(ops, noise)]
 
 
-FAMILIES = ("cptp", "cptp_padded", "diagonal_padded", "damping", "noise_half", "noise_double")
+FAMILIES = (
+    "cptp",
+    "cptp_padded",
+    "diagonal_padded",
+    "damping",
+    "noise_half",
+    "noise_double",
+    "label_maps_half",
+    "label_maps_double",
+    "one_form_half",
+    "one_form_double",
+    "fixed_edge",
+)
 
 
 @st.composite
@@ -148,6 +206,12 @@ def channels(draw):
         ops = _cptp(rng, d, n)
     elif family == "damping":
         ops = _damping(rng, d)
+    elif family.startswith(("label_maps", "one_form")):
+        ops = _at_threshold(
+            rng, _label_maps(rng, d, n, family.startswith("one_form")), 0.5 if family.endswith("half") else 2.0
+        )
+    elif family == "fixed_edge":
+        ops = _fixed_edge(rng, d, *rng.choice([0.5, 0.8], size=2), min(d - 1, int(rng.integers(1, 3))))
     else:
         ops, _ = _diagonal(rng, d, r, n)
     if family.endswith("padded"):
@@ -183,6 +247,17 @@ def test_classification_flags_match_references(case):
     assert {flag: getattr(report, flag) for flag in ref} == ref
 
 
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("spread", [1, 2])
+@pytest.mark.parametrize("delta, e2", [(0.5, 0.5), (0.5, 0.8), (0.8, 0.5), (0.8, 0.8)])
+def test_gi_at_the_moved_projector_threshold(d, spread, delta, e2):
+    # gi holds iff sqrt(delta^2 + e2^2) <= 1; with two rows half of e2^2 lies off the diagonal
+    rng = np.random.default_rng(int(10 * d + spread + 100 * delta + 1000 * e2))
+    m = KrausMap(_fixed_edge(rng, d, delta, e2, spread), LOOSE)
+    gi = classify_channel(m).gi
+    assert gi == _ref_flags(m, _hamiltonian(rng, d))["gi"] == (delta**2 + e2**2 <= 1.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(min_value=2, max_value=6),
@@ -205,6 +280,50 @@ def test_residual_formula_across_noise_scales(d, seed, scale):
     below = Tolerance(ref / d * (1.0 - 1e-10), 1e-9)
     assert extract_schur_matrix(m, above) is not None
     assert extract_schur_matrix(m, below) is None
+
+
+def _ref_expose_pair(m, tol=DEFAULT_TOL):
+    # the per-column loop expose_hidden_coherence ran: the first column, then the first
+    # pair s1 < s2 of operators hitting it in different rows
+    for j in range(m.dim):
+        hits = []
+        for s, k in enumerate(m.kraus):
+            nz = np.flatnonzero(np.abs(k[:, j]) > tol.abs_eps)
+            if nz.size:
+                hits.append((s, int(nz[0])))
+        for (s1, r1), (s2, r2) in ((a, b) for a in hits for b in hits):
+            if s1 < s2 and r1 != r2:
+                return s1, s2
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.booleans(),
+    st.sampled_from([0.0, 0.5, 2.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_expose_hidden_coherence_matches_column_loop(d, n, shared, factor, seed):
+    rng = np.random.default_rng(seed)
+    ops = _at_threshold(rng, _label_maps(rng, d, n, shared), factor)
+    m = KrausMap(ops, LOOSE)
+    if not all(is_incoherent_operator(k) for k in m.kraus):
+        with pytest.raises(ValueError):
+            expose_hidden_coherence(m)
+        return
+    got = expose_hidden_coherence(m)
+    pair = _ref_expose_pair(m)
+    assert (got is None) == (pair is None) == same_form(m.kraus)
+    if pair is not None:
+        s1, s2 = pair
+        root = 1.0 / np.sqrt(2.0)
+        want = list(m.kraus)
+        want[s1] = root * (m.kraus[s1] + m.kraus[s2])
+        want[s2] = root * (m.kraus[s1] - m.kraus[s2])
+        assert len(got.kraus) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want))
 
 
 def _cross_rank(v):

@@ -45,6 +45,14 @@ def test_density_matrix_trace_follows_tolerance():
         DensityMatrix(m, DEFAULT_TOL)
 
 
+def test_pure_state_norm_follows_tolerance():
+    # squared norm 1 + 1e-8: inside abs_eps * d = 2e-6, outside 2e-9
+    amps = np.sqrt(np.array([0.5, 0.5]) * (1.0 + 1e-8))
+    assert PureState(amps, Tolerance(1e-6, 1e-6)).dim == 2
+    with pytest.raises(ValueError):
+        PureState(amps)
+
+
 def test_plus_state_and_coherence_set():
     psi = plus_state(4)
     assert np.allclose(psi.amplitudes, 0.5)
