@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen, is_psd
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
 from .states import DensityMatrix
 
 __all__ = [
@@ -105,23 +105,33 @@ class KrausMap:
         return self.kraus[0].shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchurMatrix:
-    """PSD matrix with diagonal entries in [0, 1] defining rho -> A * rho entrywise."""
+    """PSD matrix with diagonal entries in [0, 1] defining rho -> A * rho entrywise.
+
+    Holds a read-only copy of A and, in `eigen`, the read-only eigenvalues
+    (ascending) and eigenvector columns that its PSD check computed, so that
+    callers never eigendecompose A again.
+    """
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
+    eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        a = as_matrix(self.matrix)
+        a = as_matrix(self.matrix).copy()  # as_matrix hands back the caller's complex array itself
         if a.shape[0] != a.shape[1]:
             raise ValueError("Schur matrix must be square")
-        if not is_psd(a, self.tol):
+        w, v = hermitian_eigen(a, self.tol)  # the test of is_psd, keeping the eigenpairs
+        if w[0] < -(self.tol.abs_eps + self.tol.rel_eps * float(np.max(np.abs(w)))):
             raise ValueError("Schur matrix must be Hermitian PSD within tolerance")
         diag = np.real(np.diag(a))
         if np.any(diag < -self.tol.abs_eps) or np.any(diag > 1.0 + self.tol.abs_eps):
             raise ValueError("Schur matrix diagonal must lie in [0, 1] within tolerance")
-        self.matrix = a
+        for x in (a, w, v):
+            x.flags.writeable = False
+        object.__setattr__(self, "matrix", a)
+        object.__setattr__(self, "eigen", (w, v))
 
     @property
     def dim(self) -> int:
@@ -215,7 +225,7 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
 def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     """Diagonal Kraus representation of the entrywise-multiplication map for A."""
     sm = a if isinstance(a, SchurMatrix) else SchurMatrix(as_matrix(a), tol)
-    w, v = hermitian_eigen(sm.matrix, tol)
+    w, v = sm.eigen
     keep = w > max(float(w[-1]), 0.0) * 1e-15 + 1e-15
     ops = [np.diag(np.sqrt(w[k]) * v[:, k]) for k in np.flatnonzero(keep)]
     if not ops:

@@ -107,26 +107,45 @@ def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _one_form(hit: np.ndarray) -> bool:
     # hit[s, a, i] = |K_s[a, i]| > abs_eps; per column, at most one row hit across operators
-    return bool(np.all(np.sum(np.any(hit, axis=0), axis=0) <= 1))
+    return bool((hit.any(axis=0).sum(axis=0) <= 1).all())
 
 
-def _image_norms(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # images[i] = map(|i><i|) = C_i C_i^dag, where C_i[a, s] = t[s, a, i]; returns the Frobenius
-    # norms of each image's off-diagonal part and of images[i] - |i><i|, summed from
-    # non-negative squares only: a difference of squares cancels at abs_eps * d
-    c = np.ascontiguousarray(t.transpose(2, 1, 0))  # contiguous, so matmul hands each C_i to BLAS
-    images = c @ np.conj(c).transpose(0, 2, 1)
-    ii = np.arange(images.shape[0])
-    sq = (np.conj(images) * images).real
-    sq[:, ii, ii] = 0.0
-    off = np.sum(sq, axis=(1, 2))
-    return np.sqrt(off), np.sqrt(off + np.sum(np.abs(images[:, ii, ii] - np.eye(ii.size)) ** 2, axis=1))
+def _support_grams(t: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # g[i] = C_i C_i^dag, C_i[k, s] = t[s, rows[i, k], i]: column i of every operator on the rows
+    # kept in it (ascending), padded up to the widest column, w, with rows that are zero in column i;
+    # O(n d w^2), w = 1 for a diagonal list. When every entry is kept, C_i is the whole column i as
+    # it stands and rows is arange(d), the same for every column
+    d = t.shape[1]
+    if keep.all():
+        rows = np.arange(d)
+        c = t.transpose(2, 1, 0)
+    else:
+        rows = np.argsort(~keep, axis=0, kind="stable")[: keep.sum(axis=0).max()].T
+        c = t[:, rows, np.arange(d)[:, None]].transpose(1, 2, 0)
+    c = np.ascontiguousarray(c)  # contiguous, so matmul hands each C_i to BLAS
+    return c @ c.conj().transpose(0, 2, 1), rows
+
+
+def _image_norms(t: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # images[i] = map(|i><i|) = C_i C_i^dag, where C_i[a, s] = t[s, a, i], vanishes outside the rows
+    # live in column i (live[a, i]: K_s[a, i] != 0 for some s); those rows and row i, which holds the
+    # target 1, are kept. Returns the Frobenius norms of each image's off-diagonal part and of
+    # images[i] - |i><i|, summed from non-negative squares only: a difference of squares cancels at
+    # abs_eps * d
+    d = t.shape[1]
+    images, rows = _support_grams(t, live | np.eye(d, dtype=bool))
+    kk = np.arange(images.shape[1])
+    sq = (images.conj() * images).real
+    sq[:, kk, kk] = 0.0
+    off = sq.sum(axis=(1, 2))
+    moved = (np.abs(images[:, kk, kk] - (rows == np.arange(d)[:, None])) ** 2).sum(axis=1)
+    return np.sqrt(off), np.sqrt(off + moved)
 
 
 def _unit_schur(schur: SchurMatrix | None, moved: np.ndarray, eps: float) -> SchurMatrix | None:
     # the gi predicate: Schur form and every basis projector fixed (moved from _image_norms);
     # moved[i] >= |A_ii - 1| since A_ii = map(|i><i|)[i, i], so A's diagonal is 1 within eps
-    return schur if schur is not None and np.max(moved) <= eps else None
+    return schur if schur is not None and moved.max() <= eps else None
 
 
 def classify_channel(
@@ -141,38 +160,40 @@ def classify_channel(
     # one mask gives io, sio and fi: hits per column (K incoherent), per row (K^dag incoherent) and
     # rows hit per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
     # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms
-    io = bool(np.all(np.sum(hit, axis=1) <= 1))
-    sio = io and bool(np.all(np.sum(hit, axis=2) <= 1))
+    io = bool((hit.sum(axis=1) <= 1).all())
+    sio = io and bool((hit.sum(axis=2) <= 1).all())
     if io:
         p = mod**2
         below = np.zeros_like(p)
-        below[:, 1:] = np.cumsum(p[:, :-1], axis=1)
-        io = bool(np.max(np.sqrt(2.0 * np.sum(p * below, axis=1))) <= eps)
+        below[:, 1:] = p[:, :-1].cumsum(axis=1)
+        io = bool(np.sqrt(2.0 * (p * below).sum(axis=1)).max() <= eps)
     fi = io and _one_form(hit)
 
     schur = extract_schur_matrix(m, tol)
     sgi = schur is not None
-    off, moved = _image_norms(t)
+    live = t.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
+    off, moved = _image_norms(t, live)
     gi = _unit_schur(schur, moved, eps) is not None
-    mio = dio = bool(np.max(off) <= eps)
-    if mio:
-        # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i]
-        r = np.ascontiguousarray(t.transpose(1, 2, 0))
-        diags = np.abs(r @ np.conj(r).transpose(0, 2, 1))
-        diags[:, np.arange(d), np.arange(d)] = 0.0
-        dio = bool(np.max(diags) <= eps)
+    mio = dio = bool(off.max() <= eps)
+    if mio and live.sum(axis=1).max() > 1:
+        # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
+        # vanishes outside the columns live in row a, so a row with fewer than two has no i != j term
+        diags = np.abs(_support_grams(t.transpose(0, 2, 1), live.T)[0])
+        kk = np.arange(diags.shape[1])
+        diags[:, kk, kk] = 0.0
+        dio = bool(diags.max() <= eps)
 
     tio: bool | None = None
     if hamiltonian is not None:
         if hamiltonian.dim != d:
             raise ValueError("Hamiltonian dimension does not match the map")
         # [sop, generator] at u = (a, i), v = (b, j) is (K^T conj K)[u, v] * (delta_u - delta_v),
-        # delta_(a,i) = E_i - E_a; only entries nonzero in some K_s count (d x d when diagonal)
+        # delta_(a,i) = E_i - E_a; only live entries count (d x d when diagonal)
         e = np.asarray(hamiltonian.energies, dtype=float)
-        live = np.flatnonzero(np.any(t != 0.0, axis=0))
-        k = t.reshape(len(m.kraus), d * d)[:, live]
-        delta = (e[None, :] - e[:, None]).reshape(-1)[live]
-        tio = frobenius((k.T @ np.conj(k)) * (delta[:, None] - delta[None, :])) <= 1e-9 * d * d
+        flat = np.flatnonzero(live)
+        k = t.reshape(len(m.kraus), d * d)[:, flat]
+        delta = (e[None, :] - e[:, None]).reshape(-1)[flat]
+        tio = frobenius((k.T @ np.conj(k)) * (delta[:, None] - delta[None, :])) <= tol.abs_eps * d * d
 
     return ClassificationReport(io=io, gi=gi, sgi=sgi, fi=fi, sio=sio, mio=mio, dio=dio, tio=tio, schur=schur)
 
@@ -204,14 +225,16 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     return KrausMap(new_ops, tol)
 
 
-def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[np.ndarray, ExtremalityWitness]:
+def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[SchurMatrix, ExtremalityWitness]:
     # A of a gi channel and its extremality; minimal_representation's relative cut on
-    # eigh(A) keeps round-off eigenvalues of a list padded beyond the rank out
-    moved = _image_norms(np.stack(m.kraus))[1]
+    # the eigenvalues of A, kept by SchurMatrix, keeps round-off eigenvalues of a list
+    # padded beyond the rank out
+    t = np.stack(m.kraus)
+    moved = _image_norms(t, t.any(axis=0))[1]
     unit = _unit_schur(extract_schur_matrix(m, tol), moved, tol.abs_eps * m.dim)
     if unit is None:
         raise ValueError("map is not a unit-diagonal Schur channel")
-    w, v = hermitian_eigen(unit.matrix, tol)
+    w, v = unit.eigen
     keep = np.flatnonzero(w > 1e-9 * max(float(w[-1]), 0.0))
     x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
     n = len(keep)  # row i * n + j holds conj(x_i) * x_j
@@ -222,7 +245,7 @@ def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[np.ndarray, Extremalit
     if n == 2:
         a, b = x
         witness = [np.abs(a) ** 2, np.abs(b) ** 2, np.conj(a) * b, a * np.conj(b)]
-    return unit.matrix, ExtremalityWitness(
+    return unit, ExtremalityWitness(
         extremal=bool(rank == n * n), rank_found=rank, rank_required=n * n, witness_vectors=witness
     )
 
@@ -233,9 +256,10 @@ def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitn
     The channel with diagonal Kraus operators D_1 .. D_n is extremal iff the
     n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
     the minimal diagonal representation taken from eigh of the d x d Schur
-    matrix A, so it is representation-independent. Cost: O(n d^3) for the gi
-    check, one batched matmul for the basis-projector images and one squared-
-    modulus pass; O(n^2 d^2) for A; O(d^3) for eigh(A); no Choi matrix.
+    matrix A, so it is representation-independent. Cost: O(n d w^2) for the
+    gi check, the basis-projector images over the w rows that some operator
+    reaches in each column (w = 1 for diagonal operators); O(n^2 d^2) for A;
+    one eigh of A, O(d^3), taken by its PSD check and reused; no Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 
@@ -324,23 +348,24 @@ def mixed_unitary_decompose(
     keeps the remainder PSD, so the remainder's rank drops every step; for
     dim <= 3 this always terminates with at most dim terms.
 
-    A is read once from the Kraus diagonals and the gi check is one batched
-    matmul, O(n d^3); the extremality test and every peeling step use eigh of
-    a d x d matrix, O(d^3), and no Choi matrix.
+    A is read once from the Kraus diagonals and the gi check costs O(n d w^2),
+    w the widest column support (1 for diagonal operators); the extremality
+    test and the first peeling step share the eigh of A from its PSD check,
+    each further step takes one eigh of a d x d matrix, O(d^3); no Choi matrix.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a
     proof of impossibility.
     """
-    a0, wit = _gi_extremality(m, tol)
+    unit, wit = _gi_extremality(m, tol)
     if wit.extremal and wit.rank_required > 1:
         return None
-    a = a0
+    a0 = a = unit.matrix
+    w, v = unit.eigen
     rng = np.random.default_rng(seed)
     terms: list[tuple[float, np.ndarray]] = []
     remaining = 1.0
     for _ in range(max_terms):
-        w, v = hermitian_eigen(a, tol)
         top = max(float(w[-1]), 0.0)
         rank = int(np.sum(w > 1e-9 * top)) if top > 0 else 0
         if rank <= 1:
@@ -359,6 +384,7 @@ def mixed_unitary_decompose(
         a = (a - t * np.outer(u, np.conj(u))) / (1.0 - t)
         np.fill_diagonal(a, 1.0)
         remaining *= 1.0 - t
+        w, v = hermitian_eigen(a, tol)
     else:
         raise BudgetExhaustedError("term budget exhausted before the remainder became rank 1")
     recon = np.zeros_like(a0)

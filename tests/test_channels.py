@@ -71,6 +71,22 @@ def test_schur_matrix_validation():
     assert a.dim == 2
 
 
+def test_schur_matrix_is_read_only():
+    # the kept eigenpairs describe the matrix for the object's whole life: it holds its own
+    # read-only copy, so neither the caller's array nor the object can change it
+    given = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    a = SchurMatrix(given)
+    given[0, 1] = 0.9
+    assert a.matrix[0, 1] == 0.5j
+    with pytest.raises(AttributeError):
+        a.matrix = np.eye(2)
+    for arr in (a.matrix, *a.eigen):
+        with pytest.raises(ValueError):
+            arr[0, ...] = 0.0
+    w, v = a.eigen
+    assert np.allclose((v * w) @ dagger(v), a.matrix)
+
+
 def test_apply_dephasing():
     rng = np.random.default_rng(0)
     for d in (2, 3):

@@ -91,6 +91,22 @@ def test_depolarizing_flags():
     assert r.mio and r.dio
 
 
+def test_tio_threshold_follows_tolerance():
+    # a rotation by 1e-8 between levels 0 and 1 fails to commute with time translations by a
+    # commutator norm c; tio holds iff c <= abs_eps * d^2
+    u = np.eye(3, dtype=complex)
+    u[:2, :2] = [[np.cos(1e-8), -1j * np.sin(1e-8)], [-1j * np.sin(1e-8), np.cos(1e-8)]]
+    h = Hamiltonian((0.0, 1.0, 2.5))
+    sop = np.kron(u, np.conj(u))
+    gen = -1j * (np.kron(np.diag(h.energies), np.eye(3)) - np.kron(np.eye(3), np.diag(h.energies)))
+    c = float(np.linalg.norm(sop @ gen - gen @ sop))
+    assert 1e-9 * 9 < c < 1e-6
+    m = KrausMap([u])
+    assert classify_channel(m, h).tio is False
+    assert classify_channel(m, h, tol=Tolerance(2.0 * c / 9, 1e-9)).tio is True
+    assert classify_channel(m, h, tol=Tolerance(0.5 * c / 9, 1e-9)).tio is False
+
+
 def test_gi_family_flags():
     rng = np.random.default_rng(0)
     for d in (2, 3, 4):

@@ -67,10 +67,12 @@ def _set_partitions(items):
 def _coarse_grains(psi, phi):
     # some partition of the source support whose block sums are the
     # populations of the target support; matching sorted lists is optimal for
-    # a max-deviation test
+    # a max-deviation test. The supports are read as the decider reads them,
+    # np.abs over the whole vector: Python's scalar abs can differ from it in
+    # the last bit, which decides an amplitude of modulus abs_eps
     psq, tsq = _pops(psi), _pops(phi)
-    src = [j for j in range(psi.dim) if abs(psi.amplitudes[j]) > DEFAULT_TOL.abs_eps]
-    want = sorted(float(tsq[r]) for r in range(phi.dim) if abs(phi.amplitudes[r]) > DEFAULT_TOL.abs_eps)
+    src = [int(j) for j in np.flatnonzero(np.abs(psi.amplitudes) > DEFAULT_TOL.abs_eps)]
+    want = sorted(float(x) for x in tsq[np.abs(phi.amplitudes) > DEFAULT_TOL.abs_eps])
     for part in _set_partitions(src):
         if len(part) != len(want):
             continue
@@ -141,6 +143,17 @@ def test_fi_decider_matches_set_partitions(data):
         _check_fi_witness(v.map, psi, phi)
     else:
         assert v.map is None and v.reason is not None
+
+
+def test_fi_oracle_reads_the_support_like_the_decider():
+    # target amplitude 1e-9 * phase: scalar abs gives exactly 1e-9, outside the support,
+    # np.abs gives 1e-9 plus one ulp, inside it; the oracle once said True here
+    rng = np.random.default_rng(2149)
+    psq = np.array([0.0, 1e-18, 1.0, 0.0, 0.0, 0.0])
+    psq /= psq.sum()
+    psi, phi = _state(psq, rng), _state(np.bincount([0, 0, 1, 0, 0, 0], weights=psq, minlength=6), rng)
+    assert np.count_nonzero(np.abs(phi.amplitudes) > DEFAULT_TOL.abs_eps) == 2
+    assert fi_deterministic_pure(psi, phi).possible is False is _coarse_grains(psi, phi)
 
 
 @settings(max_examples=200, deadline=None)

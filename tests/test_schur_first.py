@@ -2,7 +2,9 @@
 the literal formulas they replace: the d^4 basis-image tensor, the
 Kronecker-product commutator for tio, the per-operator io, sio and fi tests and
 the per-column pair search of expose_hidden_coherence. The references live here
-only."""
+only. Also the structural guards of the Schur path: eigh calls and memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from cohkit import (
     is_incoherent_operator,
     mixed_unitary_decompose,
     same_form,
+    schur_map,
 )
+from cohkit.classify import _image_norms
 from cohkit.linalg import frobenius
 
 # construction tolerance loose enough to admit lists whose off-diagonal noise
@@ -359,3 +363,119 @@ def test_rank_cut_on_padded_diagonal_lists(d, r):
         assert np.all(weights > 0.0) and abs(weights.sum() - 1.0) <= 1e-9
         rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
         assert np.linalg.norm(rebuilt - v @ np.conj(v).T) <= 1e-7
+
+
+def _ref_image_norms(m):
+    # norms of the off-diagonal part of map(|i><i|) and of map(|i><i|) - |i><i|, from the d^4 tensor
+    images = _ref_images(m)
+    off, moved = [], []
+    for i in range(m.dim):
+        img = images[i, :, i, :]
+        target = np.zeros_like(img)
+        target[i, i] = 1.0
+        off.append(frobenius(img - np.diag(np.diag(img))))
+        moved.append(frobenius(img - target))
+    return np.array(off), np.array(moved)
+
+
+@st.composite
+def sparse_channels(draw, tol=DEFAULT_TOL):
+    """Lists on random supports: entries on a random pattern (diagonal, or of a label map, or
+    anywhere), whole rows and columns zeroed, operators that are all zero, and entries of exactly
+    +-abs_eps beside exact zeros."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from(["diagonal", "label_maps", "pattern"]))
+    if base == "diagonal":
+        ops, _ = _diagonal(rng, d, int(rng.integers(1, n + 1)), n)
+    elif base == "label_maps":
+        ops = _label_maps(rng, d, n, bool(rng.integers(2)))
+    else:
+        ops = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * (rng.random((d, d)) < rng.random()) for _ in range(n)]
+    ops = [k.astype(complex) for k in ops]
+    tiny = []
+    for k in ops:
+        k[rng.random(d) < draw(st.sampled_from([0.0, 0.3])), :] = 0.0
+        k[:, rng.random(d) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        if rng.random() < 0.2:
+            k[:] = 0.0
+        tiny.append(rng.random((d, d)) < draw(st.sampled_from([0.0, 0.2])))
+        k[tiny[-1]] = 0.0
+    # scaled before the tiny entries go in, which then move sum K^dag K by about 1e-8 at most
+    top = float(np.linalg.eigvalsh(sum(np.conj(k).T @ k for k in ops))[-1])
+    if top > 0.9:
+        ops = [k * np.sqrt(0.9 / top) for k in ops]
+    for k, at in zip(ops, tiny):
+        k[at] = tol.abs_eps * rng.choice([1.0, -1.0, 1j, -1j], size=int(np.sum(at)))
+    return KrausMap(ops, LOOSE), _hamiltonian(rng, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_channels())
+def test_support_kernel_matches_image_tensor(case):
+    m, h = case
+    t = np.stack(m.kraus)
+    off, moved = _image_norms(t, np.any(t != 0.0, axis=0))
+    ref_off, ref_moved = _ref_image_norms(m)
+    assert np.allclose(off, ref_off, rtol=1e-12, atol=1e-15)
+    assert np.allclose(moved, ref_moved, rtol=1e-12, atol=1e-15)
+    ref = _ref_flags(m, h)
+    report = classify_channel(m, h)
+    assert {flag: getattr(report, flag) for flag in ref} == ref
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_zero_map_classifies(d):
+    # no entry is live: every support is empty, and the dio maximum runs over none
+    m = schur_map(np.zeros((d, d)))
+    report = classify_channel(m, _hamiltonian(np.random.default_rng(d), d))
+    assert report.io and report.fi and report.sio and report.sgi and report.mio and report.dio and report.tio
+    assert not report.gi
+    assert np.all(report.schur.matrix == 0.0)
+
+
+def _count_eigh(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [4, 32])
+def test_one_eigh_of_a_per_call(monkeypatch, d):
+    # A's PSD check eigendecomposes it once; extremality, schur_map and the first peel reuse that
+    rng = np.random.default_rng(d)
+    ops, v = _diagonal(rng, d, 3, 4)
+    m = KrausMap(ops)
+    mixture = KrausMap(_mixture(rng, d, 2, 3)[0])
+    calls = _count_eigh(monkeypatch)
+    gi_extremality(m)
+    assert calls == [(d, d)]
+    calls.clear()
+    schur_map(SchurMatrix(v @ np.conj(v).T))
+    assert calls == [(d, d)]
+    calls.clear()
+    # two terms: A once, then the rank-1 remainder after the first peel
+    assert len(mixed_unitary_decompose(mixture)) == 2
+    assert calls == [(d, d)] * 2
+
+
+def test_diagonal_list_memory_at_d64():
+    # the Schur path never builds a d x d x d tensor: 3 * 64^3 complex entries would be 12 MiB
+    rng = np.random.default_rng(64)
+    m = KrausMap(_diagonal(rng, 64, 3, 3)[0])
+    h = _hamiltonian(rng, 64)
+    tracemalloc.start()
+    try:
+        classify_channel(m, h)
+        gi_extremality(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
