@@ -4,7 +4,7 @@ A map is stored as an explicit Kraus representation; the representation is
 part of the object's identity (two KrausMaps can describe the same channel
 with different operator lists). Channel identity is decided through the Choi
 matrix: two maps are considered equal when their Choi matrices agree within
-1e-10 * dim in Frobenius norm.
+tol.abs_eps / 10 * dim in Frobenius norm.
 
 Schur-type maps (entrywise multiplication by a fixed PSD matrix with
 diagonal in [0, 1]) get a dedicated wrapper, since they describe exactly the
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
+from .linalg import DEFAULT_TOL, ROUNDOFF, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
 from .states import DensityMatrix
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "identity_channel",
     "dephasing_channel",
 ]
-
-CHANNEL_EQ_FACTOR = 1e-10
-
 
 class CompletenessClass(Enum):
     TRACE_PRESERVING = "trace_preserving"
@@ -72,17 +69,16 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
     ops = _kraus_list(kraus)
     d = ops[0].shape[0]
     s = sum(dagger(k) @ k for k in ops)
-    if frobenius(s - np.eye(d)) <= tol.abs_eps * d:
+    if tol.close(frobenius(s - np.eye(d)), d):
         return CompletenessClass.TRACE_PRESERVING
     diag = np.diagonal(s)
     # a diagonal passes hermitian_eigen's check when 2 ||Im diag|| <= abs_eps * d (complex
     # products leave round-off there), and eigh of it returns the sorted real diagonal
-    if np.count_nonzero(s) == np.count_nonzero(diag) and 2.0 * frobenius(diag.imag) <= tol.abs_eps * d:
+    if np.count_nonzero(s) == np.count_nonzero(diag) and tol.close(2.0 * frobenius(diag.imag), d):
         w = np.sort(diag.real)
     else:
         w, _ = hermitian_eigen(s, tol)
-    scale = float(np.max(np.abs(w)))
-    if w[-1] <= 1.0 + tol.abs_eps + tol.rel_eps * scale:
+    if w[-1] <= tol.upper(1.0, float(np.max(np.abs(w)))):
         return CompletenessClass.TRACE_NON_INCREASING
     return CompletenessClass.INVALID
 
@@ -123,7 +119,7 @@ class SchurMatrix:
         if a.shape[0] != a.shape[1]:
             raise ValueError("Schur matrix must be square")
         w, v = hermitian_eigen(a, self.tol)  # the test of is_psd, keeping the eigenpairs
-        if w[0] < -(self.tol.abs_eps + self.tol.rel_eps * float(np.max(np.abs(w)))):
+        if not self.tol.psd(w):
             raise ValueError("Schur matrix must be Hermitian PSD within tolerance")
         diag = np.real(np.diag(a))
         if np.any(diag < -self.tol.abs_eps) or np.any(diag > 1.0 + self.tol.abs_eps):
@@ -214,7 +210,7 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     y[:, diag] = 0.0
     gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
     residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
-    if residual > tol.abs_eps * d:
+    if not tol.close(residual, d):
         return None
     try:
         return SchurMatrix(np.einsum("si,sj->ij", x, np.conj(x)), tol)
@@ -226,7 +222,7 @@ def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     """Diagonal Kraus representation of the entrywise-multiplication map for A."""
     sm = a if isinstance(a, SchurMatrix) else SchurMatrix(as_matrix(a), tol)
     w, v = sm.eigen
-    keep = w > max(float(w[-1]), 0.0) * 1e-15 + 1e-15
+    keep = w > max(float(w[-1]), 0.0) * ROUNDOFF + ROUNDOFF
     ops = [np.diag(np.sqrt(w[k]) * v[:, k]) for k in np.flatnonzero(keep)]
     if not ops:
         ops = [np.zeros((sm.dim, sm.dim), dtype=complex)]
@@ -250,7 +246,7 @@ def transform_representation(m: KrausMap, v, tol: Tolerance = DEFAULT_TOL) -> Kr
         raise ValueError("mixing matrix is not a partial isometry (singular values not 0/1)")
     ops = [sum(vm[i, j] * m.kraus[j] for j in range(n)) for i in range(vm.shape[0])]
     out = KrausMap(ops, tol)
-    if frobenius(choi_matrix(out) - choi_matrix(m)) > CHANNEL_EQ_FACTOR * m.dim:
+    if frobenius(choi_matrix(out) - choi_matrix(m)) > tol.abs_eps / 10 * m.dim:
         raise ValueError("partial isometry does not preserve the channel")
     return out
 
@@ -260,7 +256,7 @@ def minimal_representation(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMa
     d = m.dim
     c = choi_matrix(m)
     w, v = hermitian_eigen(c, tol)
-    keep = np.flatnonzero(w > 1e-9 * max(float(w[-1]), 0.0))
+    keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
     ops = [np.sqrt(w[k]) * v[:, k].reshape(d, d).T for k in keep]
     if not ops:
         ops = [np.zeros((d, d), dtype=complex)]

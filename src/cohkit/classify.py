@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
+from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_NULL, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
+from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
 from .channels import KrausMap, SchurMatrix, extract_schur_matrix
 
 __all__ = [
@@ -142,17 +143,16 @@ def _image_norms(t: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.sqrt(off), np.sqrt(off + moved)
 
 
-def _unit_schur(schur: SchurMatrix | None, moved: np.ndarray, eps: float) -> SchurMatrix | None:
+def _unit_schur(schur: SchurMatrix | None, moved: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
     # the gi predicate: Schur form and every basis projector fixed (moved from _image_norms);
-    # moved[i] >= |A_ii - 1| since A_ii = map(|i><i|)[i, i], so A's diagonal is 1 within eps
-    return schur if schur is not None and moved.max() <= eps else None
+    # moved[i] >= |A_ii - 1| since A_ii = map(|i><i|)[i, i], so A's diagonal is 1 within abs_eps * d
+    return schur if schur is not None and tol.close(moved.max(), moved.size) else None
 
 
 def classify_channel(
     m: KrausMap, hamiltonian: Hamiltonian | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> ClassificationReport:
     d = m.dim
-    eps = tol.abs_eps * d
     t = np.stack(m.kraus)  # t[s, a, i] = K_s[a, i]
     mod = np.abs(t)
     hit = mod > tol.abs_eps
@@ -166,22 +166,22 @@ def classify_channel(
         p = mod**2
         below = np.zeros_like(p)
         below[:, 1:] = p[:, :-1].cumsum(axis=1)
-        io = bool(np.sqrt(2.0 * (p * below).sum(axis=1)).max() <= eps)
+        io = bool(tol.close(np.sqrt(2.0 * (p * below).sum(axis=1)).max(), d))
     fi = io and _one_form(hit)
 
     schur = extract_schur_matrix(m, tol)
     sgi = schur is not None
     live = t.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
     off, moved = _image_norms(t, live)
-    gi = _unit_schur(schur, moved, eps) is not None
-    mio = dio = bool(off.max() <= eps)
+    gi = _unit_schur(schur, moved, tol) is not None
+    mio = dio = bool(tol.close(off.max(), d))
     if mio and live.sum(axis=1).max() > 1:
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
         # vanishes outside the columns live in row a, so a row with fewer than two has no i != j term
         diags = np.abs(_support_grams(t.transpose(0, 2, 1), live.T)[0])
         kk = np.arange(diags.shape[1])
         diags[:, kk, kk] = 0.0
-        dio = bool(diags.max() <= eps)
+        dio = bool(tol.close(diags.max(), d))
 
     tio: bool | None = None
     if hamiltonian is not None:
@@ -231,16 +231,16 @@ def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[SchurMatrix, Extremali
     # padded beyond the rank out
     t = np.stack(m.kraus)
     moved = _image_norms(t, t.any(axis=0))[1]
-    unit = _unit_schur(extract_schur_matrix(m, tol), moved, tol.abs_eps * m.dim)
+    unit = _unit_schur(extract_schur_matrix(m, tol), moved, tol)
     if unit is None:
         raise ValueError("map is not a unit-diagonal Schur channel")
     w, v = unit.eigen
-    keep = np.flatnonzero(w > 1e-9 * max(float(w[-1]), 0.0))
+    keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
     x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
     n = len(keep)  # row i * n + j holds conj(x_i) * x_j
     rows = (np.conj(x)[:, None, :] * x[None, :, :]).reshape(n * n, m.dim)
     sing = np.linalg.svd(rows, compute_uv=False)
-    rank = int(np.sum(sing > 1e-9 * float(sing[0]))) if sing.size and sing[0] > 0 else 0
+    rank = int(np.sum(sing > tol.rank_cut(float(sing[0]))))
     witness = None
     if n == 2:
         a, b = x
@@ -264,7 +264,7 @@ def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitn
     return _gi_extremality(m, tol)[1]
 
 
-def _realize_polygon(radii: np.ndarray, target: complex) -> np.ndarray:
+def _realize_polygon(radii: np.ndarray, target: complex, tol: Tolerance) -> np.ndarray:
     """Angles t_i with sum_i radii_i * exp(1j*t_i) = target.
 
     Assumes the polygon inequality max <= sum(rest) + |target| and
@@ -272,7 +272,7 @@ def _realize_polygon(radii: np.ndarray, target: complex) -> np.ndarray:
     """
     n = radii.size
     if n == 0:
-        if abs(target) > 1e-12:
+        if abs(target) > ROUNDOFF_SUM:
             raise ValueError("cannot realize a nonzero target with no sides")
         return np.zeros(0)
     if n == 1:
@@ -284,30 +284,30 @@ def _realize_polygon(radii: np.ndarray, target: complex) -> np.ndarray:
     t = abs(target)
     lo = max(lo_rest, abs(t - r0))
     hi = min(hi_rest, t + r0)
-    if lo > hi + 1e-9:
+    if lo > hi + tol.abs_eps:
         raise ValueError("polygon closure is infeasible")
     s = min(max((lo + hi) / 2.0, lo), hi)
-    if t < 1e-15:
+    if t < ROUNDOFF:
         theta0 = 0.0
     else:
-        c = (t * t + r0 * r0 - s * s) / (2.0 * t * r0) if r0 > 1e-15 else 1.0
+        c = (t * t + r0 * r0 - s * s) / (2.0 * t * r0) if r0 > ROUNDOFF else 1.0
         theta0 = np.angle(target) + float(np.arccos(min(max(c, -1.0), 1.0)))
     first = r0 * np.exp(1j * theta0)
-    sub = _realize_polygon(rest, target - first)
+    sub = _realize_polygon(rest, target - first, tol)
     return np.concatenate(([theta0], sub))
 
 
-def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng) -> np.ndarray | None:
+def _unimodular_in_range(v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
     d = v.shape[0]
     if rank == d:
         return np.exp(1j * np.angle(v[:, -1]))
     if rank == d - 1:
         null = v[:, 0]
         radii = np.abs(null)
-        live = radii > 1e-13
+        live = radii > ROUNDOFF_NULL
         angles = np.zeros(d)
         if np.any(live):
-            angles[live] = _realize_polygon(radii[live], 0.0 + 0.0j)
+            angles[live] = _realize_polygon(radii[live], 0.0 + 0.0j, tol)
         return np.exp(1j * (angles + np.angle(np.where(live, null, 1.0))))
     # corank >= 2: alternating projection between the range and the torus
     basis = v[:, d - rank :]
@@ -316,22 +316,22 @@ def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng) -> np.nda
     best_res = np.inf
     for _ in range(64):
         z = basis @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))
-        u = np.exp(1j * np.angle(np.where(np.abs(z) > 1e-14, z, 1.0)))
+        u = np.exp(1j * np.angle(np.where(np.abs(z) > ROUNDOFF_PHASE, z, 1.0)))
         for _ in range(2000):
             pu = proj @ u
-            u_new = np.exp(1j * np.angle(np.where(np.abs(pu) > 1e-14, pu, 1.0)))
-            if float(np.max(np.abs(u_new - u))) < 1e-15:
+            u_new = np.exp(1j * np.angle(np.where(np.abs(pu) > ROUNDOFF_PHASE, pu, 1.0)))
+            if float(np.max(np.abs(u_new - u))) < ROUNDOFF:
                 u = u_new
                 break
             u = u_new
         res = float(np.linalg.norm(u - proj @ u))
-        if res <= 1e-10 * np.sqrt(d):
+        if res <= tol.abs_eps / 10 * np.sqrt(d):
             return u
         if res < best_res:
             best_res = res
             best_u = u
     # a slightly off-range direction only perturbs the remainder at res**2
-    if best_res <= 1e-8 * np.sqrt(d):
+    if best_res <= tol.abs_eps * 10 * np.sqrt(d):
         return best_u
     return None
 
@@ -366,19 +366,18 @@ def mixed_unitary_decompose(
     terms: list[tuple[float, np.ndarray]] = []
     remaining = 1.0
     for _ in range(max_terms):
-        top = max(float(w[-1]), 0.0)
-        rank = int(np.sum(w > 1e-9 * top)) if top > 0 else 0
+        keep = w > tol.rank_cut(float(w[-1]))
+        rank = int(np.sum(keep))
         if rank <= 1:
             terms.append((remaining, np.angle(v[:, -1])))
             break
-        u = _unimodular_in_range(w, v, rank, rng)
+        u = _unimodular_in_range(v, rank, rng, tol)
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
-        keep = w > 1e-9 * top
         comps = dagger(v[:, keep]) @ u
         denom = float(np.sum((np.abs(comps) ** 2) / w[keep]))
         t = 1.0 / denom
-        if not (0.0 < t < 1.0 - 1e-12):
+        if not (0.0 < t < 1.0 - ROUNDOFF_SUM):
             raise BudgetExhaustedError("peeling weight left the open interval (0, 1)")
         terms.append((remaining * t, np.angle(u)))
         a = (a - t * np.outer(u, np.conj(u))) / (1.0 - t)
@@ -391,7 +390,7 @@ def mixed_unitary_decompose(
     for weight, phases in terms:
         u = np.exp(1j * phases)
         recon = recon + weight * np.outer(u, np.conj(u))
-    if frobenius(recon - a0) > 1e-8:
+    if frobenius(recon - a0) > tol.abs_eps * 10:
         raise BudgetExhaustedError("decomposition failed to reconstruct the Schur matrix")
     return terms
 

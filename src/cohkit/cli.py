@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .states import DensityMatrix, PureState
 from .channels import KrausMap, SchurMatrix, schur_map
 from .classify import (
@@ -337,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cohkit",
         description="Classify incoherence-compatible channels and decide basis-coherence conversions.",
     )
-    parser.add_argument("--tol", type=_tolerance, default=1e-9, help="absolute and relative tolerance (> 0)")
+    tol_help = "abs_eps and rel_eps of every comparison, state validation included (finite, > 0)"
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL.abs_eps, help=tol_help)
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     parser.add_argument("--budget", type=int, default=10000, help="iteration budget for searches")
     sub = parser.add_subparsers(dest="command", required=True)

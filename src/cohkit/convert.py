@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, hermitian_eigen, is_psd, partial_trace_second
+from .linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, frobenius, hermitian_eigen, partial_trace_second
 from .states import DensityMatrix, PureState, coherence_set, plus_state
 from .channels import (
     CompletenessClass,
@@ -113,7 +113,7 @@ def gi_deterministic_pure(psi: PureState, phi: PureState, tol: Tolerance = DEFAU
     """
     _check_dims(psi.dim, phi.dim)
     dev = float(np.max(np.abs(np.abs(psi.amplitudes) ** 2 - np.abs(phi.amplitudes) ** 2)))
-    if dev > 1e-9:
+    if not tol.close(dev):
         return ConversionVerdict(False, 0.0, None, Reason.NOT_UNITARILY_EQUIVALENT)
     support = np.abs(psi.amplitudes) > tol.abs_eps
     phases = np.where(support, np.angle(phi.amplitudes) - np.angle(psi.amplitudes), 0.0)
@@ -136,14 +136,11 @@ def gi_pure_parent(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[Pu
     return psi, schur_map(SchurMatrix(a, tol), tol)
 
 
-def _is_pure(rho: DensityMatrix, tol: Tolerance) -> bool:
-    w, _ = hermitian_eigen(rho.matrix, tol)
-    return bool(1.0 - float(w[-1]) <= 1e-9)
-
-
-def _pure_vector(rho: DensityMatrix, tol: Tolerance) -> np.ndarray:
+def _purity(rho: DensityMatrix, tol: Tolerance) -> tuple[bool, np.ndarray]:
+    # one eigh: is the top eigenvalue 1 within abs_eps, and its eigenvector times its root
     w, v = hermitian_eigen(rho.matrix, tol)
-    return v[:, -1] * np.sqrt(max(float(w[-1]), 0.0))
+    top = float(w[-1])
+    return tol.close(1.0 - top), v[:, -1] * np.sqrt(max(top, 0.0))
 
 
 def gi_deterministic(
@@ -154,63 +151,49 @@ def gi_deterministic(
 ) -> ConversionVerdict:
     """Deterministic conversion rho -> sigma under unit-diagonal Schur channels.
 
-    The diagonal must match entrywise. A pure source with matching diagonal
-    always converts (entrywise-ratio construction). A mixed source cannot
-    reach a pure target. Otherwise the required multiplier matrix is pinned
-    wherever rho is nonzero and the remaining entries are left to a PSD
-    completion search; an unresolved completion yields possible=None.
+    The diagonals must agree entrywise within tol.abs_eps. A pure source (top
+    eigenvalue 1 within tol.abs_eps) converts iff the ratio sigma_ij / (psi_i
+    conj(psi_j)) is a Schur matrix. A mixed source cannot reach a pure target.
+    Otherwise A_ij = sigma_ij / rho_ij is pinned where |rho_ij| > tol.abs_eps;
+    oracle.psd_complete (default budget 5,000 iterations) fills the rest and
+    stops on the PSD rule of SchurMatrix, so its completion is the witness's
+    Schur matrix as it stands. No completion within the budget: possible=None.
     """
     _check_dims(rho.dim, sigma.dim)
     d = rho.dim
-    if float(np.max(np.abs(rho.diagonal() - sigma.diagonal()))) > 1e-9:
+    if not tol.close(float(np.max(np.abs(rho.diagonal() - sigma.diagonal())))):
         return ConversionVerdict(False, 0.0, None, Reason.DIAGONAL_MISMATCH)
-    rho_pure = _is_pure(rho, tol)
+    rho_pure, psi = _purity(rho, tol)
+    a = np.eye(d, dtype=complex)
     if rho_pure:
-        psi = _pure_vector(rho, tol)
         support = np.abs(psi) > tol.abs_eps
-        a = np.eye(d, dtype=complex)
         for i in range(d):
             for j in range(d):
                 if i != j and support[i] and support[j]:
                     a[i, j] = sigma.matrix[i, j] / (psi[i] * np.conj(psi[j]))
-        try:
-            witness = schur_map(SchurMatrix(a, tol), tol)
-        except ValueError:
-            return ConversionVerdict(False, 0.0, None, Reason.COMPLETION_INFEASIBLE)
-        return ConversionVerdict(True, 1.0, witness, None)
-    if _is_pure(sigma, tol):
+    elif _purity(sigma, tol)[0]:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
-    pinned = np.eye(d, dtype=complex)
-    mask = np.eye(d, dtype=bool)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            if abs(rho.matrix[i, j]) > tol.abs_eps:
-                pinned[i, j] = sigma.matrix[i, j] / rho.matrix[i, j]
-                mask[i, j] = True
-            elif abs(sigma.matrix[i, j]) > tol.abs_eps:
-                return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
-    if mask.all():
-        if not is_psd(pinned, tol):
-            return ConversionVerdict(False, 0.0, None, Reason.COMPLETION_INFEASIBLE)
-        return ConversionVerdict(True, 1.0, schur_map(SchurMatrix(pinned, tol), tol), None)
-    if budget is None:
-        budget = oracle.SearchBudget(max_iterations=5000, seed=0, convergence_eps=1e-10)
-    result = oracle.psd_complete(pinned, mask, budget)
-    if result.witness is None:
-        return ConversionVerdict(None, 0.0, None, Reason.COMPLETION_INFEASIBLE)
-    w, v = hermitian_eigen(result.witness, tol)
-    cleaned = (v * np.clip(w, 0.0, None)) @ dagger(v)
-    a = np.where(mask, pinned, cleaned)
-    a = (a + dagger(a)) / 2.0
-    np.fill_diagonal(a, 1.0)
-    w2, v2 = hermitian_eigen(a, tol)
-    if float(w2[0]) < -1e-8:
-        return ConversionVerdict(None, 0.0, None, Reason.COMPLETION_INFEASIBLE)
-    a = (v2 * np.clip(w2, 0.0, None)) @ dagger(v2)
-    np.fill_diagonal(a, 1.0)
-    return ConversionVerdict(True, 1.0, schur_map(SchurMatrix(a, tol), tol), None)
+    else:
+        mask = np.eye(d, dtype=bool)
+        for i in range(d):
+            for j in range(d):
+                if i == j:
+                    continue
+                if abs(rho.matrix[i, j]) > tol.abs_eps:
+                    a[i, j] = sigma.matrix[i, j] / rho.matrix[i, j]
+                    mask[i, j] = True
+                elif abs(sigma.matrix[i, j]) > tol.abs_eps:
+                    return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
+        if not mask.all():
+            # the completion stops on the PSD rule of SchurMatrix, which therefore accepts it
+            a = oracle.psd_complete(a, mask, budget or oracle.SearchBudget(max_iterations=5000), tol).witness
+            if a is None:
+                return ConversionVerdict(None, 0.0, None, Reason.COMPLETION_INFEASIBLE)
+    try:
+        witness = schur_map(SchurMatrix(a, tol), tol)
+    except ValueError:
+        return ConversionVerdict(False, 0.0, None, Reason.COMPLETION_INFEASIBLE)
+    return ConversionVerdict(True, 1.0, witness, None)
 
 
 def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> ConversionVerdict:
@@ -250,7 +233,7 @@ def complete_sgi(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     extra = []
     for i in range(m.dim):
         leftover = 1.0 - diag[i]
-        if leftover > 1e-12:
+        if leftover > ROUNDOFF_SUM:
             k = np.zeros((m.dim, m.dim), dtype=complex)
             k[i, i] = np.sqrt(leftover)
             extra.append(k)
@@ -266,7 +249,7 @@ def sgi_mixed_to_pure(
     block with a nonzero off-diagonal entry; the witness is that projector
     and the branch probability is the block's trace.
     """
-    if _is_pure(rho, tol):
+    if _purity(rho, tol)[0]:
         raise ValueError("source state is already pure")
     off = rho.matrix - np.diag(np.diag(rho.matrix))
     if frobenius(off) <= tol.abs_eps:
@@ -278,7 +261,7 @@ def sgi_mixed_to_pure(
             if abs(block[0, 1]) <= tol.abs_eps:
                 continue
             w, _ = hermitian_eigen(block, tol)
-            if float(w[0]) > 1e-9 * max(float(w[-1]), 0.0):
+            if float(w[0]) > tol.rank_cut(float(w[-1])):
                 continue
             proj = np.zeros((d, d), dtype=complex)
             proj[i, i] = 1.0
@@ -307,9 +290,9 @@ def reduce_joint(a_joint: SchurMatrix, sigma: DensityMatrix, tol: Tolerance = DE
     return SchurMatrix(reduced, tol)
 
 
-def _label_map(items: list[float], caps: list[float], limit: int) -> list[int] | None:
+def _label_map(items: list[float], caps: list[float], limit: int, eps: float) -> list[int] | None:
     # target label per source population (items descending) such that every
-    # label is used and its populations sum to its cap within 1e-9, or None;
+    # label is used and its populations sum to its cap within eps, or None;
     # BudgetExhaustedError after limit placements. Bin completion: the largest
     # unplaced population opens a label, smaller ones complete it; one
     # candidate per distinct capacity or population is tried at each level.
@@ -318,7 +301,7 @@ def _label_map(items: list[float], caps: list[float], limit: int) -> list[int] |
 
     def dead(cap: float) -> bool:
         # short of its population, but every source population overfills it
-        return 1e-9 < cap < items[-1] - 1e-9
+        return eps < cap < items[-1] - eps
 
     def place(b: int, start: int) -> bool:
         nonlocal nodes
@@ -334,7 +317,7 @@ def _label_map(items: list[float], caps: list[float], limit: int) -> list[int] |
             moves = [(i, b, items[i]) for i in range(start, len(items)) if assigned[i] < 0]
         tried = set()
         for i, c, key in moves:
-            if items[i] > caps[c] + 1e-9 or key in tried:
+            if items[i] > caps[c] + eps or key in tried:
                 continue
             tried.add(key)
             nodes += 1
@@ -344,7 +327,7 @@ def _label_map(items: list[float], caps: list[float], limit: int) -> list[int] |
             if dead(cap - items[i]):
                 continue
             caps[c], assigned[i] = cap - items[i], c
-            if place(c if caps[c] > 1e-9 else -1, i + 1):
+            if place(c if caps[c] > eps else -1, i + 1):
                 return True
             caps[c], assigned[i] = cap, -1
         return False
@@ -362,7 +345,7 @@ def fi_deterministic_pure(
 
     Possible iff some label map f from the source support onto the target
     support coarse-grains the populations: |phi_r|^2 = sum over f(j) = r of
-    |psi_j|^2 within 1e-9. f is found by backtracking, each placement counting
+    |psi_j|^2 within tol.abs_eps. f is found by backtracking, each placement counting
     against budget.max_iterations: exponential in d at worst, at most 64
     placements at d = 7 and 2,048 at d = 12 on random pairs. False carries a
     reason; None means only that the budget ran out.
@@ -370,7 +353,7 @@ def fi_deterministic_pure(
     The witness has as many branches as the largest fibre F -> r; F's columns
     are those of phase(phi_r) Q^dag, Q unitary with first column
     psi_F / |psi_F|. It must be one-form, trace preserving and of fidelity
-    1 - 1e-8 (or what f promises, if less), else ArithmeticError.
+    1 - 10 tol.abs_eps (or what f promises, if less), else ArithmeticError.
     """
     _check_dims(psi.dim, phi.dim)
     amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
@@ -381,7 +364,7 @@ def fi_deterministic_pure(
     order = src[np.argsort(-amp_s[src], kind="stable")]
     limit = (budget or oracle.SearchBudget()).max_iterations
     try:
-        f = _label_map((amp_s[order] ** 2).tolist(), (amp_t[tgt] ** 2).tolist(), limit)
+        f = _label_map((amp_s[order] ** 2).tolist(), (amp_t[tgt] ** 2).tolist(), limit, tol.abs_eps)
     except BudgetExhaustedError:
         return ConversionVerdict(None, 0.0, None, None)
     if f is None:
@@ -400,17 +383,17 @@ def fi_deterministic_pure(
         ops[: fibre.size, r, fibre] = phi.amplitudes[r] / amp_t[r] * dagger(frame)
     # labels outside the source support go to unused rows, one each, as e_0
     ops[0, np.delete(np.arange(d), tgt)[: d - src.size], np.delete(np.arange(d), src)] = 1.0
-    # populations below 1e-9 may trade labels, so f itself may promise less
-    # than 1 - 1e-8: sum over r of |phi_r| |psi_F| squared
+    # populations below abs_eps may trade labels, so f itself may promise less
+    # than 1 - 10 abs_eps: sum over r of |phi_r| |psi_F| squared
     promised = float(amp_t @ np.sqrt(np.bincount(labels, weights=amp_s[order] ** 2, minlength=d))) ** 2
     overlap = (ops @ psi.amplitudes) @ np.conj(phi.amplitudes)
     if (
-        not same_form(ops)
-        or completeness_class(list(ops)) is not CompletenessClass.TRACE_PRESERVING
-        or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - 1e-8, promised - 1e-10)
+        not same_form(ops, tol)
+        or completeness_class(list(ops), tol) is not CompletenessClass.TRACE_PRESERVING
+        or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - tol.abs_eps * 10, promised - tol.abs_eps / 10)
     ):
         raise ArithmeticError("rounding broke the fully incoherent witness")
-    return ConversionVerdict(True, 1.0, KrausMap(list(ops)), None)
+    return ConversionVerdict(True, 1.0, KrausMap(list(ops), tol), None)
 
 
 def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
@@ -418,7 +401,7 @@ def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
 
     Branch i is [[a_i, 0, c_i], [0, b_i, 0], [0, 0, 0]]. Trace preservation
     pins sum |a_i|^2 = sum |b_i|^2 = sum |c_i|^2 = 1 and a . conj(c) = 0,
-    all enforced within 1e-10.
+    all enforced within tol.abs_eps / 10.
     """
     av = np.asarray(a, dtype=complex)
     bv = np.asarray(b, dtype=complex)
@@ -426,9 +409,9 @@ def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     if av.shape != (2,) or bv.shape != (2,) or cv.shape != (2,):
         raise ValueError("parameters must be pairs (two branches)")
     for name, vec in (("a", av), ("b", bv), ("c", cv)):
-        if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > 1e-10:
+        if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > tol.abs_eps / 10:
             raise ValueError(f"column normalization violated for {name}")
-    if abs(complex(np.sum(av * np.conj(cv)))) > 1e-10:
+    if abs(complex(np.sum(av * np.conj(cv)))) > tol.abs_eps / 10:
         raise ValueError("cross-column orthogonality a . conj(c) = 0 violated")
     ops = []
     for i in range(2):
@@ -488,12 +471,12 @@ def fi_erase(target: int, d: int, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     return KrausMap(ops, tol)
 
 
-def fi_max_mixed_reachable(rho: DensityMatrix) -> bool:
+def fi_max_mixed_reachable(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether a fully incoherent channel can send rho to the maximally mixed state.
 
     Full-rank targets force invertible operators (label permutations), so
-    this requires the populations to be uniform already."""
-    return float(np.max(np.abs(rho.diagonal() - 1.0 / rho.dim))) <= 1e-9
+    this requires the populations to be uniform already, within tol.abs_eps."""
+    return tol.close(float(np.max(np.abs(rho.diagonal() - 1.0 / rho.dim))))
 
 
 def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
@@ -507,14 +490,14 @@ def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
     source = plus_state(4)
     joint = fi_deterministic_pure(source, PureState(np.array([1 + 1j, 1, 0, 1]) / 2, tol), tol).map
     out, prob = apply(joint, source.density())
-    if abs(prob - 1.0) > 1e-12:
+    if abs(prob - 1.0) > ROUNDOFF_SUM:
         raise AssertionError("activation map must be trace preserving on the product state")
-    reduced = DensityMatrix(partial_trace_second(out, 2, 2))
-    marginal = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex))
+    reduced = DensityMatrix(partial_trace_second(out, 2, 2), tol)
+    marginal = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex), tol)
     verdicts = []
     for mapping in ((0, 1), (1, 0)):
         p_unitary = permutation_unitary(Permutation(mapping))
-        permuted = DensityMatrix(p_unitary @ plus_state(2).density() @ dagger(p_unitary))
+        permuted = DensityMatrix(p_unitary @ plus_state(2).density() @ dagger(p_unitary), tol)
         verdicts.append(gi_deterministic(permuted, marginal, tol))
     one_copy = any(v.possible is True for v in verdicts)
     return ActivationDemo(

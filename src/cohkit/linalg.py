@@ -33,7 +33,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute and relative numerical thresholds shared across the package."""
+    """Absolute and relative thresholds: every tolerance of the package is read from here.
+
+    abs_eps bounds a deviation times the entries it runs over (`close`), rel_eps cuts a spectrum
+    at its top (`rank_cut`), and both add up in the PSD rule (`psd`). Checks of a computed witness
+    allow abs_eps * 10; input normalizations and channel identity are held to abs_eps / 10.
+    """
 
     abs_eps: float = 1e-9
     rel_eps: float = 1e-9
@@ -44,8 +49,31 @@ class Tolerance:
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
+    def close(self, dev: float, size: float = 1) -> bool:
+        """Absolute equality: dev <= abs_eps * size."""
+        return dev <= self.abs_eps * size
+
+    def upper(self, limit: float, scale: float) -> float:
+        """limit + abs_eps + rel_eps * scale: the largest value of magnitude scale that counts as <= limit."""
+        return limit + self.abs_eps + self.rel_eps * scale
+
+    def psd(self, w: np.ndarray) -> bool:
+        """The PSD rule on ascending eigenvalues w: w[0] >= -(abs_eps + rel_eps * max|w|)."""
+        return bool(-w[0] <= self.upper(0.0, float(np.max(np.abs(w)))))
+
+    def rank_cut(self, top: float) -> float:
+        """Eigen- or singular values above rel_eps * max(top, 0) count toward a rank."""
+        return self.rel_eps * max(top, 0.0)
+
 
 DEFAULT_TOL = Tolerance()
+
+# Round-off guards: fixed floors far below any tolerance that keep float noise out
+# of angles, roots and sums. They do not follow a Tolerance.
+ROUNDOFF_SUM = 1e-12  # slack of probabilities, weights and conjugate pairs that round-off moves
+ROUNDOFF_NULL = 1e-13  # null-vector entries at most this carry no angle
+ROUNDOFF_PHASE = 1e-14  # entries at most this keep phase 0 when pushed onto the unit circle
+ROUNDOFF = 1e-15  # moduli, eigenvalues and steps at most this count as zero
 
 
 def as_matrix(m) -> np.ndarray:
@@ -76,7 +104,7 @@ def frobenius(m: np.ndarray) -> float:
 
 def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = _require_square(as_matrix(m))
-    return frobenius(a - dagger(a)) <= tol.abs_eps * a.shape[0]
+    return tol.close(frobenius(a - dagger(a)), a.shape[0])
 
 
 def schur_product(x, y) -> np.ndarray:
@@ -95,7 +123,7 @@ def hermitian_eigen(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     anti-Hermitian part exceeds abs_eps * dim in Frobenius norm are rejected.
     """
     a = _require_square(as_matrix(m))
-    if frobenius(a - dagger(a)) > tol.abs_eps * a.shape[0]:
+    if not tol.close(frobenius(a - dagger(a)), a.shape[0]):
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
     return w, v
@@ -103,9 +131,7 @@ def hermitian_eigen(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the minimum eigenvalue is >= -(abs_eps + rel_eps * max|eig|)."""
-    w, _ = hermitian_eigen(m, tol)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    return bool(w[0] >= -(tol.abs_eps + tol.rel_eps * scale))
+    return tol.psd(hermitian_eigen(m, tol)[0])
 
 
 def trace_norm(m) -> float:
@@ -130,7 +156,7 @@ def partial_trace_second(m, d1: int, d2: int) -> np.ndarray:
 def binary_entropy(x: float) -> float:
     """Shannon entropy of (x, 1-x) in bits."""
     x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
+    if x < -ROUNDOFF_SUM or x > 1.0 + ROUNDOFF_SUM:
         raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
     x = min(max(x, 0.0), 1.0)
     out = 0.0
@@ -142,11 +168,9 @@ def binary_entropy(x: float) -> float:
 
 def _state_eigenvalues(rho, tol: Tolerance) -> np.ndarray:
     w, _ = hermitian_eigen(rho, tol)
-    d = w.size
-    scale = float(np.max(np.abs(w))) if d else 0.0
-    if w[0] < -(tol.abs_eps + tol.rel_eps * scale):
+    if not tol.psd(w):
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    if abs(float(np.sum(w)) - 1.0) > tol.abs_eps * max(d, 1):
+    if not tol.close(abs(float(np.sum(w)) - 1.0), w.size):
         raise ValueError("matrix does not have unit trace within tolerance")
     return np.clip(w, 0.0, None)
 

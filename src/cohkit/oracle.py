@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, dagger, hermitian_eigen, von_neumann_entropy
+from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_SUM, Tolerance, dagger, von_neumann_entropy
 from .states import DensityMatrix, PureState, coherence_set
 from .channels import CompletenessClass, KrausMap, apply, completeness_class
 
@@ -33,13 +33,10 @@ __all__ = [
 class SearchBudget:
     max_iterations: int = 10000
     seed: int = 0
-    convergence_eps: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not (self.convergence_eps > 0.0):
-            raise ValueError("convergence_eps must be positive")
 
 
 @dataclass
@@ -54,13 +51,15 @@ class FeasibilityResult:
         return self.witness is not None
 
 
-def psd_complete(pinned: np.ndarray, mask: np.ndarray, budget: SearchBudget = SearchBudget()) -> FeasibilityResult:
+def psd_complete(
+    pinned: np.ndarray, mask: np.ndarray, budget: SearchBudget = SearchBudget(), tol: Tolerance = DEFAULT_TOL
+) -> FeasibilityResult:
     """Complete the unpinned entries of a Hermitian matrix to make it PSD.
 
     mask marks the pinned entries; it must be symmetric and the pinned values
     Hermitian-consistent. Alternating projections between the PSD cone and
-    the pinned affine slice; converged when the pinned iterate has least
-    eigenvalue above -convergence_eps.
+    the pinned affine slice; converged when the pinned iterate, which is
+    exactly Hermitian, passes tol.psd, the rule of is_psd and SchurMatrix.
     """
     pinned = np.asarray(pinned, dtype=complex)
     mask = np.asarray(mask, dtype=bool)
@@ -69,29 +68,28 @@ def psd_complete(pinned: np.ndarray, mask: np.ndarray, budget: SearchBudget = Se
     if not np.array_equal(mask, mask.T):
         raise ValueError("mask must be symmetric")
     herm_gap = np.abs(pinned - np.conj(pinned.T))[mask & mask.T]
-    if herm_gap.size and float(np.max(herm_gap)) > 1e-12:
+    if herm_gap.size and float(np.max(herm_gap)) > ROUNDOFF_SUM:
         raise ValueError("pinned values must be Hermitian-consistent")
     if mask.all():
         h = (pinned + dagger(pinned)) / 2.0
         w = np.linalg.eigvalsh(h)
-        residual = max(0.0, -float(w[0]))
-        if residual <= budget.convergence_eps:
-            return FeasibilityResult(h, residual)
-        return FeasibilityResult(None, residual)
+        return FeasibilityResult(h if tol.psd(w) else None, max(0.0, -float(w[0])))
     x = np.where(mask, pinned, 0.0)
     residual = np.inf
     for _ in range(budget.max_iterations):
         h = (x + dagger(x)) / 2.0
         w, v = np.linalg.eigh(h)
         residual = max(0.0, -float(w[0]))
-        if residual <= budget.convergence_eps:
+        if tol.psd(w):
             return FeasibilityResult(h, residual)
         y = (v * np.clip(w, 0.0, None)) @ dagger(v)
         x = np.where(mask, pinned, y)
     return FeasibilityResult(None, residual)
 
 
-def search_sgi_probability(psi: PureState, phi: PureState, budget: SearchBudget = SearchBudget()) -> float:
+def search_sgi_probability(
+    psi: PureState, phi: PureState, budget: SearchBudget = SearchBudget(), tol: Tolerance = DEFAULT_TOL
+) -> float:
     """Best conversion probability found by bisecting over feasible Schur matrices.
 
     A success probability k is feasible when the multiplier matrix forced by
@@ -101,9 +99,8 @@ def search_sgi_probability(psi: PureState, phi: PureState, budget: SearchBudget 
     if psi.dim != phi.dim:
         raise ValueError("states must share a dimension")
     d = psi.dim
-    eps = DEFAULT_TOL.abs_eps
-    sp = np.abs(psi.amplitudes) > eps
-    tp = np.abs(phi.amplitudes) > eps
+    sp = np.abs(psi.amplitudes) > tol.abs_eps
+    tp = np.abs(phi.amplitudes) > tol.abs_eps
     if np.any(tp & ~sp):
         return 0.0
 
@@ -118,9 +115,9 @@ def search_sgi_probability(psi: PureState, phi: PureState, budget: SearchBudget 
                     * np.conj(phi.amplitudes[j])
                     / (psi.amplitudes[i] * np.conj(psi.amplitudes[j]))
                 )
-        if float(np.max(np.real(np.diag(a)))) > 1.0 + 1e-12:
+        if float(np.max(np.real(np.diag(a)))) > 1.0 + ROUNDOFF_SUM:
             return False
-        result = psd_complete(a, np.ones((d, d), dtype=bool), budget)
+        result = psd_complete(a, np.ones((d, d), dtype=bool), budget, tol)
         return result.feasible
 
     if feasible(1.0):
@@ -156,7 +153,7 @@ def monte_carlo_protocol(
         out = k @ rho.matrix @ dagger(k)
         probs.append(max(float(np.real(np.trace(out))), 0.0))
     p_fail = 1.0 - sum(probs)
-    if p_fail < 1e-12:
+    if p_fail < ROUNDOFF_SUM:
         p_fail = 0.0
     pvals = np.array(probs + [p_fail], dtype=float)
     pvals = pvals / float(np.sum(pvals))
@@ -183,14 +180,14 @@ def search_cr(rho: DensityMatrix, steps: int = 1000) -> float:
     """
     if rho.dim != 2:
         raise ValueError("grid minimization is implemented for qubit states only")
-    neg_entropy = -von_neumann_entropy(rho.matrix)
+    neg_entropy = -von_neumann_entropy(rho.matrix, rho.tol)
     p0 = max(float(np.real(rho.matrix[0, 0])), 0.0)
     p1 = max(float(np.real(rho.matrix[1, 1])), 0.0)
     qs = np.arange(1, steps) / steps
     vals = [_diag_relent(neg_entropy, p0, p1, q) for q in qs]
     best = int(np.argmin(vals))
-    lo = qs[max(best - 1, 0)] if best > 0 else 1e-15
-    hi = qs[min(best + 1, steps - 2)] if best < steps - 2 else 1.0 - 1e-15
+    lo = qs[max(best - 1, 0)] if best > 0 else ROUNDOFF
+    hi = qs[min(best + 1, steps - 2)] if best < steps - 2 else 1.0 - ROUNDOFF
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv_phi * (b - a)
@@ -215,7 +212,9 @@ def _unit_frame(x: np.ndarray) -> np.ndarray:
     return np.array([[x[0], -np.conj(x[1])], [x[1], np.conj(x[0])]], dtype=complex)
 
 
-def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchBudget()) -> KrausMap | None:
+def search_fi_map(
+    psi: PureState, phi: PureState, budget: SearchBudget = SearchBudget(), tol: Tolerance = DEFAULT_TOL
+) -> KrausMap | None:
     """Search for a two-branch fully incoherent channel taking psi to phi.
 
     Test oracle only: convert.fi_deterministic_pure decides these
@@ -228,16 +227,15 @@ def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchB
     keeps those whose population sums match the target populations, and
     solves each surviving assignment with a random branch vector. A witness
     is verified: fully incoherent, trace preserving, output fidelity at
-    least 1 - 1e-8. Returns None when the budget is exhausted.
+    least 1 - 10 tol.abs_eps. Returns None when the budget is exhausted.
     """
     if psi.dim != phi.dim:
         raise ValueError("states must share a dimension")
     d = psi.dim
     if d > 4:
         raise ValueError("assignment enumeration is limited to dimension <= 4")
-    eps = DEFAULT_TOL.abs_eps
-    src = list(coherence_set(psi).members)
-    tgt = list(coherence_set(phi).members)
+    src = list(coherence_set(psi, tol).members)
+    tgt = list(coherence_set(phi, tol).members)
     if len(tgt) < 2 or len(tgt) >= len(src):
         raise ValueError("search requires 2 <= target rank < source rank")
     psq = np.abs(psi.amplitudes) ** 2
@@ -252,7 +250,7 @@ def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchB
         ok = True
         for r in tgt:
             total = sum(psq[j] for j, a in zip(src, assign) if a == r)
-            if abs(total - tsq[r]) > 1e-9:
+            if not tol.close(abs(total - tsq[r])):
                 ok = False
                 break
         if ok:
@@ -277,7 +275,7 @@ def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchB
                 j = fiber[0]
                 v = t / psi.amplitudes[j]
                 nv = float(np.linalg.norm(v))
-                if abs(nv - 1.0) > 1e-8:
+                if abs(nv - 1.0) > tol.abs_eps * 10:
                     ok = False
                     break
                 v = v / nv
@@ -286,7 +284,7 @@ def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchB
                 j1, j2 = fiber
                 p = np.array([psi.amplitudes[j1], psi.amplitudes[j2]])
                 np_ = float(np.linalg.norm(p))
-                if abs(np_ - abs(phi.amplitudes[r])) > 1e-8:
+                if abs(np_ - abs(phi.amplitudes[r])) > tol.abs_eps * 10:
                     ok = False
                     break
                 gamma = rng.uniform(0.0, 2.0 * np.pi)
@@ -323,16 +321,16 @@ def search_fi_map(psi: PureState, phi: PureState, budget: SearchBudget = SearchB
         if not ok:
             continue
         try:
-            candidate = KrausMap(ops)
+            candidate = KrausMap(ops, tol)
         except ValueError:
             continue
-        if completeness_class(candidate) is not CompletenessClass.TRACE_PRESERVING:
+        if completeness_class(candidate, tol) is not CompletenessClass.TRACE_PRESERVING:
             continue
-        if not classify_channel(candidate).fi:
+        if not classify_channel(candidate, tol=tol).fi:
             continue
         out, prob = apply(candidate, psi.density())
         fid = float(np.real(np.conj(phi.amplitudes) @ out @ phi.amplitudes))
-        if prob < 1.0 - 1e-9 or fid < 1.0 - 1e-8:
+        if prob < 1.0 - tol.abs_eps or fid < 1.0 - tol.abs_eps * 10:
             continue
         return candidate
     return None

@@ -14,6 +14,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    ROUNDOFF_SUM,
     Tolerance,
     as_matrix,
     binary_entropy,
@@ -48,7 +49,7 @@ class PureState:
             raise ValueError("amplitudes must be a nonempty 1-d array")
         if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
             raise ValueError("amplitudes must be finite")
-        if abs(float(np.sum(np.abs(a) ** 2)) - 1.0) > self.tol.abs_eps * a.size:
+        if not self.tol.close(abs(float(np.sum(np.abs(a) ** 2)) - 1.0), a.size):
             raise ValueError("amplitudes must have unit squared norm within tol.abs_eps * dim")
         self.amplitudes = a
 
@@ -74,7 +75,7 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if not is_psd(m, self.tol):
             raise ValueError("density matrix must be Hermitian PSD within tolerance")
-        if abs(float(np.real(np.trace(m))) - 1.0) > self.tol.abs_eps * m.shape[0]:
+        if not self.tol.close(abs(float(np.real(np.trace(m))) - 1.0), m.shape[0]):
             raise ValueError("density matrix must have unit trace within tol.abs_eps * dim")
         self.matrix = m
 
@@ -123,7 +124,7 @@ def coherence_rank(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:
     """Kill all off-diagonal entries (full dephasing in the reference basis)."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)))
+    return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.tol)
 
 
 def _shannon(p: np.ndarray) -> float:
@@ -137,11 +138,9 @@ def rel_entropy_coherence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> f
     w = np.clip(w, 0.0, None)
     diag = np.clip(rho.diagonal(), 0.0, None)
     value = _shannon(diag) - _shannon(w)
-    if value < 0.0:
-        if value < -1e-10:
-            raise ValueError("entropy difference was negative beyond numerical noise")
-        value = 0.0
-    return value
+    if value < -tol.abs_eps / 10:
+        raise ValueError("entropy difference was negative beyond numerical noise")
+    return max(value, 0.0)
 
 
 def majorizes(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -151,10 +150,10 @@ def majorizes(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
         raise ValueError("distributions must be 1-d arrays of equal length")
     for v in (a, b):
-        if np.any(v < -1e-12):
+        if np.any(v < -ROUNDOFF_SUM):
             raise ValueError("distribution entries must be nonnegative")
-        if abs(float(np.sum(v)) - 1.0) > 1e-10:
-            raise ValueError("distribution must sum to 1 within 1e-10")
+        if abs(float(np.sum(v)) - 1.0) > tol.abs_eps / 10:
+            raise ValueError("distribution must sum to 1 within tol.abs_eps / 10")
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
     return bool(np.all(ca >= cb - tol.abs_eps))

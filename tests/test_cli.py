@@ -284,3 +284,59 @@ def test_deterministic_output(tmp_path, capsys):
     _, first, _ = _run(capsys, ["prob", "sgi", chi, plus])
     _, second, _ = _run(capsys, ["prob", "sgi", chi, plus])
     assert first == second
+
+
+def test_convert_gi_completion_reaches_schur_matrix(tmp_path, capsys):
+    # rho_02 = 0 leaves A_02 free and both pinned 2 x 2 blocks are PSD: the completion stops
+    # on the PSD rule that SchurMatrix checks, so the CLI budget yields a witness, not exit 3
+    u = np.array([0.27, 0.39, 0.0]) / np.linalg.norm([0.27, 0.39, 0.0])
+    v = np.array([0.0, 0.84, 0.67]) / np.linalg.norm([0.0, 0.84, 0.67])
+    rho = 0.3 * np.outer(u, u) + 0.7 * np.outer(v, v)
+    sigma = np.array([[1.0, 0.72, 0.0], [0.72, 1.0, 0.74], [0.0, 0.74, 1.0]]) * rho
+    src = _write(tmp_path / "rho.json", _density_doc(rho))
+    dst = _write(tmp_path / "sigma.json", _density_doc(sigma))
+    code, out, err = _run(capsys, ["convert", "gi", src, dst, "--emit-map"])
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)["verdict"]
+    assert verdict["possible"] is True
+    ops = [np.array(k["re"]) + 1j * np.array(k["im"]) for k in verdict["map"]["operators"]]
+    assert np.linalg.norm(sum(k @ rho @ k.conj().T for k in ops) - sigma) <= 1e-7
+
+
+def _possible(capsys, argv):
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    return json.loads(out)["verdict"]["possible"]
+
+
+@pytest.mark.parametrize("kind", ["state_vector", "density"])
+def test_tol_sets_the_gi_population_test(tmp_path, capsys, kind):
+    def doc(pops):
+        pops = np.asarray(pops)
+        return _vector_doc(np.sqrt(pops)) if kind == "state_vector" else _density_doc(np.diag(pops))
+
+    half = _write(tmp_path / "half.json", doc([0.5, 0.5]))
+    near = _write(tmp_path / "near.json", doc([0.5 + 1e-7, 0.5 - 1e-7]))
+    assert _possible(capsys, ["--tol", "1e-6", "convert", "gi", near, half]) is True
+    assert _possible(capsys, ["convert", "gi", near, half]) is False
+    nearer = _write(tmp_path / "nearer.json", doc([0.5 + 1e-10, 0.5 - 1e-10]))
+    assert _possible(capsys, ["--tol", "1e-12", "convert", "gi", nearer, half]) is False
+    assert _possible(capsys, ["convert", "gi", nearer, half]) is True
+
+
+def test_tol_sets_the_fi_coarse_graining(tmp_path, capsys):
+    src = _write(tmp_path / "src.json", _vector_doc(np.sqrt([0.3, 0.2 + 1e-7, 0.5 - 1e-7])))
+    dst = _write(tmp_path / "dst.json", _vector_doc(np.sqrt([0.5, 0.5, 0.0])))
+    assert _possible(capsys, ["--tol", "1e-6", "convert", "fi", src, dst]) is True
+    assert _possible(capsys, ["convert", "fi", src, dst]) is False
+
+
+def test_tol_sets_the_extremality_rank_cut(tmp_path, capsys):
+    # A's second eigenvalue is about 7.5e-9 of its largest, 4: kept at the default
+    # rel_eps, cut at 1e-6
+    n = np.sqrt([1.0, 1.0 + 1e-8, 1.0, 1.0])
+    channel = _write(tmp_path / "k.json", _kraus_doc([np.diag(np.ones(4) / n), np.diag([0.0, 1e-4, 0.0, 0.0] / n)]))
+    for tol, rank in ((["--tol", "1e-6"], 1), ([], 4)):
+        code, out, _ = _run(capsys, tol + ["extremal", channel])
+        assert code == 0
+        assert json.loads(out)["verdict"]["rank_required"] == rank

@@ -6,6 +6,7 @@ from cohkit import (
     PureState,
     Reason,
     SchurMatrix,
+    SearchBudget,
     apply,
     build_fi_rank2_map,
     classify_channel,
@@ -162,6 +163,28 @@ def test_gi_deterministic_free_entry_completion():
     assert v.possible is True
     out, _ = apply(v.map, rho.matrix)
     assert np.max(np.abs(out - sigma.matrix)) < 1e-8
+
+
+def test_gi_deterministic_path_patterns_complete():
+    # rho mixes pure states on the labels {k, k + 1}, so A is pinned on a path, a chordal
+    # pattern: every pinned 2 x 2 block is PSD, hence a completion exists. The completion
+    # stops on the rule SchurMatrix checks, so a budget that is not the default neither
+    # raises nor misses it
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        d = 3 + seed % 3
+        rho = np.zeros((d, d), dtype=complex)
+        for k, w in enumerate(rng.dirichlet(np.ones(d - 1))):
+            v = np.zeros(d, dtype=complex)
+            v[k : k + 2] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            rho += w * np.outer(v, v.conj()) / np.vdot(v, v).real
+        a = np.eye(d, dtype=complex)
+        for k in range(d - 1):
+            a[k, k + 1] = rng.uniform(0.5, 0.95) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            a[k + 1, k] = np.conj(a[k, k + 1])
+        verdict = gi_deterministic(DensityMatrix(rho), DensityMatrix(a * rho), budget=SearchBudget(max_iterations=10000))
+        assert verdict.possible is True
+        assert np.linalg.norm(apply(verdict.map, rho)[0] - a * rho) <= 1e-7
 
 
 def test_sgi_probability_closed_forms():

@@ -26,8 +26,6 @@ def test_search_budget_validation():
     assert b.max_iterations == 10000 and b.seed == 0
     with pytest.raises(ValueError):
         SearchBudget(max_iterations=0)
-    with pytest.raises(ValueError):
-        SearchBudget(convergence_eps=-1.0)
 
 
 def test_psd_complete_fully_pinned():

@@ -1,3 +1,7 @@
+import re
+import tokenize
+from pathlib import Path
+
 import cohkit
 from cohkit import channels, classify, convert, oracle, states
 
@@ -13,3 +17,17 @@ def test_public_names_declared_once_in_their_modules():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(cohkit, name) is getattr(layer, name)
+
+
+def test_thresholds_live_in_linalg():
+    # every tolerance comes from a Tolerance and every round-off guard is a named
+    # constant of linalg, so no other module writes a literal like 1e-9 in its code
+    found = []
+    for path in sorted(Path(cohkit.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type == tokenize.NUMBER and re.search(r"[eE]-\d", tok.string):
+                    found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert found == []
