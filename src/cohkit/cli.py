@@ -89,13 +89,16 @@ def _complex_parts(doc: dict, where: str) -> np.ndarray:
 
 
 def _number(x, where: str) -> float:
-    # JSON numbers only: null, strings and booleans are not entries
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise DocumentError(f"{where}: expected a number, got {x!r}")
-    try:
-        return float(x)
-    except OverflowError as exc:
-        raise DocumentError(f"{where}: expected a number, got {x!r}") from exc
+    # finite JSON numbers only: null, strings, booleans, integers beyond the float range
+    # and what json reads as inf or nan (1e999, NaN, Infinity) are not entries
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = np.inf
+        if np.isfinite(value):
+            return value
+    raise DocumentError(f"{where}: expected a number, got {x!r}")
 
 
 def _parse_document(path: str) -> tuple[str, object]:
@@ -131,42 +134,29 @@ def _parse_document(path: str) -> tuple[str, object]:
     raise DocumentError(f"{path}: unknown document kind {kind!r}")
 
 
-def _expect_pure(path: str, tol: Tolerance) -> PureState:
-    kind, payload = _parse_document(path)
-    if kind != "state_vector":
-        raise ValueError(f"{path}: expected a state_vector document, got {kind}")
-    return PureState(payload, tol)
+# each document argument: the kinds it accepts and the constructor of each
+_READERS = {
+    "state_vector": {"state_vector": PureState},
+    "state": {
+        "state_vector": lambda amps, tol: DensityMatrix(PureState(amps, tol).density(), tol),
+        "density": DensityMatrix,
+    },
+    "channel": {
+        "channel_kraus": KrausMap,
+        "channel_schur": lambda a, tol: schur_map(SchurMatrix(a, tol), tol),
+    },
+    "channel_schur": {"channel_schur": SchurMatrix},
+    "hamiltonian": {"hamiltonian": lambda energies, tol: Hamiltonian(tuple(energies))},
+}
 
 
-def _as_density(path: str, kind: str, payload, tol: Tolerance) -> DensityMatrix:
-    if kind == "state_vector":
-        return DensityMatrix(PureState(payload, tol).density(), tol)
-    if kind == "density":
-        return DensityMatrix(payload, tol)
-    raise ValueError(f"{path}: expected a state document, got {kind}")
-
-
-def _expect_channel(path: str, tol: Tolerance) -> KrausMap:
-    kind, payload = _parse_document(path)
-    if kind == "channel_kraus":
-        return KrausMap(list(payload), tol)
-    if kind == "channel_schur":
-        return schur_map(SchurMatrix(payload, tol), tol)
-    raise ValueError(f"{path}: expected a channel document, got {kind}")
-
-
-def _expect_schur(path: str, tol: Tolerance) -> SchurMatrix:
-    kind, payload = _parse_document(path)
-    if kind != "channel_schur":
-        raise ValueError(f"{path}: expected a channel_schur document, got {kind}")
-    return SchurMatrix(payload, tol)
-
-
-def _expect_hamiltonian(path: str) -> Hamiltonian:
-    kind, payload = _parse_document(path)
-    if kind != "hamiltonian":
-        raise ValueError(f"{path}: expected a hamiltonian document, got {kind}")
-    return Hamiltonian(tuple(payload))
+def _read(path: str, what: str, tol: Tolerance, parsed: tuple[str, object] | None = None):
+    """The `what` object of the document at path; `parsed` is its _parse_document result, if read."""
+    kind, payload = parsed or _parse_document(path)
+    build = _READERS[what].get(kind)
+    if build is None:
+        raise ValueError(f"{path}: expected a {what} document, got {kind}")
+    return build(payload, tol)
 
 
 def _matrix_json(m: np.ndarray) -> dict:
@@ -181,12 +171,6 @@ def _kraus_json(m: KrausMap) -> dict:
     return {"kind": "channel_kraus", "operators": [_matrix_json(k) for k in m.kraus]}
 
 
-def _schur_json(sm: SchurMatrix) -> dict:
-    doc = _matrix_json(sm.matrix)
-    doc["kind"] = "channel_schur"
-    return doc
-
-
 def _verdict_json(v: ConversionVerdict, emit_map: bool) -> dict:
     out: dict = {
         "possible": v.possible,
@@ -198,68 +182,43 @@ def _verdict_json(v: ConversionVerdict, emit_map: bool) -> dict:
     return out
 
 
-def _print_report(command: str, rule: str, inputs: list[str], verdict: dict, tol: Tolerance, seed: int) -> None:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "rule": rule,
-        "seed": seed,
-        "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
-        "verdict": verdict,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True))
+# each command reads its documents and decides; it returns (rule, inputs, verdict, exit code)
+# and main prints the report
 
 
-def _cmd_classify(args, tol: Tolerance, budget: SearchBudget) -> int:
-    channel = _expect_channel(args.channel, tol)
-    hamiltonian = _expect_hamiltonian(args.hamiltonian) if args.hamiltonian else None
+def _cmd_classify(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
+    channel = _read(args.channel, "channel", tol)
+    hamiltonian = _read(args.hamiltonian, "hamiltonian", tol) if args.hamiltonian else None
     report = classify_channel(channel, hamiltonian, tol)
-    verdict = {
-        "io": report.io,
-        "gi": report.gi,
-        "sgi": report.sgi,
-        "fi": report.fi,
-        "sio": report.sio,
-        "mio": report.mio,
-        "dio": report.dio,
-        "tio": report.tio,
-        "schur": _matrix_json(report.schur.matrix) if report.schur is not None else None,
-    }
-    inputs = [args.channel] + ([args.hamiltonian] if args.hamiltonian else [])
-    _print_report("classify", "operation-class-membership", inputs, verdict, tol, args.seed)
-    return EXIT_OK
+    verdict = {flag: getattr(report, flag) for flag in ("io", "gi", "sgi", "fi", "sio", "mio", "dio", "tio")}
+    verdict["schur"] = _matrix_json(report.schur.matrix) if report.schur is not None else None
+    inputs = [path for path in (args.channel, args.hamiltonian) if path]
+    return "operation-class-membership", inputs, verdict, EXIT_OK
 
 
-def _cmd_convert(args, tol: Tolerance, budget: SearchBudget) -> int:
+def _cmd_convert(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
     if args.mode == "gi":
-        src, dst = _parse_document(args.source), _parse_document(args.target)
-        if src[0] == dst[0] == "state_vector":
-            verdict = gi_deterministic_pure(PureState(src[1], tol), PureState(dst[1], tol), tol)
+        # each document is parsed once: pure states take the closed form, anything else its density
+        docs = [(path, _parse_document(path)) for path in (args.source, args.target)]
+        pure = all(kind == "state_vector" for _, (kind, _) in docs)
+        src, dst = (_read(path, "state_vector" if pure else "state", tol, doc) for path, doc in docs)
+        if pure:
+            verdict = gi_deterministic_pure(src, dst, tol)
             rule = "pure-conversion-equal-moduli"
         else:
-            verdict = gi_deterministic(
-                _as_density(args.source, *src, tol), _as_density(args.target, *dst, tol), tol, budget
-            )
+            verdict = gi_deterministic(src, dst, tol, budget)
             rule = "population-preserving-completion"
     else:
-        src = _expect_pure(args.source, tol)
-        dst = _expect_pure(args.target, tol)
-        verdict = fi_deterministic_pure(src, dst, tol, budget)
+        src = _read(args.source, "state_vector", tol)
+        verdict = fi_deterministic_pure(src, _read(args.target, "state_vector", tol), tol, budget)
         rule = "rank-monotone-conversion"
-    _print_report(
-        f"convert {args.mode}",
-        rule,
-        [args.source, args.target],
-        _verdict_json(verdict, args.emit_map),
-        tol,
-        args.seed,
-    )
-    return EXIT_BUDGET if verdict.possible is None else EXIT_OK
+    code = EXIT_BUDGET if verdict.possible is None else EXIT_OK
+    return rule, [args.source, args.target], _verdict_json(verdict, args.emit_map), code
 
 
-def _cmd_prob(args, tol: Tolerance, budget: SearchBudget) -> int:
-    src = _expect_pure(args.source, tol)
-    dst = _expect_pure(args.target, tol)
+def _cmd_prob(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
+    src = _read(args.source, "state_vector", tol)
+    dst = _read(args.target, "state_vector", tol)
     if args.mode == "sgi":
         verdict = sgi_optimal_probability(src, dst, tol)
         payload = {
@@ -271,18 +230,13 @@ def _cmd_prob(args, tol: Tolerance, budget: SearchBudget) -> int:
         bound = sfi_probability(src, dst, tol)
         payload = {"lower_bound": bound.lower_bound, "exact": bound.exact}
         rule = "permuted-min-population-ratio"
-    _print_report(f"prob {args.mode}", rule, [args.source, args.target], payload, tol, args.seed)
-    return EXIT_OK
+    return rule, [args.source, args.target], payload, EXIT_OK
 
 
-def _cmd_extremal(args, tol: Tolerance, budget: SearchBudget) -> int:
-    channel = _expect_channel(args.channel, tol)
+def _cmd_extremal(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
+    channel = _read(args.channel, "channel", tol)
     witness = gi_extremality(channel, tol)
-    verdict: dict = {
-        "extremal": witness.extremal,
-        "rank_found": witness.rank_found,
-        "rank_required": witness.rank_required,
-    }
+    verdict: dict = {name: getattr(witness, name) for name in ("extremal", "rank_found", "rank_required")}
     code = EXIT_OK
     if args.decompose:
         try:
@@ -298,30 +252,20 @@ def _cmd_extremal(args, tol: Tolerance, budget: SearchBudget) -> int:
                 verdict["decomposition"] = [
                     {"weight": float(w), "phases": [float(x) for x in phases]} for w, phases in terms
                 ]
-    _print_report("extremal", "independent-cross-term-vectors", [args.channel], verdict, tol, args.seed)
-    return code
+    return "independent-cross-term-vectors", [args.channel], verdict, code
 
 
-def _cmd_reduce(args, tol: Tolerance, budget: SearchBudget) -> int:
-    joint = _expect_schur(args.joint, tol)
-    sigma = _as_density(args.state, *_parse_document(args.state), tol)
-    reduced = reduce_joint(joint, sigma, tol)
-    doc = _schur_json(reduced)
+def _cmd_reduce(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
+    joint = _read(args.joint, "channel_schur", tol)
+    reduced = reduce_joint(joint, _read(args.state, "state", tol), tol)
+    doc = {**_matrix_json(reduced.matrix), "kind": "channel_schur"}
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
         except OSError as exc:
             raise DocumentError(f"cannot write {args.out}: {exc}") from exc
-    _print_report(
-        "reduce",
-        "fixed-second-factor-reduction",
-        [args.joint, args.state],
-        {"reduced": doc},
-        tol,
-        args.seed,
-    )
-    return EXIT_OK
+    return "fixed-second-factor-reduction", [args.joint, args.state], {"reduced": doc}, EXIT_OK
 
 
 def _tolerance(text: str) -> float:
@@ -332,6 +276,18 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _at_least(low: int):
+    """argparse type of an integer flag that must be >= low."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohkit",
@@ -339,8 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     tol_help = "abs_eps and rel_eps of every comparison, state validation included (finite, > 0)"
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL.abs_eps, help=tol_help)
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-    parser.add_argument("--budget", type=int, default=10000, help="iteration budget for searches")
+    parser.add_argument("--seed", type=_at_least(0), default=0, help="seed for randomized searches (>= 0)")
+    parser.add_argument("--budget", type=_at_least(1), default=10000, help="iteration budget for searches (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="membership flags for a channel")
@@ -376,28 +332,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_PARSE
+    tol = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
     try:
-        tol = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
-        budget = SearchBudget(max_iterations=args.budget, seed=args.seed)
-    except ValueError as exc:
+        rule, inputs, verdict, code = args.func(args, tol, SearchBudget(max_iterations=args.budget, seed=args.seed))
+    except (DocumentError, ValueError, BudgetExhaustedError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        return args.func(args, tol, budget)
-    except DocumentError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INVALID
-    except BudgetExhaustedError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_BUDGET
+        if isinstance(exc, DocumentError):
+            return EXIT_PARSE
+        return EXIT_INVALID if isinstance(exc, ValueError) else EXIT_BUDGET
+    report = {
+        "command": " ".join(filter(None, (args.command, getattr(args, "mode", None)))),
+        "inputs": inputs,
+        "rule": rule,
+        "seed": args.seed,
+        "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
+        "verdict": verdict,
+    }
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from cohkit import cli
+from cohkit.classify import BudgetExhaustedError
 from cohkit.cli import main
 
 
@@ -37,6 +39,39 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def docs(tmp_path):
+    # paths of the documents that the table-driven tests name; "out", "absent" and "bad" are not written
+    rng = np.random.default_rng(0)
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    gram = g @ g.conj().T
+    scale = np.sqrt(np.real(np.diag(gram)))
+    joint = gram / np.outer(scale, scale)
+    np.fill_diagonal(joint, 1.0)
+    mix = np.full((3, 3), 0.6)
+    np.fill_diagonal(mix, 1.0)
+    paths = {
+        "flip": _kraus_doc([np.array([[0, 1], [1, 0]])]),
+        "ham": {"kind": "hamiltonian", "energies": [0.0, 1.0]},
+        "plus": _vector_doc(np.sqrt([0.5, 0.5])),
+        "minus": _vector_doc([np.sqrt(0.5), -np.sqrt(0.5)]),
+        "rho": _density_doc([[0.5, 0.2], [0.2, 0.5]]),
+        "sigma": _density_doc([[0.5, 0.1], [0.1, 0.5]]),
+        "chi": _vector_doc([np.sqrt(0.5), 0.5, 0.5]),
+        "plus3": _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])),
+        "half": _vector_doc(np.sqrt([0.5, 0.5, 0.0])),
+        "rank2": _vector_doc(np.sqrt([2 / 3, 1 / 3, 0.0])),
+        "mix": _schur_doc(mix),
+        "joint": _schur_doc(joint),
+        "pops": _density_doc(np.diag([0.5, 0.3, 0.2])),
+    }
+    paths = {name: _write(tmp_path / f"{name}.json", doc) for name, doc in paths.items()}
+    paths["out"] = str(tmp_path / "out.json")
+    paths["absent"] = str(tmp_path / "absent.json")
+    paths["bad"] = str(tmp_path / "bad.json")
+    return paths
 
 
 def test_classify_reports_flags(tmp_path, capsys):
@@ -278,6 +313,31 @@ def test_exit_parse_on_bad_tolerance(tmp_path, capsys, value):
     assert code == 2 and out == "" and "--tol" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--budget", "0"), ("--budget", "-3"), ("--seed", "-1")])
+@pytest.mark.parametrize("command", [["prob", "sgi", "plus", "plus"], ["extremal", "mix", "--decompose"]])
+def test_exit_parse_on_bad_budget_or_seed(docs, capsys, flag, value, command):
+    code, out, err = _run(capsys, [flag, value] + [docs.get(word, word) for word in command])
+    assert code == 2 and out == "" and flag in err
+
+
+# a document with one entry left as a raw JSON token, and a command that reads it
+NON_FINITE_CASES = [
+    ('{"kind": "state_vector", "data": [[TOKEN, 0], [1, 0]]}', ["prob", "sgi", "bad", "plus"]),
+    ('{"kind": "channel_kraus", "operators": [{"re": [[1, 0], [0, TOKEN]], "im": [[0, 0], [0, 0]]}]}', ["classify", "bad"]),
+    ('{"kind": "hamiltonian", "energies": [0, TOKEN]}', ["classify", "flip", "--hamiltonian", "bad"]),
+]
+
+
+@pytest.mark.parametrize("token", ["1e999", "-1e999", "NaN", "Infinity"])
+@pytest.mark.parametrize("text, command", NON_FINITE_CASES, ids=["state_vector", "channel_kraus", "hamiltonian"])
+def test_exit_parse_on_non_finite_number(docs, capsys, text, command, token):
+    # json reads these tokens as inf or nan: malformed entries, like null or a string
+    with open(docs["bad"], "w", encoding="utf-8") as fh:
+        fh.write(text.replace("TOKEN", token))
+    code, out, err = _run(capsys, [docs.get(word, word) for word in command])
+    assert code == 2 and out == "" and "expected a number" in json.loads(err)["error"]
+
+
 def test_deterministic_output(tmp_path, capsys):
     chi = _write(tmp_path / "chi.json", _vector_doc([np.sqrt(0.5), 0.5, 0.5]))
     plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))
@@ -340,3 +400,65 @@ def test_tol_sets_the_extremality_rank_cut(tmp_path, capsys):
         code, out, _ = _run(capsys, tol + ["extremal", channel])
         assert code == 0
         assert json.loads(out)["verdict"]["rank_required"] == rank
+
+
+CONVERSION = {"possible", "probability", "reason"}
+FLAGS = {"io", "gi", "sgi", "fi", "sio", "mio", "dio", "tio", "schur"}
+EXTREMALITY = {"extremal", "rank_found", "rank_required"}
+
+# argv (document names resolved through `docs`), command, rule, verdict keys
+REPORTS = [
+    (["classify", "flip"], "classify", "operation-class-membership", FLAGS),
+    (["classify", "flip", "--hamiltonian", "ham"], "classify", "operation-class-membership", FLAGS),
+    (["convert", "gi", "plus", "minus"], "convert gi", "pure-conversion-equal-moduli", CONVERSION),
+    (["convert", "gi", "plus", "minus", "--emit-map"], "convert gi", "pure-conversion-equal-moduli", CONVERSION | {"map"}),
+    (["convert", "gi", "rho", "sigma"], "convert gi", "population-preserving-completion", CONVERSION),
+    (["convert", "gi", "rho", "sigma", "--emit-map"], "convert gi", "population-preserving-completion", CONVERSION | {"map"}),
+    (["convert", "fi", "plus3", "rank2"], "convert fi", "rank-monotone-conversion", CONVERSION),
+    (["prob", "sgi", "chi", "plus3"], "prob sgi", "min-population-ratio", {"probability", "reason"}),
+    (["prob", "sfi", "plus3", "half"], "prob sfi", "permuted-min-population-ratio", {"lower_bound", "exact"}),
+    (["extremal", "mix"], "extremal", "independent-cross-term-vectors", EXTREMALITY),
+    (["extremal", "mix", "--decompose"], "extremal", "independent-cross-term-vectors", EXTREMALITY | {"decomposition"}),
+    (["reduce", "joint", "pops"], "reduce", "fixed-second-factor-reduction", {"reduced"}),
+    (["reduce", "joint", "pops", "--out", "out"], "reduce", "fixed-second-factor-reduction", {"reduced"}),
+]
+
+
+@pytest.mark.parametrize("flags, seed, tol", [([], 0, 1e-9), (["--seed", "5", "--tol", "1e-8"], 5, 1e-8)])
+@pytest.mark.parametrize("argv, command, rule, keys", REPORTS)
+def test_report_shape(docs, capsys, argv, command, rule, keys, flags, seed, tol):
+    argv = [docs.get(word, word) for word in argv]
+    code, out, err = _run(capsys, flags + argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert set(report) == {"command", "rule", "inputs", "seed", "tolerance", "verdict"}
+    assert report["command"] == command and report["rule"] == rule
+    assert report["seed"] == seed and report["tolerance"] == {"abs_eps": tol, "rel_eps": tol}
+    assert set(report["verdict"]) == keys
+    assert report["inputs"] == [word for word in argv if word in docs.values() and word != docs["out"]]
+    if "--out" in argv:
+        with open(docs["out"], encoding="utf-8") as fh:
+            assert json.load(fh) == report["verdict"]["reduced"]
+
+
+def _budget_exhausted(*args, **kwargs):
+    raise BudgetExhaustedError("search gave up")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "absent"], 2),
+        (["classify", "rho"], 3),
+        (["classify", "flip"], 4),
+    ],
+)
+def test_error_report_shape(docs, capsys, monkeypatch, argv, code):
+    # the deciders report a search that gave up inside the verdict; a stand-in that
+    # raises reaches the error path that maps BudgetExhaustedError to exit 4
+    monkeypatch.setattr(cli, "classify_channel", _budget_exhausted)
+    got, out, err = _run(capsys, [docs.get(word, word) for word in argv])
+    assert got == code and out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert set(json.loads(err)) == {"error"}

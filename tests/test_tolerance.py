@@ -14,18 +14,32 @@ from hypothesis import strategies as st
 
 from cohkit import (
     DensityMatrix,
+    Hamiltonian,
     KrausMap,
     PureState,
     Reason,
     Tolerance,
+    classify_channel,
     fi_deterministic_pure,
     gi_deterministic,
     gi_deterministic_pure,
     gi_extremality,
+    majorizes,
     sfi_probability,
+    sgi_optimal_probability,
+    transform_representation,
 )
 
-from conftest import rand_density, rand_gi_schur
+from conftest import (
+    rand_cptp,
+    rand_density,
+    rand_fi_map,
+    rand_gi_map,
+    rand_gi_schur,
+    rand_incoherent_not_same_form,
+    rand_sio_map,
+    rand_unitary,
+)
 
 TOLS = st.sampled_from([1e-12, 1e-9, 1e-6])
 SEEDS = st.integers(0, 2**32 - 1)
@@ -166,3 +180,59 @@ def test_fi_verdicts_invariant_under_relabelings(seed, d, coarse):
         assert base is True
     assert fi_deterministic_pure(moved_psi, moved_phi).possible is base
     assert sfi_probability(moved_psi, moved_phi).lower_bound == sfi_probability(psi, phi).lower_bound
+
+
+CHANNELS = {
+    "gi": rand_gi_map,
+    "fi": rand_fi_map,
+    "sio": rand_sio_map,
+    "incoherent": rand_incoherent_not_same_form,
+    "cptp": lambda rng, d: rand_cptp(rng, d, int(rng.integers(1, 4))),
+}
+
+
+def _isometry(rng, rows, cols):
+    q, _ = np.linalg.qr(rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols)))
+    return q
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, st.integers(2, 4), st.sampled_from(sorted(CHANNELS)))
+def test_channel_flags_invariant_under_transform_representation(seed, d, family):
+    # gi, sgi, mio, dio and tio are properties of the channel, not of its Kraus list:
+    # a unitary re-mixing and an isometric pad by one operator leave them unchanged
+    rng = np.random.default_rng(seed)
+    m = CHANNELS[family](rng, d)
+    hamiltonian = Hamiltonian(tuple(np.sort(rng.normal(size=d))))
+    n = len(m.kraus)
+
+    def flags(channel):
+        report = classify_channel(channel, hamiltonian)
+        return report.gi, report.sgi, report.mio, report.dio, report.tio
+
+    base = flags(m)
+    assert flags(transform_representation(m, rand_unitary(rng, n))) == base
+    assert flags(transform_representation(m, _isometry(rng, n + 1, n))) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, st.integers(2, 6), st.sampled_from(["phases", "coarse", "random"]))
+def test_class_order(seed, d, pairing):
+    # GI is a subclass of FI, FI conversion needs majorization of the populations, and the
+    # best single GI branch succeeds no more often than the best FI relabeling
+    rng = np.random.default_rng(seed)
+    t = Tolerance()
+    p = _pops(rng, d)
+    if pairing == "phases":
+        target = p
+    elif pairing == "coarse":
+        target = np.bincount(rng.integers(0, d, d), weights=p, minlength=d)
+    else:
+        target = _pops(rng, d)
+    psi, phi = _pure(p, rng, t), _pure(target, rng, t)
+    gi = gi_deterministic_pure(psi, phi, t).possible
+    fi = fi_deterministic_pure(psi, phi, t).possible
+    assert gi in (True, False) and fi in (True, False)
+    assert fi or not gi
+    assert majorizes(np.abs(phi.amplitudes) ** 2, np.abs(psi.amplitudes) ** 2, t) or not fi
+    assert sgi_optimal_probability(psi, phi, t).probability <= sfi_probability(psi, phi, t).lower_bound + t.abs_eps
