@@ -1,10 +1,10 @@
-"""Quantum operations as Kraus operator lists.
+"""Quantum operations as stacked Kraus tensors.
 
-A map is stored as an explicit Kraus representation; the representation is
-part of the object's identity (two KrausMaps can describe the same channel
-with different operator lists). Channel identity is decided through the Choi
-matrix: two maps are considered equal when their Choi matrices agree within
-tol.abs_eps / 10 * dim in Frobenius norm.
+A map is stored as one read-only (n, d, d) tensor t[s, a, i] = K_s[a, i], the
+only Kraus format of the package; the representation is part of the object's
+identity (two KrausMaps can describe the same channel with different operators).
+Channel identity is decided through the Choi matrix: two maps are considered
+equal when their Choi matrices agree within tol.abs_eps / 10 * dim in Frobenius norm.
 
 Schur-type maps (entrywise multiplication by a fixed PSD matrix with
 diagonal in [0, 1]) get a dedicated wrapper, since they describe exactly the
@@ -47,28 +47,37 @@ class CompletenessClass(Enum):
     INVALID = "invalid"
 
 
-def _kraus_list(kraus) -> list[np.ndarray]:
+def _kraus_tensor(kraus) -> np.ndarray:
+    # a KrausMap's own tensor, else a complex C-ordered copy checked for shape and finiteness
     if isinstance(kraus, KrausMap):
         return kraus.kraus
-    ops = [as_matrix(k) for k in kraus]
-    if not ops:
+    try:
+        t = np.array(kraus, dtype=complex, order="C")
+    except ValueError:  # operators of different shapes
+        for k in kraus:
+            as_matrix(k)
+        raise ValueError("all Kraus operators must be square with equal dimension") from None
+    if len(t) == 0:
         raise ValueError("Kraus list must be nonempty")
-    d = ops[0].shape[0]
-    for k in ops:
-        if k.shape != (d, d):
-            raise ValueError("all Kraus operators must be square with equal dimension")
-    return ops
+    if t.ndim != 3:
+        raise ValueError(f"expected a matrix, got array with ndim={t.ndim - 1}")
+    if not np.isfinite(t).all():
+        raise ValueError("matrix entries must be finite")
+    if t.shape[1] != t.shape[2]:
+        raise ValueError("all Kraus operators must be square with equal dimension")
+    return t
 
 
 def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass:
     """Classify sum_i K_i^dag K_i as trace preserving, non-increasing, or invalid.
 
-    When the sum is exactly diagonal (diagonal operators, or one nonzero per
-    row and column) its eigenvalues are read off the diagonal without eigh.
+    kraus is a KrausMap, a list of d x d matrices or an (n, d, d) array. An exactly
+    diagonal sum (diagonal operators, or one nonzero per row and column) has its
+    eigenvalues read off the diagonal without eigh.
     """
-    ops = _kraus_list(kraus)
-    d = ops[0].shape[0]
-    s = sum(dagger(k) @ k for k in ops)
+    t = _kraus_tensor(kraus)
+    d = t.shape[1]
+    s = (dagger(t) @ t).sum(axis=0)
     if tol.close(frobenius(s - np.eye(d)), d):
         return CompletenessClass.TRACE_PRESERVING
     diag = np.diagonal(s)
@@ -83,22 +92,27 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
     return CompletenessClass.INVALID
 
 
-@dataclass
+@dataclass(frozen=True)
 class KrausMap:
-    """A completely positive, trace non-increasing map given by Kraus operators."""
+    """A completely positive, trace non-increasing map given by Kraus operators.
 
-    kraus: list[np.ndarray]
+    Built from a list of d x d matrices, an (n, d, d) array or a KrausMap, `kraus` is one
+    read-only complex copy, kraus[s, a, i] = K_s[a, i], checked once; iterate or index it per operator.
+    """
+
+    kraus: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        ops = _kraus_list(self.kraus)
-        if completeness_class(ops, self.tol) is CompletenessClass.INVALID:
+        t = _kraus_tensor(self.kraus)
+        t.flags.writeable = False
+        object.__setattr__(self, "kraus", t)
+        if completeness_class(self, self.tol) is CompletenessClass.INVALID:
             raise ValueError("Kraus operators exceed trace preservation (sum K^dag K > 1)")
-        self.kraus = ops
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
 
 @dataclass(frozen=True)
@@ -178,15 +192,13 @@ def apply(m: KrausMap, rho) -> tuple[np.ndarray, float]:
     a = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
     if a.shape != (m.dim, m.dim):
         raise ValueError(f"state of shape {a.shape} does not match map dimension {m.dim}")
-    out = np.zeros_like(a)
-    for k in m.kraus:
-        out += k @ a @ dagger(k)
+    out = (m.kraus @ a @ dagger(m.kraus)).sum(axis=0)
     return out, float(np.real(np.trace(out)))
 
 
 def _choi_vectors(m: KrausMap) -> np.ndarray:
     # row s holds vec(K_s) with index (input i, output a) -> i*d + a
-    return np.stack([k.T.reshape(-1) for k in m.kraus])
+    return m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1)
 
 
 def choi_matrix(m: KrausMap) -> np.ndarray:
@@ -205,7 +217,7 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     """
     d = m.dim
     diag = np.arange(d) * (d + 1)
-    y = np.stack(m.kraus).reshape(len(m.kraus), d * d)  # row s holds K_s, entry (a, i) at a*d + i
+    y = m.kraus.reshape(len(m.kraus), d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
     x = y[:, diag].copy()
     y[:, diag] = 0.0
     gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
@@ -223,9 +235,10 @@ def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     sm = a if isinstance(a, SchurMatrix) else SchurMatrix(as_matrix(a), tol)
     w, v = sm.eigen
     keep = w > max(float(w[-1]), 0.0) * ROUNDOFF + ROUNDOFF
-    ops = [np.diag(np.sqrt(w[k]) * v[:, k]) for k in np.flatnonzero(keep)]
-    if not ops:
-        ops = [np.zeros((sm.dim, sm.dim), dtype=complex)]
+    x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[s]: diagonal of the s-th operator
+    i = np.arange(sm.dim)
+    ops = np.zeros((max(len(x), 1), sm.dim, sm.dim), dtype=complex)
+    ops[: len(x), i, i] = x
     return KrausMap(ops, tol)
 
 
@@ -244,8 +257,7 @@ def transform_representation(m: KrausMap, v, tol: Tolerance = DEFAULT_TOL) -> Kr
     sing = np.linalg.svd(vm, compute_uv=False)
     if np.any(np.minimum(np.abs(sing), np.abs(sing - 1.0)) > tol.abs_eps * 10.0):
         raise ValueError("mixing matrix is not a partial isometry (singular values not 0/1)")
-    ops = [sum(vm[i, j] * m.kraus[j] for j in range(n)) for i in range(vm.shape[0])]
-    out = KrausMap(ops, tol)
+    out = KrausMap(np.tensordot(vm, m.kraus, axes=1), tol)
     if frobenius(choi_matrix(out) - choi_matrix(m)) > tol.abs_eps / 10 * m.dim:
         raise ValueError("partial isometry does not preserve the channel")
     return out
@@ -256,11 +268,9 @@ def minimal_representation(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMa
     d = m.dim
     c = choi_matrix(m)
     w, v = hermitian_eigen(c, tol)
-    keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
-    ops = [np.sqrt(w[k]) * v[:, k].reshape(d, d).T for k in keep]
-    if not ops:
-        ops = [np.zeros((d, d), dtype=complex)]
-    return KrausMap(ops, tol)
+    keep = w > tol.rank_cut(float(w[-1]))
+    ops = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d).transpose(0, 2, 1)
+    return KrausMap(ops if len(ops) else np.zeros((1, d, d), dtype=complex), tol)
 
 
 def permutation_unitary(p: Permutation) -> np.ndarray:
@@ -289,9 +299,7 @@ def identity_channel(d: int) -> KrausMap:
 
 def dephasing_channel(d: int) -> KrausMap:
     """Full dephasing: keeps the diagonal, kills every off-diagonal entry."""
-    ops = []
-    for i in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[i, i] = 1.0
-        ops.append(k)
+    i = np.arange(d)
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[i, i, i] = 1.0
     return KrausMap(ops)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_NULL, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
 from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
-from .channels import KrausMap, SchurMatrix, extract_schur_matrix
+from .channels import KrausMap, SchurMatrix, _kraus_tensor, extract_schur_matrix
 
 __all__ = [
     "Hamiltonian",
@@ -99,11 +99,8 @@ def is_incoherent_operator(k, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff, per column, all nonzero entries across operators share one row."""
-    ops = [as_matrix(k) for k in kraus]
-    if not ops:
-        raise ValueError("Kraus list must be nonempty")
-    return _one_form(np.abs(np.stack(ops)) > tol.abs_eps)
+    """True iff, per column, all operators' nonzero entries share one row; kraus as in completeness_class."""
+    return _one_form(np.abs(_kraus_tensor(kraus)) > tol.abs_eps)
 
 
 def _one_form(hit: np.ndarray) -> bool:
@@ -153,7 +150,7 @@ def classify_channel(
     m: KrausMap, hamiltonian: Hamiltonian | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> ClassificationReport:
     d = m.dim
-    t = np.stack(m.kraus)  # t[s, a, i] = K_s[a, i]
+    t = m.kraus  # t[s, a, i] = K_s[a, i]
     mod = np.abs(t)
     hit = mod > tol.abs_eps
 
@@ -208,7 +205,7 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     representation already has one shared form (nothing hidden to expose).
     """
     ops = m.kraus
-    hit = np.abs(np.stack(ops)) > tol.abs_eps  # hit[s, a, i]
+    hit = np.abs(ops) > tol.abs_eps  # hit[s, a, i]
     if np.any(np.sum(hit, axis=1) > 1):
         raise ValueError("representation is not incoherent")
     # pair[j, s1, s2]: s1 and s2 both hit column j, in different rows; the first pair in
@@ -219,7 +216,7 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
         return None
     _, s1, s2 = np.unravel_index(np.argmax(pair), pair.shape)
     root = 1.0 / np.sqrt(2.0)
-    new_ops = [k.copy() for k in ops]
+    new_ops = ops.copy()
     new_ops[s1] = root * (ops[s1] + ops[s2])
     new_ops[s2] = root * (ops[s1] - ops[s2])
     return KrausMap(new_ops, tol)
@@ -229,7 +226,7 @@ def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[SchurMatrix, Extremali
     # A of a gi channel and its extremality; minimal_representation's relative cut on
     # the eigenvalues of A, kept by SchurMatrix, keeps round-off eigenvalues of a list
     # padded beyond the rank out
-    t = np.stack(m.kraus)
+    t = m.kraus
     moved = _image_norms(t, t.any(axis=0))[1]
     unit = _unit_schur(extract_schur_matrix(m, tol), moved, tol)
     if unit is None:

@@ -29,6 +29,7 @@ from .channels import (
     apply,
     completeness_class,
     diagonal_unitary,
+    extract_schur_matrix,
     permutation_unitary,
     schur_map,
 )
@@ -224,20 +225,14 @@ def complete_sgi(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     Appends basis-diagonal failure branches sqrt(1 - A_ii) |i><i|; the
     completed map is a unit-diagonal Schur channel.
     """
-    from .channels import extract_schur_matrix
-
     sm = extract_schur_matrix(m, tol)
     if sm is None:
         raise ValueError("map does not act by entrywise multiplication")
-    diag = np.clip(np.real(np.diag(sm.matrix)), 0.0, 1.0)
-    extra = []
-    for i in range(m.dim):
-        leftover = 1.0 - diag[i]
-        if leftover > ROUNDOFF_SUM:
-            k = np.zeros((m.dim, m.dim), dtype=complex)
-            k[i, i] = np.sqrt(leftover)
-            extra.append(k)
-    return KrausMap(list(m.kraus) + extra, tol)
+    leftover = 1.0 - np.clip(np.real(np.diag(sm.matrix)), 0.0, 1.0)
+    rows = np.flatnonzero(leftover > ROUNDOFF_SUM)
+    extra = np.zeros((rows.size, m.dim, m.dim), dtype=complex)
+    extra[np.arange(rows.size), rows, rows] = np.sqrt(leftover[rows])
+    return KrausMap(np.concatenate((m.kraus, extra)), tol)
 
 
 def sgi_mixed_to_pure(
@@ -389,11 +384,11 @@ def fi_deterministic_pure(
     overlap = (ops @ psi.amplitudes) @ np.conj(phi.amplitudes)
     if (
         not same_form(ops, tol)
-        or completeness_class(list(ops), tol) is not CompletenessClass.TRACE_PRESERVING
+        or completeness_class(ops, tol) is not CompletenessClass.TRACE_PRESERVING
         or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - tol.abs_eps * 10, promised - tol.abs_eps / 10)
     ):
         raise ArithmeticError("rounding broke the fully incoherent witness")
-    return ConversionVerdict(True, 1.0, KrausMap(list(ops), tol), None)
+    return ConversionVerdict(True, 1.0, KrausMap(ops, tol), None)
 
 
 def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
@@ -463,11 +458,9 @@ def fi_erase(target: int, d: int, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     """Fully incoherent erasure: every input collapses to the basis state |target>."""
     if d < 1 or not (0 <= target < d):
         raise ValueError("target label out of range")
-    ops = []
-    for j in range(d):
-        k = np.zeros((d, d), dtype=complex)
-        k[target, j] = 1.0
-        ops.append(k)
+    j = np.arange(d)
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[j, target, j] = 1.0
     return KrausMap(ops, tol)
 
 

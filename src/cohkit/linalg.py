@@ -93,8 +93,8 @@ def _require_square(a: np.ndarray) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conj(m).T
+    """Conjugate transpose of a matrix, or of each matrix in a stack (last two axes)."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def frobenius(m: np.ndarray) -> float:

@@ -17,6 +17,7 @@ import numpy as np
 from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_SUM, Tolerance, dagger, von_neumann_entropy
 from .states import DensityMatrix, PureState, coherence_set
 from .channels import CompletenessClass, KrausMap, apply, completeness_class
+from .classify import classify_channel
 
 __all__ = [
     "SearchBudget",
@@ -259,8 +260,6 @@ def search_fi_map(
         return None
     rng = np.random.default_rng(budget.seed)
     zero_cols = [j for j in range(d) if j not in src]
-    from .classify import classify_channel
-
     for it in range(budget.max_iterations):
         assign = feas[it % len(feas)]
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)

@@ -36,22 +36,23 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PureState:
-    """Normalized amplitude vector over the reference basis."""
+    """Normalized amplitude vector over the reference basis, held as a read-only copy."""
 
     amplitudes: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.amplitudes, dtype=complex)
+        a = np.array(self.amplitudes, dtype=complex)
         if a.ndim != 1 or a.size < 1:
             raise ValueError("amplitudes must be a nonempty 1-d array")
         if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
             raise ValueError("amplitudes must be finite")
         if not self.tol.close(abs(float(np.sum(np.abs(a) ** 2)) - 1.0), a.size):
             raise ValueError("amplitudes must have unit squared norm within tol.abs_eps * dim")
-        self.amplitudes = a
+        a.flags.writeable = False
+        object.__setattr__(self, "amplitudes", a)
 
     @property
     def dim(self) -> int:
@@ -62,22 +63,23 @@ class PureState:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over the reference basis."""
+    """Hermitian, PSD, unit-trace matrix over the reference basis, held as a read-only copy."""
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix)
+        m = as_matrix(self.matrix).copy()  # as_matrix hands back the caller's complex array itself
         if m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         if not is_psd(m, self.tol):
             raise ValueError("density matrix must be Hermitian PSD within tolerance")
         if not self.tol.close(abs(float(np.real(np.trace(m))) - 1.0), m.shape[0]):
             raise ValueError("density matrix must have unit trace within tol.abs_eps * dim")
-        self.matrix = m
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:

@@ -62,6 +62,62 @@ def test_kraus_map_validation():
     assert m.dim == 3
 
 
+@pytest.mark.parametrize(
+    "ops, message",
+    [
+        ([], "Kraus list must be nonempty"),
+        ([np.eye(2), np.eye(3)], "all Kraus operators must be square with equal dimension"),
+        ([np.eye(2), np.full((3, 3), np.nan)], "matrix entries must be finite"),
+        ([np.eye(2), np.ones(2)], "expected a matrix, got array with ndim=1"),
+        ([np.ones((2, 3)) / 3], "all Kraus operators must be square with equal dimension"),
+        ([np.diag([1.0, np.nan])], "matrix entries must be finite"),
+        (np.ones((2, 2)), "expected a matrix, got array with ndim=1"),
+        ([np.eye(2), np.eye(2)], "Kraus operators exceed trace preservation (sum K^dag K > 1)"),
+    ],
+    ids=["empty", "ragged", "ragged_nan", "ragged_vector", "non_square", "nan", "one_matrix", "excess"],
+)
+def test_kraus_map_input_contract(ops, message):
+    with pytest.raises(ValueError) as exc:
+        KrausMap(ops)
+    assert str(exc.value) == message
+    if message.startswith("Kraus operators exceed"):
+        assert completeness_class(ops) is CompletenessClass.INVALID
+    else:
+        with pytest.raises(ValueError) as exc:
+            completeness_class(ops)
+        assert str(exc.value) == message
+
+
+def test_kraus_map_inputs_round_trip():
+    rng = np.random.default_rng(8)
+    m = rand_cptp(rng, 3, 2)
+    tensor = np.array([np.asarray(k) for k in m.kraus])
+    for given in (list(m.kraus), tensor, np.asfortranarray(tensor), m, m.kraus):
+        r = KrausMap(given)
+        assert r.kraus.shape == (2, 3, 3) and r.kraus.dtype == complex and r.kraus.flags.c_contiguous
+        assert np.array_equal(r.kraus, tensor) and len(r.kraus) == 2 and r.dim == 3
+        assert all(np.array_equal(a, b) for a, b in zip(list(r.kraus), tensor))
+
+
+def test_kraus_map_is_read_only():
+    # every layer computes on the tensor the map was checked on: the map holds its own read-only
+    # copy, so neither the caller's arrays nor the object can change it
+    ops = [np.eye(2, dtype=complex)]
+    m = KrausMap(ops)
+    ops[0][0, 0] = 5.0
+    assert completeness_class(m) is CompletenessClass.TRACE_PRESERVING
+    tensor = np.array([np.eye(2)], dtype=complex)
+    t = KrausMap(tensor)
+    tensor[0, 1, 1] = 5.0
+    assert np.array_equal(m.kraus, [np.eye(2)]) and np.array_equal(t.kraus, [np.eye(2)])
+    with pytest.raises(AttributeError):
+        m.kraus = [np.eye(2)]
+    with pytest.raises(AttributeError):
+        m.kraus.append(np.eye(2))
+    with pytest.raises(ValueError):
+        m.kraus[0][0, 0] = 0.0
+
+
 def test_schur_matrix_validation():
     with pytest.raises(ValueError):
         SchurMatrix(np.array([[1.0, 1.2], [1.2, 1.0]]))

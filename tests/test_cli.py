@@ -284,6 +284,23 @@ def test_exit_invalid_on_bad_inputs(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "ops, message",
+    [
+        ([np.eye(2), np.zeros((3, 3))], "all Kraus operators must be square with equal dimension"),
+        ([np.ones((2, 3)) / 3], "all Kraus operators must be square with equal dimension"),
+        ([np.eye(2), np.eye(2)], "Kraus operators exceed trace preservation (sum K^dag K > 1)"),
+    ],
+    ids=["ragged", "non_square", "excess"],
+)
+@pytest.mark.parametrize("command", [["classify"], ["extremal", "--decompose"]])
+def test_exit_invalid_on_malformed_kraus(tmp_path, capsys, ops, message, command):
+    bad = _write(tmp_path / "k.json", _kraus_doc(ops))
+    code, out, err = _run(capsys, command + [bad])
+    assert (code, out) == (3, "")
+    assert err == json.dumps({"error": message}) + "\n"
+
+
 def test_tolerance_reaches_pure_state_validation(tmp_path, capsys):
     # squared norm 1 + 1e-8 lies within --tol 1e-6 * d but not within the default 1e-9 * d
     loose = _write(tmp_path / "loose.json", _vector_doc(np.sqrt([0.5, 0.25, 0.25]) * np.sqrt(1.0 + 1e-8)))

@@ -31,3 +31,14 @@ def test_thresholds_live_in_linalg():
                 if tok.type == tokenize.NUMBER and re.search(r"[eE]-\d", tok.string):
                     found.append(f"{path.name}:{tok.start[0]}: {tok.string}")
     assert found == []
+
+
+def test_kraus_tensor_stacked_in_channels_only():
+    # KrausMap holds the stacked (n, d, d) tensor every layer computes on, so only channels
+    # turns operator lists into it
+    found = []
+    for path in sorted(Path(cohkit.__file__).parent.glob("*.py")):
+        if path.name != "channels.py":
+            lines = path.read_text(encoding="utf-8").splitlines()
+            found += [f"{path.name}:{n}" for n, line in enumerate(lines, 1) if "np.stack(" in line]
+    assert found == []

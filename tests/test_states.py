@@ -37,6 +37,24 @@ def test_density_matrix_validation():
     assert np.allclose(rho.diagonal(), [0.5, 0.5])
 
 
+def test_states_are_read_only():
+    # a validated state keeps the value it was checked on: it holds its own read-only copy,
+    # so neither the caller's array nor the object can change it
+    v = np.array([1.0, 0.0], dtype=complex)
+    psi = PureState(v)
+    v[0] = 3.0
+    m = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    rho = DensityMatrix(m)
+    m[0, 0] = 3.0
+    assert np.array_equal(psi.amplitudes, [1.0, 0.0])
+    assert np.array_equal(rho.matrix, [[1.0, 0.0], [0.0, 0.0]])
+    for state, name, given in ((psi, "amplitudes", v), (rho, "matrix", m)):
+        with pytest.raises(AttributeError):
+            setattr(state, name, given)
+        with pytest.raises(ValueError):
+            getattr(state, name)[0, ...] = 0.0
+
+
 def test_density_matrix_trace_follows_tolerance():
     # trace 1 + 4e-9: inside abs_eps * d = 2e-6, outside 2e-9
     m = np.diag([0.5 + 2e-9, 0.5 + 2e-9])
