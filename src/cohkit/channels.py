@@ -65,6 +65,8 @@ def _kraus_tensor(kraus) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if t.shape[1] != t.shape[2]:
         raise ValueError("all Kraus operators must be square with equal dimension")
+    if t.shape[1] == 0:
+        raise ValueError("Kraus operators must act on a space of dimension >= 1")
     return t
 
 
@@ -92,12 +94,13 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
     return CompletenessClass.INVALID
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausMap:
     """A completely positive, trace non-increasing map given by Kraus operators.
 
     Built from a list of d x d matrices, an (n, d, d) array or a KrausMap, `kraus` is one
     read-only complex copy, kraus[s, a, i] = K_s[a, i], checked once; iterate or index it per operator.
+    `==` and `hash` go by identity; compare channels through their Choi matrices.
     """
 
     kraus: np.ndarray
@@ -115,18 +118,18 @@ class KrausMap:
         return self.kraus.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchurMatrix:
     """PSD matrix with diagonal entries in [0, 1] defining rho -> A * rho entrywise.
 
     Holds a read-only copy of A and, in `eigen`, the read-only eigenvalues
     (ascending) and eigenvector columns that its PSD check computed, so that
-    callers never eigendecompose A again.
+    callers never eigendecompose A again. `==` and `hash` go by identity.
     """
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
-    eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = as_matrix(self.matrix).copy()  # as_matrix hands back the caller's complex array itself

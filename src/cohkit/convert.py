@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, frobenius, hermitian_eigen, partial_trace_second
-from .states import DensityMatrix, PureState, coherence_set, plus_state
+from .states import DensityMatrix, PureState, plus_state
 from .channels import (
     CompletenessClass,
     KrausMap,
@@ -122,18 +122,24 @@ def gi_deterministic_pure(psi: PureState, phi: PureState, tol: Tolerance = DEFAU
     return ConversionVerdict(True, 1.0, witness, None)
 
 
+def _masked_ratio(num: np.ndarray, den: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    # the identity matrix with num / den at the pinned entries off the diagonal
+    off = pinned & ~np.eye(len(pinned), dtype=bool)
+    a = np.eye(len(pinned), dtype=complex)
+    a[off] = num[off] / den[off]
+    return a
+
+
 def gi_pure_parent(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[PureState, KrausMap]:
-    """Pure state with the same diagonal as rho, plus a Schur channel mapping it to rho."""
+    """Pure state with the same diagonal as rho, plus a Schur channel mapping it to rho.
+
+    The channel's Schur matrix is the identity with rho_ij / sqrt(p_i p_j)
+    wherever both populations exceed tol.abs_eps."""
     diag = np.clip(rho.diagonal(), 0.0, None)
     total = float(np.sum(diag))
     psi = PureState(np.sqrt(diag / total).astype(complex), tol)
-    d = rho.dim
     support = diag > tol.abs_eps
-    a = np.eye(d, dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            if i != j and support[i] and support[j]:
-                a[i, j] = rho.matrix[i, j] / np.sqrt(diag[i] * diag[j])
+    a = _masked_ratio(rho.matrix, np.sqrt(np.outer(diag, diag)), np.outer(support, support))
     return psi, schur_map(SchurMatrix(a, tol), tol)
 
 
@@ -152,42 +158,39 @@ def gi_deterministic(
 ) -> ConversionVerdict:
     """Deterministic conversion rho -> sigma under unit-diagonal Schur channels.
 
-    The diagonals must agree entrywise within tol.abs_eps. A pure source (top
-    eigenvalue 1 within tol.abs_eps) converts iff the ratio sigma_ij / (psi_i
-    conj(psi_j)) is a Schur matrix. A mixed source cannot reach a pure target.
-    Otherwise A_ij = sigma_ij / rho_ij is pinned where |rho_ij| > tol.abs_eps;
-    oracle.psd_complete (default budget 5,000 iterations) fills the rest and
-    stops on the PSD rule of SchurMatrix, so its completion is the witness's
-    Schur matrix as it stands. No completion within the budget: possible=None.
+    The diagonals must agree entrywise within tol.abs_eps. A pure source psi
+    (top eigenvalue 1 within tol.abs_eps) converts iff the identity with
+    sigma_ij / (psi_i conj(psi_j)) on psi's support is a Schur matrix. A mixed
+    source cannot reach a pure target. Otherwise A_ij = sigma_ij / rho_ij is
+    pinned where |rho_ij| > tol.abs_eps, and a coherence of sigma above it
+    elsewhere is a SupportViolation; oracle.psd_complete (default budget 5,000
+    iterations) fills the rest and stops on the PSD rule of SchurMatrix, so its
+    completion is the witness's Schur matrix as it stands. No completion
+    within the budget: possible=None.
     """
     _check_dims(rho.dim, sigma.dim)
-    d = rho.dim
     if not tol.close(float(np.max(np.abs(rho.diagonal() - sigma.diagonal())))):
         return ConversionVerdict(False, 0.0, None, Reason.DIAGONAL_MISMATCH)
     rho_pure, psi = _purity(rho, tol)
-    a = np.eye(d, dtype=complex)
     if rho_pure:
         support = np.abs(psi) > tol.abs_eps
-        for i in range(d):
-            for j in range(d):
-                if i != j and support[i] and support[j]:
-                    a[i, j] = sigma.matrix[i, j] / (psi[i] * np.conj(psi[j]))
+        # psi_i conj(psi_j) from real products, rounded as numpy's scalar complex product: np.outer's
+        # vectorised product may fuse a multiply-add, and its last bits flip witness Kraus signs
+        re, im = psi.real, psi.imag
+        den = np.empty((rho.dim, rho.dim), dtype=complex)
+        den.real = np.outer(re, re) + np.outer(im, im)
+        den.imag = np.outer(im, re) - np.outer(re, im)
+        a = _masked_ratio(sigma.matrix, den, np.outer(support, support))
     elif _purity(sigma, tol)[0]:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
     else:
-        mask = np.eye(d, dtype=bool)
-        for i in range(d):
-            for j in range(d):
-                if i == j:
-                    continue
-                if abs(rho.matrix[i, j]) > tol.abs_eps:
-                    a[i, j] = sigma.matrix[i, j] / rho.matrix[i, j]
-                    mask[i, j] = True
-                elif abs(sigma.matrix[i, j]) > tol.abs_eps:
-                    return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
-        if not mask.all():
+        pinned = (np.abs(rho.matrix) > tol.abs_eps) | np.eye(rho.dim, dtype=bool)
+        if np.any(~pinned & (np.abs(sigma.matrix) > tol.abs_eps)):
+            return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
+        a = _masked_ratio(sigma.matrix, rho.matrix, pinned)
+        if not pinned.all():
             # the completion stops on the PSD rule of SchurMatrix, which therefore accepts it
-            a = oracle.psd_complete(a, mask, budget or oracle.SearchBudget(max_iterations=5000), tol).witness
+            a = oracle.psd_complete(a, pinned, budget or oracle.SearchBudget(max_iterations=5000), tol).witness
             if a is None:
                 return ConversionVerdict(None, 0.0, None, Reason.COMPLETION_INFEASIBLE)
     try:
@@ -197,12 +200,22 @@ def gi_deterministic(
     return ConversionVerdict(True, 1.0, witness, None)
 
 
+def _one_branch(psi: PureState, phi: PureState, tp: np.ndarray, sigma: np.ndarray, tol: Tolerance) -> KrausMap:
+    # the single operator K[t, sigma(t)] = phi_t / psi_sigma(t) on phi's support tp, scaled to max |K| = 1
+    d = psi.dim
+    v = np.zeros(d, dtype=complex)
+    v[tp] = phi.amplitudes[tp] / psi.amplitudes[sigma[tp]]
+    k = np.zeros((d, d), dtype=complex)
+    k[np.arange(d), sigma] = v / float(np.max(np.abs(v)))
+    return KrausMap([k], tol)
+
+
 def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> ConversionVerdict:
     """Largest success probability for psi -> phi with a single diagonal Kraus branch.
 
     Requires the target's support to sit inside the source's; the optimum is
     min over the target support of |psi_i|^2 / |phi_i|^2 and is achieved by
-    one diagonal operator supported on the amplitude ratios.
+    one diagonal operator K_tt = phi_t / psi_t on that support, max |K| = 1.
     """
     _check_dims(psi.dim, phi.dim)
     sp = np.abs(psi.amplitudes) > tol.abs_eps
@@ -211,12 +224,7 @@ def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEF
         return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
     ratios = np.abs(psi.amplitudes[tp]) ** 2 / np.abs(phi.amplitudes[tp]) ** 2
     prob = float(min(np.min(ratios), 1.0))
-    v = np.zeros(psi.dim, dtype=complex)
-    v[tp] = phi.amplitudes[tp] / psi.amplitudes[tp]
-    scale = float(np.max(np.abs(v)))
-    v = v / scale
-    witness = KrausMap([np.diag(v)], tol)
-    return ConversionVerdict(True, prob, witness, None)
+    return ConversionVerdict(True, prob, _one_branch(psi, phi, tp, np.arange(psi.dim), tol), None)
 
 
 def complete_sgi(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
@@ -240,9 +248,10 @@ def sgi_mixed_to_pure(
 ) -> tuple[ConversionVerdict, tuple[int, int] | None]:
     """Stochastic extraction of a coherent pure state from a mixed state.
 
-    Succeeds iff projecting onto some pair of basis labels leaves a rank-1
-    block with a nonzero off-diagonal entry; the witness is that projector
-    and the branch probability is the block's trace.
+    Succeeds iff projecting onto some pair of labels i < j leaves a rank-1
+    block (tol.rank_cut) with |rho_ij| > tol.abs_eps. One batched eigh covers
+    all d(d-1)/2 blocks; the first such pair in row order is returned, its
+    projector the witness and the block's trace the branch probability.
     """
     if _purity(rho, tol)[0]:
         raise ValueError("source state is already pure")
@@ -250,21 +259,18 @@ def sgi_mixed_to_pure(
     if frobenius(off) <= tol.abs_eps:
         raise ValueError("source state is incoherent")
     d = rho.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            block = rho.matrix[np.ix_([i, j], [i, j])]
-            if abs(block[0, 1]) <= tol.abs_eps:
-                continue
-            w, _ = hermitian_eigen(block, tol)
-            if float(w[0]) > tol.rank_cut(float(w[-1])):
-                continue
-            proj = np.zeros((d, d), dtype=complex)
-            proj[i, i] = 1.0
-            proj[j, j] = 1.0
-            prob = float(np.real(block[0, 0] + block[1, 1]))
-            verdict = ConversionVerdict(True, prob, KrausMap([proj], tol), None)
-            return verdict, (i, j)
-    return ConversionVerdict(False, 0.0, None, Reason.NO_PURE_PROJECTION), None
+    pairs = np.column_stack(np.triu_indices(d, 1))
+    blocks = rho.matrix[pairs[:, :, None], pairs[:, None, :]]
+    # rho passed its Hermiticity check at abs_eps * d; a block is not checked again at abs_eps * 2
+    w = np.linalg.eigh((blocks + dagger(blocks)) / 2.0)[0]
+    hits = np.flatnonzero((np.abs(blocks[:, 0, 1]) > tol.abs_eps) & (w[:, 0] <= tol.rank_cut(w[:, -1])))
+    if hits.size == 0:
+        return ConversionVerdict(False, 0.0, None, Reason.NO_PURE_PROJECTION), None
+    i, j = pairs[hits[0]].tolist()
+    proj = np.zeros((d, d), dtype=complex)
+    proj[[i, j], [i, j]] = 1.0
+    prob = float(np.real(rho.matrix[i, i] + rho.matrix[j, j]))
+    return ConversionVerdict(True, prob, KrausMap([proj], tol), None), (i, j)
 
 
 def reduce_joint(a_joint: SchurMatrix, sigma: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> SchurMatrix:
@@ -427,12 +433,12 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     the smaller ratio, and correctly rounded division is monotone, so the
     float equals that of a scan over all d! relabelings. O(d log d), no
     dimension cap. Exact when the coherence ranks agree; the optimal map is
-    then returned.
+    then returned, the branch of sgi_optimal_probability taken along sigma.
     """
     _check_dims(psi.dim, phi.dim)
     d = psi.dim
-    rank_s = len(coherence_set(psi, tol).members)
-    rank_t = len(coherence_set(phi, tol).members)
+    tp = np.abs(phi.amplitudes) > tol.abs_eps  # the coherence sets, as coherence_set reads them
+    exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.abs_eps) == np.count_nonzero(tp))
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
     support_t = np.flatnonzero(tsq > tol.abs_eps**2)
@@ -441,17 +447,7 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     sigma[np.argsort(-tsq, kind="stable")] = np.argsort(-psq, kind="stable")
     worst = np.min(psq[sigma[support_t]] / tsq[support_t])
     bound = float(min(max(worst, 0.0), 1.0))
-    exact = rank_s == rank_t
-    witness = None
-    if exact:
-        # one branch K[t, sigma(t)] = phi_t / psi_sigma(t) on the target support, max |K| = 1
-        tp = np.abs(phi.amplitudes) > tol.abs_eps
-        v = np.zeros(d, dtype=complex)
-        v[tp] = phi.amplitudes[tp] / psi.amplitudes[sigma[tp]]
-        k = np.zeros((d, d), dtype=complex)
-        k[np.arange(d), sigma] = v / float(np.max(np.abs(v)))
-        witness = KrausMap([k], tol)
-    return SfiBound(lower_bound=bound, exact=exact, map=witness)
+    return SfiBound(lower_bound=bound, exact=exact, map=_one_branch(psi, phi, tp, sigma, tol) if exact else None)
 
 
 def fi_erase(target: int, d: int, tol: Tolerance = DEFAULT_TOL) -> KrausMap:

@@ -61,9 +61,9 @@ class Tolerance:
         """The PSD rule on ascending eigenvalues w: w[0] >= -(abs_eps + rel_eps * max|w|)."""
         return bool(-w[0] <= self.upper(0.0, float(np.max(np.abs(w)))))
 
-    def rank_cut(self, top: float) -> float:
-        """Eigen- or singular values above rel_eps * max(top, 0) count toward a rank."""
-        return self.rel_eps * max(top, 0.0)
+    def rank_cut(self, top: float | np.ndarray) -> float | np.ndarray:
+        """Eigen- or singular values above rel_eps * max(top, 0) count toward a rank; elementwise on an array."""
+        return self.rel_eps * np.maximum(top, 0.0)
 
 
 DEFAULT_TOL = Tolerance()
@@ -89,6 +89,8 @@ def as_matrix(m) -> np.ndarray:
 def _require_square(a: np.ndarray) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError("expected a matrix of dimension >= 1, got shape (0, 0)")
     return a
 
 

@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
-    """Normalized amplitude vector over the reference basis, held as a read-only copy."""
+    """Normalized amplitude vector over the reference basis, held as a read-only copy; `==` is identity."""
 
     amplitudes: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
@@ -63,9 +63,9 @@ class PureState:
         return np.outer(self.amplitudes, np.conj(self.amplitudes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over the reference basis, held as a read-only copy."""
+    """Hermitian, PSD, unit-trace matrix over the reference basis, held as a read-only copy; `==` is identity."""
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cohkit import (
     DensityMatrix,
@@ -26,7 +28,7 @@ from cohkit import (
     sgi_mixed_to_pure,
     sgi_optimal_probability,
 )
-from cohkit.linalg import dagger, partial_trace_second, tensor
+from cohkit.linalg import DEFAULT_TOL, dagger, partial_trace_second, tensor
 
 from conftest import pure_fidelity, rand_density, rand_gi_schur, rand_pure
 
@@ -263,6 +265,60 @@ def test_sgi_mixed_to_pure_rejects_pure_and_incoherent():
         sgi_mixed_to_pure(DensityMatrix(np.eye(2) / 2))
 
 
+def test_sgi_mixed_to_pure_takes_the_states_hermiticity():
+    # the anti-Hermitian gap of 4.2e-9 passes DensityMatrix at d = 8 (abs_eps * 8) but not a
+    # 2 x 2 check (abs_eps * 2); a validated state is not checked again block by block
+    v = np.zeros(8, dtype=complex)
+    v[:2] = np.sqrt(0.5)
+    m = 0.5 * np.outer(v, v) + 0.5 * np.eye(8) / 8
+    m[0, 1] += 3e-9j
+    verdict, pair = sgi_mixed_to_pure(DensityMatrix(m))
+    assert verdict.possible is False and pair is None
+    assert verdict.reason is Reason.NO_PURE_PROJECTION
+
+
+@st.composite
+def pair_block_states(draw):
+    # rank-1 terms on label pairs, some sharing a label (coherent blocks of rank 2), plus populations
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.diag(rng.uniform(0.0, 1.0, d) * (rng.random(d) < 0.25)).astype(complex)
+    for _ in range(draw(st.integers(1, d // 2 + 1))):
+        i, j = rng.choice(d, size=2, replace=False)
+        u = np.zeros(d, dtype=complex)
+        u[[i, j]] = rng.normal(size=2) + 1j * rng.normal(size=2)
+        m += np.outer(u, u.conj())
+    return m / np.trace(m).real
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_block_states())
+def test_sgi_mixed_to_pure_returns_the_first_rank1_pair(m):
+    rho = DensityMatrix(m)
+    assume(np.linalg.eigvalsh(rho.matrix)[-1] < 1.0 - 1e-6)
+    d = rho.dim
+    hits = []
+    for i in range(d):
+        for j in range(i + 1, d):
+            block = rho.matrix[np.ix_([i, j], [i, j])]
+            w = np.linalg.eigh((block + dagger(block)) / 2.0)[0]
+            rank1 = w[0] <= DEFAULT_TOL.rel_eps * max(w[1], 0.0)
+            if abs(block[0, 1]) > DEFAULT_TOL.abs_eps and rank1:
+                hits.append((i, j))
+    expected = hits[0] if hits else None
+    verdict, pair = sgi_mixed_to_pure(rho)
+    assert pair == expected
+    if expected is None:
+        assert verdict.possible is False and verdict.reason is Reason.NO_PURE_PROJECTION
+    else:
+        i, j = expected
+        assert verdict.possible is True
+        assert verdict.probability == float(np.real(rho.matrix[i, i] + rho.matrix[j, j]))
+        proj = np.zeros((1, d, d), dtype=complex)
+        proj[0, [i, j], [i, j]] = 1.0
+        assert np.array_equal(verdict.map.kraus, proj)
+
+
 def test_reduce_joint_matches_partial_trace():
     rng = np.random.default_rng(6)
     d = 3
@@ -399,6 +455,28 @@ def test_sfi_probability_equal_rank():
                 assert pure_fidelity(phi, out / prob) > 1.0 - 1e-9
             plain = sgi_optimal_probability(psi, phi).probability
             assert b.lower_bound >= plain - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_sfi_equal_rank_branch_is_the_sgi_branch(d, seed):
+    # co-sorted populations on one support: the sorted pairing is the identity, so the
+    # relabeled branch of sfi_probability is the diagonal branch of sgi_optimal_probability
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(d)
+    support = rng.random(d) < 0.7
+    support[order[0]] = True
+    mods = []
+    for _ in range(2):
+        m = np.zeros(d)
+        m[order] = np.sort(rng.uniform(0.05, 1.0, d))[::-1]
+        m = np.where(support, m, 0.0)
+        mods.append(m / np.linalg.norm(m))
+    psi, phi = (PureState(m * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))) for m in mods)
+    bound = sfi_probability(psi, phi)
+    sgi = sgi_optimal_probability(psi, phi)
+    assert bound.exact
+    assert bound.map.kraus.tobytes() == sgi.map.kraus.tobytes()
 
 
 def test_sfi_probability_rank_drop_is_lower_bound():

@@ -1,9 +1,25 @@
+import dataclasses
 import re
 import tokenize
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import cohkit
 from cohkit import channels, classify, convert, oracle, states
+from cohkit import (
+    DensityMatrix,
+    Hamiltonian,
+    KrausMap,
+    PureState,
+    SchurMatrix,
+    classify_channel,
+    plus_state,
+    schur_map,
+    sgi_optimal_probability,
+)
+from cohkit.linalg import is_psd
 
 LAYERS = (states, channels, classify, convert, oracle)
 
@@ -42,3 +58,43 @@ def test_kraus_tensor_stacked_in_channels_only():
             lines = path.read_text(encoding="utf-8").splitlines()
             found += [f"{path.name}:{n}" for n, line in enumerate(lines, 1) if "np.stack(" in line]
     assert found == []
+
+
+def test_validated_records_compare_by_identity():
+    # the records hold arrays, so `==` and `hash` go by identity instead of raising on an array truth value
+    def build():
+        return [
+            PureState(np.array([1.0, 0.0])),
+            DensityMatrix(np.eye(2) / 2),
+            KrausMap([np.eye(2)]),
+            SchurMatrix(np.eye(2)),
+        ]
+
+    for record, twin in zip(build(), build()):
+        assert record == record and record != twin
+        assert hash(record) == hash(record)
+        assert record in [twin, record] and record not in [twin]
+        assert len({record, twin, record}) == 2
+    verdict = sgi_optimal_probability(PureState(np.array([0.8, 0.6])), plus_state(2))
+    assert verdict == dataclasses.replace(verdict)
+    assert verdict != sgi_optimal_probability(PureState(np.array([0.8, 0.6])), plus_state(2))
+    report = classify_channel(schur_map(SchurMatrix(np.eye(2))))
+    assert report == dataclasses.replace(report)
+    assert report != classify_channel(schur_map(SchurMatrix(np.eye(2))))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityMatrix(np.zeros((0, 0))),
+        lambda: SchurMatrix(np.zeros((0, 0))),
+        lambda: is_psd(np.zeros((0, 0))),
+        lambda: KrausMap(np.zeros((1, 0, 0))),
+        lambda: PureState([]),
+        lambda: Hamiltonian(()),
+    ],
+    ids=["density", "schur", "is_psd", "kraus", "pure", "hamiltonian"],
+)
+def test_empty_inputs_fail_the_input_contract(build):
+    with pytest.raises(ValueError):
+        build()
