@@ -14,7 +14,7 @@ maps whose Kraus operators can all be chosen diagonal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -123,19 +123,31 @@ class SchurMatrix:
     """PSD matrix with diagonal entries in [0, 1] defining rho -> A * rho entrywise.
 
     Holds a read-only copy of A and, in `eigen`, the read-only eigenvalues
-    (ascending) and eigenvector columns that its PSD check computed, so that
-    callers never eigendecompose A again. `==` and `hash` go by identity.
+    (ascending) and eigenvector columns of A, so that callers never
+    eigendecompose A again. A given matrix takes them from the eigh of its PSD
+    check; extract_schur_matrix takes them from the SVD of the Kraus diagonals.
+    `==` and `hash` go by identity.
     """
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
     eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    _factor: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _factor: np.ndarray | None) -> None:
         a = as_matrix(self.matrix).copy()  # as_matrix hands back the caller's complex array itself
         if a.shape[0] != a.shape[1]:
             raise ValueError("Schur matrix must be square")
-        w, v = hermitian_eigen(a, self.tol)  # the test of is_psd, keeping the eigenpairs
+        if _factor is None:
+            w, v = hermitian_eigen(a, self.tol)  # the test of is_psd, keeping the eigenpairs
+        else:
+            # A = X X^dag for the d x n factor X (extract_schur_matrix), PSD by construction: its
+            # eigenpairs from one SVD of X, O(d^2 n), w = sigma^2 zero-padded to d and ascending,
+            # with the columns of U in the same order; no Hermiticity pass
+            u, sing, _ = np.linalg.svd(_factor, full_matrices=True)
+            w = np.zeros(a.shape[0])
+            w[len(w) - len(sing) :] = sing[::-1] ** 2
+            v = np.ascontiguousarray(u[:, ::-1])
         if not self.tol.psd(w):
             raise ValueError("Schur matrix must be Hermitian PSD within tolerance")
         diag = np.real(np.diag(a))
@@ -216,19 +228,23 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     A = sum_s x_s x_s^dag over the Kraus diagonals x_s. The off-pattern residual
     (the norm of the basis-image entries A * X cannot produce, at most abs_eps * d)
     is sqrt(2 tr(Gx Gy) + ||Gy||_F^2), Gx and Gy the n x n Gram matrices of the
-    diagonal and off-diagonal parts of the operators: O(n^2 d^2), no d^4 tensor.
+    diagonal and off-diagonal parts of the operators: O(n^2 d^2), no d^4 tensor,
+    and exactly 0 without a Gram matrix when every operator is diagonal.
+    A's eigenpairs come from one SVD of the d x n matrix of diagonals, O(d^2 n);
+    A is never eigendecomposed.
     """
     d = m.dim
     diag = np.arange(d) * (d + 1)
     y = m.kraus.reshape(len(m.kraus), d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
     x = y[:, diag].copy()
     y[:, diag] = 0.0
-    gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
-    residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
-    if not tol.close(residual, d):
-        return None
+    if y.any():  # else every operator is diagonal and the residual is exactly 0
+        gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
+        residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
+        if not tol.close(residual, d):
+            return None
     try:
-        return SchurMatrix(np.einsum("si,sj->ij", x, np.conj(x)), tol)
+        return SchurMatrix(np.einsum("si,sj->ij", x, np.conj(x)), tol, _factor=x.T)
     except ValueError:
         return None
 

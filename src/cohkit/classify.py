@@ -252,11 +252,12 @@ def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitn
 
     The channel with diagonal Kraus operators D_1 .. D_n is extremal iff the
     n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
-    the minimal diagonal representation taken from eigh of the d x d Schur
-    matrix A, so it is representation-independent. Cost: O(n d w^2) for the
-    gi check, the basis-projector images over the w rows that some operator
+    the minimal diagonal representation taken from the eigenpairs of the d x d
+    Schur matrix A, so it is representation-independent. Cost: O(n d w^2) for
+    the gi check, the basis-projector images over the w rows that some operator
     reaches in each column (w = 1 for diagonal operators); O(n^2 d^2) for A;
-    one eigh of A, O(d^3), taken by its PSD check and reused; no Choi matrix.
+    A's eigenpairs from one SVD of the d x n Kraus diagonals, O(d^2 n), and no
+    eigh of A; no Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 
@@ -294,7 +295,51 @@ def _realize_polygon(radii: np.ndarray, target: complex, tol: Tolerance) -> np.n
     return np.concatenate(([theta0], sub))
 
 
-def _unimodular_in_range(v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
+def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
+    """A point of the range of x (d x r, full column rank) whose moduli are those of x's rows.
+
+    With B an orthonormal basis of that range and x = B C, the points of
+    S = {Z >= 0 (r x r) : diag(B Z B^dag) = diag(x x^dag)} are Z = C Y C^dag. The descent
+    starts at Y = I and keeps the factor x of the current point, whose face of S is
+    {x Y x^dag : Y >= 0}: each step moves Y along a random Hermitian H with
+    diag(x H x^dag) = 0 up to the PSD boundary, Y = I + tau H with tau = -1 / min eig H,
+    and refactors x, whose rank drops. It stops at rank 1 or where the face has no null
+    direction left, and returns x q, q the top eigenvector of x^dag x: the top
+    eigenvector of the final Z times the root of its eigenvalue, B applied. At rank 1
+    that point is unimodular when diag(x x^dag) = 1.
+    """
+    while x.shape[1] > 1:
+        k = x.shape[1]
+        # row i of the real map from the k^2 coordinates of H (diagonal, then the real and
+        # imaginary parts above it) to diag(x H x^dag)_i, from p[i, a, b] = x_ia conj(x_ib)
+        p = x[:, :, None] * np.conj(x)[:, None, :]
+        kk = np.arange(k)
+        i, j = np.triu_indices(k, 1)
+        m = np.concatenate((p.real[:, kk, kk], 2.0 * p.real[:, i, j], -2.0 * p.imag[:, i, j]), axis=1)
+        # a complex SVD, the LAPACK routine that A's factor already loaded: a real one would
+        # page in another routine's code, about 0.5 MB of peak RSS
+        _, sing, vh = np.linalg.svd(m.astype(complex), full_matrices=False)
+        row = vh[: int(np.sum(sing > tol.rank_cut(float(sing[0]))))]  # the row space of m
+        if len(row) == k * k:
+            break
+        c = rng.normal(size=k * k)
+        c -= (np.conj(row).T @ (row @ c)).real  # a Gaussian vector of the null space of m
+        h = np.zeros((k, k), dtype=complex)
+        h[i, j] = c[k : k + len(i)] + 1j * c[k + len(i) :]
+        h = h + dagger(h) + np.diag(c[:k])
+        eh, q = np.linalg.eigh(h)
+        if -eh[0] <= tol.rank_cut(float(np.max(np.abs(eh)))):
+            break  # no boundary ahead: x is rank deficient within round-off
+        lam = 1.0 - eh / eh[0]  # the eigenvalues of I + tau H; lam[0] = 0, the boundary
+        keep = lam > tol.rank_cut(float(lam[-1]))
+        x = x @ (q[:, keep] * np.sqrt(lam[keep]))
+    if x.shape[1] == 1:
+        return x[:, 0]
+    return x @ np.linalg.eigh(dagger(x) @ x)[1][:, -1]
+
+
+def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
+    # w, v: ascending eigenpairs of a remainder with unit diagonal, rank of them above the cut
     d = v.shape[0]
     if rank == d:
         return np.exp(1j * np.angle(v[:, -1]))
@@ -306,13 +351,15 @@ def _unimodular_in_range(v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.nd
         if np.any(live):
             angles[live] = _realize_polygon(radii[live], 0.0 + 0.0j, tol)
         return np.exp(1j * (angles + np.angle(np.where(live, null, 1.0))))
-    # corank >= 2: alternating projection between the range and the torus
+    # corank >= 2: alternating projection between the range and the torus, from descent seeds
+    # that start at the kept eigenpairs, x x^dag the remainder within the cut
     basis = v[:, d - rank :]
+    x = basis * np.sqrt(w[d - rank :])
     proj = basis @ dagger(basis)
     best_u = None
     best_res = np.inf
     for _ in range(64):
-        z = basis @ (rng.normal(size=rank) + 1j * rng.normal(size=rank))
+        z = _descent_seed(x, rng, tol)
         u = np.exp(1j * np.angle(np.where(np.abs(z) > ROUNDOFF_PHASE, z, 1.0)))
         for _ in range(2000):
             pu = proj @ u
@@ -347,8 +394,12 @@ def mixed_unitary_decompose(
 
     A is read once from the Kraus diagonals and the gi check costs O(n d w^2),
     w the widest column support (1 for diagonal operators); the extremality
-    test and the first peeling step share the eigh of A from its PSD check,
-    each further step takes one eigh of a d x d matrix, O(d^3); no Choi matrix.
+    test and the first peeling step share A's eigenpairs from the SVD of the
+    d x n diagonals, O(d^2 n), each further step takes one eigh of a d x d
+    remainder, O(d^3); no Choi matrix. At corank >= 2 each restart of the
+    search for a unimodular vector in the range is seeded by a descent over
+    r x r matrices, r the rank (one eigh of order at most r per step), to a
+    rank-1 point, which is such a vector.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a
@@ -359,6 +410,7 @@ def mixed_unitary_decompose(
         return None
     a0 = a = unit.matrix
     w, v = unit.eigen
+    cut = tol.rank_cut(float(w[-1]))
     rng = np.random.default_rng(seed)
     terms: list[tuple[float, np.ndarray]] = []
     remaining = 1.0
@@ -368,7 +420,7 @@ def mixed_unitary_decompose(
         if rank <= 1:
             terms.append((remaining, np.angle(v[:, -1])))
             break
-        u = _unimodular_in_range(v, rank, rng, tol)
+        u = _unimodular_in_range(w, v, rank, rng, tol)
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
         comps = dagger(v[:, keep]) @ u
@@ -376,8 +428,14 @@ def mixed_unitary_decompose(
         t = 1.0 / denom
         if not (0.0 < t < 1.0 - ROUNDOFF_SUM):
             raise BudgetExhaustedError("peeling weight left the open interval (0, 1)")
+        if remaining * (1.0 - t) * len(w) <= cut:
+            # the rest of the mixture, of unit diagonal and weight remaining * (1 - t), has its
+            # eigenvalues below A's rank cut: u takes that weight and ends the mixture
+            terms.append((remaining, np.angle(u)))
+            break
         terms.append((remaining * t, np.angle(u)))
         a = (a - t * np.outer(u, np.conj(u))) / (1.0 - t)
+        a = (a + dagger(a)) / 2.0  # dividing by 1 - t scales the round-off asymmetry up with it
         np.fill_diagonal(a, 1.0)
         remaining *= 1.0 - t
         w, v = hermitian_eigen(a, tol)

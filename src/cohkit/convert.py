@@ -161,8 +161,9 @@ def gi_deterministic(
     The diagonals must agree entrywise within tol.abs_eps. A pure source psi
     (top eigenvalue 1 within tol.abs_eps) converts iff the identity with
     sigma_ij / (psi_i conj(psi_j)) on psi's support is a Schur matrix. A mixed
-    source cannot reach a pure target. Otherwise A_ij = sigma_ij / rho_ij is
-    pinned where |rho_ij| > tol.abs_eps, and a coherence of sigma above it
+    source cannot reach a pure target. Otherwise, on the Hermitian parts
+    (m + m^dag)/2 of rho and sigma, A_ij = sigma_ij / rho_ij is pinned
+    where |rho_ij| > tol.abs_eps, and a coherence of sigma above it
     elsewhere is a SupportViolation; oracle.psd_complete (default budget 5,000
     iterations) fills the rest and stops on the PSD rule of SchurMatrix, so its
     completion is the witness's Schur matrix as it stands. No completion
@@ -184,10 +185,13 @@ def gi_deterministic(
     elif _purity(sigma, tol)[0]:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
     else:
-        pinned = (np.abs(rho.matrix) > tol.abs_eps) | np.eye(rho.dim, dtype=bool)
-        if np.any(~pinned & (np.abs(sigma.matrix) > tol.abs_eps)):
+        # DensityMatrix bounds m - m^dag only by abs_eps * d: the Hermitian parts give a symmetric
+        # mask and Hermitian-consistent ratios
+        r, s = ((x.matrix + dagger(x.matrix)) / 2.0 for x in (rho, sigma))
+        pinned = (np.abs(r) > tol.abs_eps) | np.eye(rho.dim, dtype=bool)
+        if np.any(~pinned & (np.abs(s) > tol.abs_eps)):
             return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
-        a = _masked_ratio(sigma.matrix, rho.matrix, pinned)
+        a = _masked_ratio(s, r, pinned)
         if not pinned.all():
             # the completion stops on the PSD rule of SchurMatrix, which therefore accepts it
             a = oracle.psd_complete(a, pinned, budget or oracle.SearchBudget(max_iterations=5000), tol).witness

@@ -20,6 +20,7 @@ from cohkit import (
     same_form,
     schur_map,
 )
+from cohkit import classify
 from cohkit.linalg import Tolerance
 
 from conftest import (
@@ -243,6 +244,33 @@ def test_mixed_unitary_decompose_extremal_returns_none():
 def test_mixed_unitary_decompose_rejects_non_gi():
     with pytest.raises(ValueError):
         mixed_unitary_decompose(KrausMap([SX]))
+
+
+def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
+    # a four-term mixture at d = 7 whose fourth peel (seed 1) has 1 - t = 8.8e-10 while rank 2 is still
+    # above the cut: dividing the remainder by 1 - t would scale its round-off asymmetry past abs_eps * d
+    rng = np.random.default_rng(16)
+    weights = rng.dirichlet(np.ones(4))
+    v = np.sqrt(weights)[None, :] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(7, 4)))
+    found = []
+
+    def spy(w, vecs, rank, rng, tol):
+        u = unimodular(w, vecs, rank, rng, tol)
+        keep = w > tol.rank_cut(float(w[-1]))
+        found.append(1.0 / float(np.sum(np.abs(np.conj(vecs[:, keep]).T @ u) ** 2 / w[keep])))
+        return u
+
+    unimodular = classify._unimodular_in_range
+    monkeypatch.setattr(classify, "_unimodular_in_range", spy)
+    try:
+        terms = mixed_unitary_decompose(KrausMap([np.diag(x) for x in v.T]), seed=1)
+    except BudgetExhaustedError:
+        terms = None
+    assert min(1.0 - t for t in found) < 1e-8
+    if terms is not None:
+        rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
+        assert np.linalg.norm(rebuilt - v @ np.conj(v).T) <= 1e-8
+        assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
 
 
 def test_pio_witness_channel():

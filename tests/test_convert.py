@@ -133,6 +133,31 @@ def test_gi_deterministic_mixed_feasible():
             assert np.max(np.abs(out - sigma.matrix)) < 1e-8
 
 
+def _near_hermitian(r01, r02, r20):
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 1] = m[1, 0] = r01
+    m[0, 2], m[2, 0] = r02, r20
+    return m
+
+
+@pytest.mark.parametrize(
+    "rho, sigma",
+    [
+        # |rho_02| and |rho_20| straddle abs_eps: the raw entries give an asymmetric mask
+        (_near_hermitian(0.1, 1.5e-9, 0.5e-9), _near_hermitian(0.05, 0.0, 0.0)),
+        # a pinned coherence off by 1e-9: the raw ratios sigma_ij / rho_ij are not conjugate
+        (_near_hermitian(0.1, 1e-6 + 1e-9, 1e-6), _near_hermitian(0.05, 0.5e-6, 0.5e-6)),
+    ],
+)
+def test_gi_deterministic_mixed_reads_hermitian_parts(rho, sigma):
+    # DensityMatrix admits an anti-Hermitian part up to abs_eps * d; the verdict is that of the Hermitian parts
+    v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
+    assert v.possible is True
+    out, prob = apply(v.map, rho)
+    assert abs(prob - 1.0) < 1e-10
+    assert np.max(np.abs(out - sigma)) < 1e-8
+
+
 def test_gi_deterministic_mixed_infeasible_multiplier():
     rho = DensityMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
     sigma = DensityMatrix(np.array([[0.5, 0.45], [0.45, 0.5]]))

@@ -26,8 +26,9 @@ from cohkit import (
     same_form,
     schur_map,
 )
+from cohkit import classify
 from cohkit.classify import _image_norms
-from cohkit.linalg import frobenius
+from cohkit.linalg import dagger, frobenius
 
 # construction tolerance loose enough to admit lists whose off-diagonal noise
 # breaks trace preservation at order 1e-8; classification uses DEFAULT_TOL
@@ -435,6 +436,61 @@ def test_zero_map_classifies(d):
     assert np.all(report.schur.matrix == 0.0)
 
 
+@st.composite
+def diagonal_lists(draw):
+    """Diagonal Kraus lists with d <= 8 and 1 <= n <= d + 2 operators of rank r <= min(n, d): padded
+    lists (n > r), lists with n > d, rows of zeros (zero diagonal entries) and all-zero operators;
+    unit-diagonal (gi) or with the diagonal of A in [0, 1]."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, d + 2))
+    r = draw(st.integers(1, min(n, d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if draw(st.booleans()):
+        v *= rng.uniform(0.0, 1.0, size=(d, 1)) * (rng.random((d, 1)) > draw(st.sampled_from([0.0, 0.3])))
+    diags = v @ _unitary(rng, n)[:r, :]
+    diags[:, rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    return KrausMap([np.diag(diags[:, s]) for s in range(n)])
+
+
+def _extract_by_eigh(m, tol=DEFAULT_TOL):
+    # the same A, its eigenpairs from the eigh of SchurMatrix's PSD check
+    sm = extract_schur_matrix(m, tol)
+    return None if sm is None else SchurMatrix(sm.matrix, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(diagonal_lists())
+def test_factor_eigenpairs_match_eigh(m):
+    d = m.dim
+    sm = extract_schur_matrix(m)
+    assert sm is not None  # A = V V^dag with rows of V of norm at most 1
+    x = np.diagonal(m.kraus, axis1=1, axis2=2)
+    a = np.einsum("si,sj->ij", x, np.conj(x))
+    assert np.array_equal(sm.matrix, a)
+    w, v = sm.eigen
+    assert w.shape == (d,) and np.all(np.diff(w) >= 0.0)
+    assert not (w.flags.writeable or v.flags.writeable or sm.matrix.flags.writeable)
+    assert frobenius(dagger(v) @ v - np.eye(d)) <= DEFAULT_TOL.abs_eps * d
+    assert frobenius((v * w) @ dagger(v) - a) <= DEFAULT_TOL.abs_eps * d
+    ref = SchurMatrix(a)
+    assert len(schur_map(sm).kraus) == len(schur_map(ref).kraus)
+    h = _hamiltonian(np.random.default_rng(d), d)
+    report = classify_channel(m, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "extract_schur_matrix", _extract_by_eigh)
+        by_eigh = classify_channel(m, h)
+        triple_by_eigh = _triple(m) if by_eigh.gi else None
+    assert all(getattr(report, f) == getattr(by_eigh, f) for f in ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio"))
+    assert (_triple(m) if report.gi else None) == triple_by_eigh
+
+
+def _triple(m):
+    wit = gi_extremality(m)
+    return wit.extremal, wit.rank_found, wit.rank_required
+
+
 def _count_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
@@ -448,22 +504,23 @@ def _count_eigh(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [4, 32])
-def test_one_eigh_of_a_per_call(monkeypatch, d):
-    # A's PSD check eigendecomposes it once; extremality, schur_map and the first peel reuse that
+def test_eigh_of_order_d_only_for_a_given_matrix(monkeypatch, d):
+    # a Kraus list's A takes its eigenpairs from the SVD of the diagonals, so only a given A
+    # and the peel remainders are eigendecomposed at order d; the descent's r x r eighs are not counted
     rng = np.random.default_rng(d)
     ops, v = _diagonal(rng, d, 3, 4)
     m = KrausMap(ops)
     mixture = KrausMap(_mixture(rng, d, 2, 3)[0])
     calls = _count_eigh(monkeypatch)
     gi_extremality(m)
-    assert calls == [(d, d)]
+    assert calls == []
     calls.clear()
     schur_map(SchurMatrix(v @ np.conj(v).T))
     assert calls == [(d, d)]
     calls.clear()
-    # two terms: A once, then the rank-1 remainder after the first peel
+    # two terms: the first peel reads the SVD's eigenpairs, then the rank-1 remainder's eigh
     assert len(mixed_unitary_decompose(mixture)) == 2
-    assert calls == [(d, d)] * 2
+    assert [c for c in calls if c == (d, d)] == [(d, d)]
 
 
 def test_diagonal_list_memory_at_d64():
