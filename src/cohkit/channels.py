@@ -73,22 +73,32 @@ def _kraus_tensor(kraus) -> np.ndarray:
 def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass:
     """Classify sum_i K_i^dag K_i as trace preserving, non-increasing, or invalid.
 
-    kraus is a KrausMap, a list of d x d matrices or an (n, d, d) array. An exactly
-    diagonal sum (diagonal operators, or one nonzero per row and column) has its
+    kraus is a KrausMap, a list of d x d matrices or an (n, d, d) array. When no row of
+    any operator holds two nonzero entries (diagonal operators, permutations times
+    diagonals), the sum is exactly diagonal with the column sums of |K_i|^2 on its
+    diagonal, O(n d^2) with no d x d product. Any other exactly diagonal sum has its
     eigenvalues read off the diagonal without eigh.
     """
     t = _kraus_tensor(kraus)
     d = t.shape[1]
-    s = (dagger(t) @ t).sum(axis=0)
-    if tol.close(frobenius(s - np.eye(d)), d):
-        return CompletenessClass.TRACE_PRESERVING
-    diag = np.diagonal(s)
-    # a diagonal passes hermitian_eigen's check when 2 ||Im diag|| <= abs_eps * d (complex
-    # products leave round-off there), and eigh of it returns the sorted real diagonal
-    if np.count_nonzero(s) == np.count_nonzero(diag) and tol.close(2.0 * frobenius(diag.imag), d):
-        w = np.sort(diag.real)
+    nonzero = np.count_nonzero(t)
+    # one nonzero in each nonzero row (at most n d of them, a cheap test for dense lists first): then
+    # (K^dag K)_ij = sum_a conj(K_ai) K_aj has no term at i != j
+    if nonzero <= t.shape[0] * d and nonzero == np.count_nonzero(t.any(axis=2)):
+        w = np.sort((t.real**2 + t.imag**2).sum(axis=(0, 1)))
+        if tol.close(frobenius(w - 1.0), d):
+            return CompletenessClass.TRACE_PRESERVING
     else:
-        w, _ = hermitian_eigen(s, tol)
+        s = (dagger(t) @ t).sum(axis=0)
+        if tol.close(frobenius(s - np.eye(d)), d):
+            return CompletenessClass.TRACE_PRESERVING
+        diag = np.diagonal(s)
+        # a diagonal passes hermitian_eigen's check when 2 ||Im diag|| <= abs_eps * d (complex
+        # products leave round-off there), and eigh of it returns the sorted real diagonal
+        if np.count_nonzero(s) == np.count_nonzero(diag) and tol.close(2.0 * frobenius(diag.imag), d):
+            w = np.sort(diag.real)
+        else:
+            w, _ = hermitian_eigen(s, tol)
     if w[-1] <= tol.upper(1.0, float(np.max(np.abs(w)))):
         return CompletenessClass.TRACE_NON_INCREASING
     return CompletenessClass.INVALID
@@ -243,6 +253,12 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
         residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
         if not tol.close(residual, d):
             return None
+    return _diagonal_schur(x, tol)
+
+
+def _diagonal_schur(x: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
+    # A = sum_s x_s x_s^dag from the n x d Kraus diagonals x, or None when A fails SchurMatrix's
+    # checks (a diagonal entry above 1)
     try:
         return SchurMatrix(np.einsum("si,sj->ij", x, np.conj(x)), tol, _factor=x.T)
     except ValueError:

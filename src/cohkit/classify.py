@@ -29,7 +29,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_NULL, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
 from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
-from .channels import KrausMap, SchurMatrix, _kraus_tensor, extract_schur_matrix
+from .channels import KrausMap, SchurMatrix, _diagonal_schur, _kraus_tensor, extract_schur_matrix
 
 __all__ = [
     "Hamiltonian",
@@ -84,7 +84,7 @@ class ClassificationReport:
     schur: SchurMatrix | None
 
 
-@dataclass
+@dataclass(eq=False)
 class ExtremalityWitness:
     extremal: bool
     rank_found: int
@@ -146,11 +146,60 @@ def _unit_schur(schur: SchurMatrix | None, moved: np.ndarray, tol: Tolerance) ->
     return schur if schur is not None and tol.close(moved.max(), moved.size) else None
 
 
+def _kraus_diagonals(t: np.ndarray, live: np.ndarray) -> np.ndarray | None:
+    # x[s, i] = K_s[i, i] when no operator has a nonzero entry off its diagonal (live from
+    # t.any(axis=0); exact, no abs_eps), else None
+    if np.count_nonzero(live) > np.count_nonzero(np.diagonal(live)):
+        return None
+    i = np.arange(t.shape[1])
+    return t[:, i, i]
+
+
+def _diagonal_moved(x: np.ndarray) -> np.ndarray:
+    # _image_norms' second norm for a diagonal list: column i is live in row i only, so images[i] is
+    # the 1 x 1 Gram A_ii, formed by the same batched product at w = 1 and as many bits
+    c = np.ascontiguousarray(x.T[:, None, :])
+    images = c @ c.conj().transpose(0, 2, 1)
+    return np.sqrt(np.abs(images[:, 0, 0] - 1.0) ** 2)
+
+
 def classify_channel(
     m: KrausMap, hamiltonian: Hamiltonian | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> ClassificationReport:
-    d = m.dim
+    """Membership flags of the channel and, when it is a Schur channel, its Schur matrix.
+
+    An exactly diagonal list (no nonzero entry off the diagonal of any operator) is a
+    Schur channel, and so is every representation of it. io, fi, sio, mio and dio then
+    hold, and so does tio for any Hamiltonian, since diagonal unitaries commute with
+    entrywise multiplication. The answer comes from the n x d Kraus diagonals alone:
+    sgi is whether A passes SchurMatrix's checks and gi whether every |A_ii - 1| is
+    within abs_eps * d, O(n d^2) for the diagonal test and O(d^2 n) for A and its
+    eigenpairs. Any other list is classified on its Kraus tensor: io, sio and fi from
+    one mask, the basis-projector images and dio's diagonals over the live support at
+    O(n d w^2), w the widest column support, and the tio commutator over the live
+    entries. A Hamiltonian of another dimension raises ValueError.
+    """
+    if hamiltonian is not None and hamiltonian.dim != m.dim:
+        raise ValueError("Hamiltonian dimension does not match the map")
     t = m.kraus  # t[s, a, i] = K_s[a, i]
+    live = t.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
+    x = _kraus_diagonals(t, live)
+    if x is None:
+        return _classify_tensor(m, live, hamiltonian, tol)
+    schur = _diagonal_schur(x, tol)
+    gi = _unit_schur(schur, _diagonal_moved(x), tol) is not None
+    tio = None if hamiltonian is None else True
+    return ClassificationReport(
+        io=True, gi=gi, sgi=schur is not None, fi=True, sio=True, mio=True, dio=True, tio=tio, schur=schur
+    )
+
+
+def _classify_tensor(
+    m: KrausMap, live: np.ndarray, hamiltonian: Hamiltonian | None, tol: Tolerance
+) -> ClassificationReport:
+    # classify_channel on the Kraus tensor, for a Hamiltonian of the map's dimension or None
+    d = m.dim
+    t = m.kraus
     mod = np.abs(t)
     hit = mod > tol.abs_eps
 
@@ -168,7 +217,6 @@ def classify_channel(
 
     schur = extract_schur_matrix(m, tol)
     sgi = schur is not None
-    live = t.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
     off, moved = _image_norms(t, live)
     gi = _unit_schur(schur, moved, tol) is not None
     mio = dio = bool(tol.close(off.max(), d))
@@ -182,8 +230,6 @@ def classify_channel(
 
     tio: bool | None = None
     if hamiltonian is not None:
-        if hamiltonian.dim != d:
-            raise ValueError("Hamiltonian dimension does not match the map")
         # [sop, generator] at u = (a, i), v = (b, j) is (K^T conj K)[u, v] * (delta_u - delta_v),
         # delta_(a,i) = E_i - E_a; only live entries count (d x d when diagonal)
         e = np.asarray(hamiltonian.energies, dtype=float)
@@ -227,8 +273,12 @@ def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[SchurMatrix, Extremali
     # the eigenvalues of A, kept by SchurMatrix, keeps round-off eigenvalues of a list
     # padded beyond the rank out
     t = m.kraus
-    moved = _image_norms(t, t.any(axis=0))[1]
-    unit = _unit_schur(extract_schur_matrix(m, tol), moved, tol)
+    live = t.any(axis=0)
+    x = _kraus_diagonals(t, live)
+    if x is None:
+        unit = _unit_schur(extract_schur_matrix(m, tol), _image_norms(t, live)[1], tol)
+    else:
+        unit = _unit_schur(_diagonal_schur(x, tol), _diagonal_moved(x), tol)
     if unit is None:
         raise ValueError("map is not a unit-diagonal Schur channel")
     w, v = unit.eigen
@@ -253,11 +303,12 @@ def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitn
     The channel with diagonal Kraus operators D_1 .. D_n is extremal iff the
     n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
     the minimal diagonal representation taken from the eigenpairs of the d x d
-    Schur matrix A, so it is representation-independent. Cost: O(n d w^2) for
-    the gi check, the basis-projector images over the w rows that some operator
-    reaches in each column (w = 1 for diagonal operators); O(n^2 d^2) for A;
-    A's eigenpairs from one SVD of the d x n Kraus diagonals, O(d^2 n), and no
-    eigh of A; no Choi matrix.
+    Schur matrix A, so it is representation-independent. Cost: for an exactly
+    diagonal list, O(n d^2) to find it so and O(n d) for the gi check, |A_ii - 1|
+    from the Kraus diagonals; for any other list, O(n d w^2) for the gi check, the
+    basis-projector images over the w rows that some operator reaches in each
+    column, and O(n^2 d^2) for A. A's eigenpairs come from one SVD of the d x n
+    Kraus diagonals, O(d^2 n), and A is never eigendecomposed; no Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 
@@ -392,14 +443,14 @@ def mixed_unitary_decompose(
     keeps the remainder PSD, so the remainder's rank drops every step; for
     dim <= 3 this always terminates with at most dim terms.
 
-    A is read once from the Kraus diagonals and the gi check costs O(n d w^2),
-    w the widest column support (1 for diagonal operators); the extremality
-    test and the first peeling step share A's eigenpairs from the SVD of the
-    d x n diagonals, O(d^2 n), each further step takes one eigh of a d x d
-    remainder, O(d^3); no Choi matrix. At corank >= 2 each restart of the
-    search for a unimodular vector in the range is seeded by a descent over
-    r x r matrices, r the rank (one eigh of order at most r per step), to a
-    rank-1 point, which is such a vector.
+    A is read once from the Kraus diagonals, and the gi check is gi_extremality's:
+    O(n d) from the diagonals of an exactly diagonal list, else O(n d w^2), w the
+    widest column support. The extremality test and the first peeling step share
+    A's eigenpairs from the SVD of the d x n diagonals, O(d^2 n), each further
+    step takes one eigh of a d x d remainder, O(d^3); no Choi matrix. At
+    corank >= 2 each restart of the search for a unimodular vector in the range
+    is seeded by a descent over r x r matrices, r the rank (one eigh of order at
+    most r per step), to a rank-1 point, which is such a vector.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a

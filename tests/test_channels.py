@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohkit import (
     CompletenessClass,
@@ -19,7 +21,7 @@ from cohkit import (
     tensor_channels,
     transform_representation,
 )
-from cohkit.linalg import dagger, tensor
+from cohkit.linalg import DEFAULT_TOL, dagger, frobenius, tensor
 
 from conftest import rand_cptp, rand_density, rand_gi_schur, rand_unitary
 
@@ -51,6 +53,62 @@ def test_completeness_class_diagonal_route_matches_eigh(offset):
             assert (np.count_nonzero(s - np.diag(np.diag(s))) > 0) == off_diagonal
         assert completeness_class(ops) is CompletenessClass(expected)
         assert completeness_class(rotated) is CompletenessClass(expected)
+
+
+def _dense_completeness(t, tol=DEFAULT_TOL):
+    # the class from the dense product sum_s K_s^dag K_s and its eigh, and that product
+    s = sum(dagger(k) @ k for k in t)
+    if frobenius(s - np.eye(len(s))) <= tol.abs_eps * len(s):
+        return CompletenessClass.TRACE_PRESERVING, s
+    w = np.linalg.eigvalsh((s + dagger(s)) / 2.0)
+    if w[-1] <= tol.upper(1.0, float(np.max(np.abs(w)))):
+        return CompletenessClass.TRACE_NON_INCREASING, s
+    return CompletenessClass.INVALID, s
+
+
+@st.composite
+def row_patterns(draw):
+    """n operators of dimension d <= 64, each row holding at most one nonzero entry: permutations
+    times diagonals, or each row sent to a random column or zeroed; sometimes one row holds two.
+    Scaled to trace preserving, below it, or above it."""
+    d = draw(st.integers(1, 64))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.zeros((n, d, d), dtype=complex)
+    rows = np.arange(d)
+    for k in t:
+        cols = rng.permutation(d) if draw(st.booleans()) else rng.integers(0, d, size=d)
+        k[rows, cols] = rng.uniform(0.1, 1.0, size=d) * np.exp(2j * np.pi * rng.random(d)) * (rng.random(d) > 0.2)
+    if d > 1 and draw(st.booleans()):
+        a, i, j = rng.integers(n), rng.integers(d), rng.integers(d)
+        t[a, i, [j, (j + 1) % d]] = 0.5
+    sums = (np.abs(t) ** 2).sum(axis=(0, 1))
+    scale = draw(st.sampled_from(["unit", "below", "above"]))
+    if scale == "unit":
+        t = t / np.sqrt(np.where(sums > 0.0, sums, 1.0))
+    else:
+        t = t * np.sqrt((0.9 if scale == "below" else 1.1) / max(sums.max(), 1e-300))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_patterns())
+def test_completeness_class_on_sparse_rows_matches_dense_product(t):
+    want, s = _dense_completeness(t)
+    assert completeness_class(t) is want
+    if all((np.count_nonzero(k, axis=1) <= 1).all() for k in t):
+        # no row holds two nonzero entries: the product is diagonal, and its diagonal is the column
+        # sums of |t|^2 that completeness_class reads instead
+        assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
+        np.testing.assert_array_max_ulp(np.diag(s).real, (t.real**2 + t.imag**2).sum(axis=(0, 1)), maxulp=4)
+
+
+def test_completeness_class_one_entry_per_column_is_not_diagonal():
+    # one entry per column, two in row 0: sum K^dag K = 0.64 [[1, 1], [1, 1]] has eigenvalue 1.28
+    k = 0.8 * np.array([[1.0, 1.0], [0.0, 0.0]])
+    assert completeness_class([k]) is CompletenessClass.INVALID
+    with pytest.raises(ValueError):
+        KrausMap([k])
 
 
 def test_kraus_map_validation():

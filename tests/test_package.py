@@ -15,6 +15,8 @@ from cohkit import (
     PureState,
     SchurMatrix,
     classify_channel,
+    extremal_nonunitary_gi_kraus,
+    gi_extremality,
     plus_state,
     schur_map,
     sgi_optimal_probability,
@@ -81,6 +83,10 @@ def test_validated_records_compare_by_identity():
     report = classify_channel(schur_map(SchurMatrix(np.eye(2))))
     assert report == dataclasses.replace(report)
     assert report != classify_channel(schur_map(SchurMatrix(np.eye(2))))
+    witness = gi_extremality(extremal_nonunitary_gi_kraus(4))
+    assert witness.witness_vectors is not None
+    assert witness == witness and witness != gi_extremality(extremal_nonunitary_gi_kraus(4))
+    assert len({witness, witness}) == 1
 
 
 @pytest.mark.parametrize(

@@ -536,3 +536,98 @@ def test_diagonal_list_memory_at_d64():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@st.composite
+def exactly_diagonal_lists(draw, tol=DEFAULT_TOL):
+    """diagonal_lists' lists, with A's diagonal moved to 1 + c * abs_eps * d on some entries,
+    c in {-2, -0.5, 0.5, 2}: gi and sgi on either side of their thresholds."""
+    t = draw(diagonal_lists()).kraus
+    d = t.shape[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        c = rng.choice([-2.0, -0.5, 0.5, 2.0], size=d) * (rng.random(d) < 0.5)
+        t = t * np.sqrt(1.0 + c * tol.abs_eps * d)[None, None, :]
+    return KrausMap(t, LOOSE)
+
+
+def _outcome(f, m):
+    # what f(m) returns, or the error it raises
+    try:
+        return f(m)
+    except (ValueError, classify.BudgetExhaustedError) as err:
+        return type(err), str(err)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(exactly_diagonal_lists(), st.booleans())
+def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
+    # classify_channel, gi_extremality and mixed_unitary_decompose answer an exactly diagonal list from
+    # its diagonals; the tensor path gives the same bits on the same list
+    d = m.dim
+    t = m.kraus
+    live = t.any(axis=0)
+    x = classify._kraus_diagonals(t, live)
+    assert x is not None
+    assert _same_bits(classify._diagonal_moved(x), _image_norms(t, live)[1])
+    rng = np.random.default_rng(d)
+    h = _hamiltonian(rng, d) if with_hamiltonian else None
+    got, ref = classify_channel(m, h), classify._classify_tensor(m, live, h, DEFAULT_TOL)
+    flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
+    assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
+    assert got.io and got.fi and got.sio and got.mio and got.dio and got.tio is (True if h else None)
+    assert (got.schur is None) == (ref.schur is None)
+    if got.schur is not None:
+        assert _same_bits(got.schur.matrix, ref.schur.matrix)
+        assert all(_same_bits(a, b) for a, b in zip(got.schur.eigen, ref.schur.eigen))
+        if np.any(np.diag(got.schur.matrix).real == 0.0):
+            assert not got.gi  # A_ii = 0: a zero column is not fixed
+    with pytest.raises(ValueError):
+        classify_channel(m, _hamiltonian(rng, d + 1))
+
+    # a decomposition that runs out of budget takes about 0.3 s at d >= 4, twice here
+    decompose = got.gi and d <= 5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_kraus_diagonals", lambda t, live: None)  # the tensor path everywhere
+        ref_witness = _outcome(gi_extremality, m)
+        ref_terms = _outcome(mixed_unitary_decompose, m) if decompose else None
+    witness = _outcome(gi_extremality, m)
+    if isinstance(witness, tuple):
+        assert witness == ref_witness and not got.gi
+        return
+    fields = ("extremal", "rank_found", "rank_required")
+    assert [getattr(witness, f) for f in fields] == [getattr(ref_witness, f) for f in fields]
+    assert (witness.witness_vectors is None) == (ref_witness.witness_vectors is None)
+    if witness.witness_vectors is not None:
+        assert all(_same_bits(a, b) for a, b in zip(witness.witness_vectors, ref_witness.witness_vectors))
+    if not decompose:
+        return
+    terms = _outcome(mixed_unitary_decompose, m)
+    if terms is None or isinstance(terms, tuple):
+        assert terms == ref_terms
+    else:
+        assert len(terms) == len(ref_terms)
+        assert all(w == rw and _same_bits(p, rp) for (w, p), (rw, rp) in zip(terms, ref_terms))
+
+
+@pytest.mark.parametrize("off_diagonal, image_norm_calls", [(0.0, 0), (1e-12, 1)])
+def test_image_kernel_runs_only_for_lists_off_the_diagonal(off_diagonal, image_norm_calls):
+    # at d = 32 a diagonal list never reaches the Kraus-tensor kernel; one entry of 1e-12 off the
+    # diagonal, far inside abs_eps, sends the list down the tensor path, with the same flags
+    rng = np.random.default_rng(32)
+    ops, _ = _diagonal(rng, 32, 3, 4)
+    ops[1][4, 7] = off_diagonal
+    m = KrausMap(ops)
+    h = _hamiltonian(rng, 32)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        mp.setattr(classify, "_image_norms", lambda *args: calls.append(1) or _image_norms(*args))
+        report = classify_channel(m, h)
+        assert len(calls) == image_norm_calls
+        gi_extremality(m)
+        assert len(calls) == 2 * image_norm_calls
+    assert (report.io, report.gi, report.sgi, report.fi, report.sio, report.mio, report.dio, report.tio) == (True,) * 8
