@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from cohkit import (
+    DEFAULT_TOL,
     DensityMatrix,
+    KrausMap,
     PureState,
     SearchBudget,
+    Tolerance,
     apply,
     classify_channel,
     fi_deterministic_pure,
@@ -18,7 +21,10 @@ from cohkit import (
     sgi_optimal_probability,
 )
 
-from conftest import pure_fidelity, rand_density, rand_pure
+from cohkit.linalg import ROUNDOFF_SUM
+from cohkit.oracle import _pinned_psd
+
+from conftest import pure_fidelity, rand_density, rand_pure, rand_unitary
 
 
 def test_search_budget_validation():
@@ -42,9 +48,9 @@ def test_psd_complete_fully_pinned():
 
     mask = np.ones((3, 3), dtype=bool)
     feasible = psd_complete(band(0.63), mask, SearchBudget())
-    assert feasible.feasible
+    assert feasible.feasible and feasible.iterations == 0
     infeasible = psd_complete(band(0.61), mask, SearchBudget())
-    assert not infeasible.feasible
+    assert not infeasible.feasible and infeasible.iterations == 0
     assert infeasible.residual > 1e-4
 
 
@@ -59,8 +65,10 @@ def test_psd_complete_with_free_entries():
     )
     mask = np.ones((3, 3), dtype=bool)
     mask[0, 2] = mask[2, 0] = False
-    result = psd_complete(pinned, mask, SearchBudget())
+    budget = SearchBudget()
+    result = psd_complete(pinned, mask, budget)
     assert result.feasible
+    assert 0 < result.iterations < budget.max_iterations
     w = result.witness
     assert np.min(np.linalg.eigvalsh(w)) > -1e-8
     assert np.max(np.abs(w[mask] - pinned[mask])) < 1e-8
@@ -71,6 +79,33 @@ def test_psd_complete_infeasible_two_by_two():
     mask = np.ones((2, 2), dtype=bool)
     result = psd_complete(pinned, mask, SearchBudget())
     assert not result.feasible
+    assert result.iterations == 0
+    # a negative pinned diagonal entry: no completion exists, so the projections run the whole budget
+    budget = SearchBudget(max_iterations=200)
+    negative = psd_complete(np.diag([-0.5, 1.0]).astype(complex), np.eye(2, dtype=bool), budget)
+    assert not negative.feasible
+    assert negative.iterations == budget.max_iterations
+    assert abs(negative.residual - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_pinned_psd_rule_matches_psd_complete(tol, d):
+    # lambda_min at +-1/2 and +-2 times the PSD threshold abs_eps + rel_eps max|w|: only -2 fails
+    rng = np.random.default_rng(d)
+    t = Tolerance(tol, tol)
+    mask = np.ones((d, d), dtype=bool)
+    for scale in (0.5, -0.5, 2.0, -2.0):
+        for _ in range(5):
+            w = np.concatenate([[0.0], rng.uniform(0.1, 1.0, d - 1)])
+            w[0] = scale * t.upper(0.0, float(np.max(np.abs(w))))
+            u = rand_unitary(rng, d)
+            h = (u * w) @ u.conj().T
+            h = (h + h.conj().T) / 2.0
+            direct = _pinned_psd(h, t)
+            public = psd_complete(h, mask, SearchBudget(), t)
+            assert direct.feasible == public.feasible == (scale > -1.0)
+            assert direct.residual == public.residual and direct.iterations == public.iterations == 0
 
 
 def test_psd_complete_validation():
@@ -100,6 +135,85 @@ def test_search_sgi_support_violation():
     assert search_sgi_probability(psi, plus_state(3), SearchBudget()) == 0.0
 
 
+def _sgi_probability_loop(psi, phi, budget, tol=DEFAULT_TOL):
+    # reference: one scalar complex expression per entry of each probe's zero-padded d x d
+    # multiplier matrix, decided by the public psd_complete with every entry pinned
+    d = psi.dim
+    sp = np.abs(psi.amplitudes) > tol.abs_eps
+    tp = np.abs(phi.amplitudes) > tol.abs_eps
+    if np.any(tp & ~sp):
+        return 0.0
+
+    def feasible(k):
+        a = np.zeros((d, d), dtype=complex)
+        idx = np.flatnonzero(sp)
+        for i in idx:
+            for j in idx:
+                a[i, j] = (
+                    k
+                    * phi.amplitudes[i]
+                    * np.conj(phi.amplitudes[j])
+                    / (psi.amplitudes[i] * np.conj(psi.amplitudes[j]))
+                )
+        if float(np.max(np.real(np.diag(a)))) > 1.0 + ROUNDOFF_SUM:
+            return False
+        return psd_complete(a, np.ones((d, d), dtype=bool), budget, tol).feasible
+
+    if feasible(1.0):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(30):
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _sgi_corpus(rng, d):
+    # (psi, phi, expected or None) amplitude pairs: zero source amplitudes outside the target
+    # support, zero target amplitudes inside the source support, a support violation, the
+    # phases-only target, and source amplitudes at 2 abs_eps
+    def unit(v):
+        return v / np.linalg.norm(v)
+
+    def rand(mask):
+        return np.where(mask, rng.normal(size=d) + 1j * rng.normal(size=d), 0.0)
+
+    def phases():
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
+
+    tiny = 2.0 * DEFAULT_TOL.abs_eps
+    full = np.ones(d, dtype=bool)
+    for _ in range(6):
+        src = rng.random(d) < 0.7
+        src[rng.integers(d)] = True
+        tgt = src & (rng.random(d) < 0.7)
+        tgt[rng.choice(np.flatnonzero(src))] = True
+        psi = unit(rand(src))
+        yield psi, unit(rand(tgt)), None
+        yield psi, np.abs(psi) * phases(), 1.0
+        if not src.all():
+            yield psi, unit(rand(tgt | ~src)), 0.0
+        at = np.arange(d) == rng.integers(d)
+        small = unit(np.where(at, tiny * phases(), rand(full)))
+        yield small, unit(rand(full)), None
+        yield small, unit(np.where(at, tiny * phases(), rand(full))), None
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_search_sgi_equals_loop_reference(d):
+    rng = np.random.default_rng(100 + d)
+    budget = SearchBudget()
+    for psi_amps, phi_amps, expected in _sgi_corpus(rng, d):
+        psi, phi = PureState(psi_amps), PureState(phi_amps)
+        got = search_sgi_probability(psi, phi, budget)
+        assert got.hex() == _sgi_probability_loop(psi, phi, budget).hex()
+        if expected is not None:
+            assert got == expected
+
+
 def test_monte_carlo_deterministic():
     chi = PureState(np.array([np.sqrt(0.5), 0.5, 0.5]))
     v = sgi_optimal_probability(chi, plus_state(3))
@@ -118,6 +232,15 @@ def test_monte_carlo_trace_preserving_has_empty_failure_slot():
     emp, counts = monte_carlo_protocol(m, rho, 5000, seed=1, success_branches=(0, 1))
     assert counts[-1] == 0
     assert emp == 1.0
+
+
+@pytest.mark.parametrize("branches", [(1,), (-1,), (0, 0)])
+def test_monte_carlo_rejects_branches_that_are_not_operators(branches):
+    # one operator: index 1 (or -1) is the failure slot, and a repeated index counts its hits twice
+    m = KrausMap([np.diag([1.0, np.sqrt(0.5)])])
+    rho = DensityMatrix(plus_state(2).density())
+    with pytest.raises(ValueError):
+        monte_carlo_protocol(m, rho, 1000, seed=0, success_branches=branches)
 
 
 def test_search_cr_matches_entropy_difference():
