@@ -76,8 +76,7 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
     kraus is a KrausMap, a list of d x d matrices or an (n, d, d) array. When no row of
     any operator holds two nonzero entries (diagonal operators, permutations times
     diagonals), the sum is exactly diagonal with the column sums of |K_i|^2 on its
-    diagonal, O(n d^2) with no d x d product. Any other exactly diagonal sum has its
-    eigenvalues read off the diagonal without eigh.
+    diagonal, O(n d^2) with no d x d product.
     """
     t = _kraus_tensor(kraus)
     d = t.shape[1]
@@ -92,13 +91,7 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
         s = (dagger(t) @ t).sum(axis=0)
         if tol.close(frobenius(s - np.eye(d)), d):
             return CompletenessClass.TRACE_PRESERVING
-        diag = np.diagonal(s)
-        # a diagonal passes hermitian_eigen's check when 2 ||Im diag|| <= abs_eps * d (complex
-        # products leave round-off there), and eigh of it returns the sorted real diagonal
-        if np.count_nonzero(s) == np.count_nonzero(diag) and tol.close(2.0 * frobenius(diag.imag), d):
-            w = np.sort(diag.real)
-        else:
-            w, _ = hermitian_eigen(s, tol)
+        w, _ = hermitian_eigen(s, tol)
     if w[-1] <= tol.upper(1.0, float(np.max(np.abs(w)))):
         return CompletenessClass.TRACE_NON_INCREASING
     return CompletenessClass.INVALID
@@ -239,20 +232,19 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     (the norm of the basis-image entries A * X cannot produce, at most abs_eps * d)
     is sqrt(2 tr(Gx Gy) + ||Gy||_F^2), Gx and Gy the n x n Gram matrices of the
     diagonal and off-diagonal parts of the operators: O(n^2 d^2), no d^4 tensor,
-    and exactly 0 without a Gram matrix when every operator is diagonal.
+    and exactly 0 when every operator is diagonal.
     A's eigenpairs come from one SVD of the d x n matrix of diagonals, O(d^2 n);
     A is never eigendecomposed.
     """
     d = m.dim
     diag = np.arange(d) * (d + 1)
     y = m.kraus.reshape(len(m.kraus), d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
-    x = y[:, diag].copy()
+    x = y[:, diag]
     y[:, diag] = 0.0
-    if y.any():  # else every operator is diagonal and the residual is exactly 0
-        gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
-        residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
-        if not tol.close(residual, d):
-            return None
+    gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
+    residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
+    if not tol.close(residual, d):
+        return None
     return _diagonal_schur(x, tol)
 
 

@@ -18,7 +18,8 @@ Flags reported for a Kraus representation:
        Hamiltonian is supplied).
 
 io, fi and sio are properties of the listed representation; gi, sgi, mio,
-dio and tio are properties of the channel itself.
+dio and tio are properties of the channel itself. A SchurMatrix A is accepted as
+the channel rho -> A * rho, every Kraus representation of which is diagonal.
 """
 
 from __future__ import annotations
@@ -140,54 +141,44 @@ def _image_norms(t: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.sqrt(off), np.sqrt(off + moved)
 
 
-def _unit_schur(schur: SchurMatrix | None, moved: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
-    # the gi predicate: Schur form and every basis projector fixed (moved from _image_norms);
-    # moved[i] >= |A_ii - 1| since A_ii = map(|i><i|)[i, i], so A's diagonal is 1 within abs_eps * d
-    return schur if schur is not None and tol.close(moved.max(), moved.size) else None
-
-
-def _kraus_diagonals(t: np.ndarray, live: np.ndarray) -> np.ndarray | None:
-    # x[s, i] = K_s[i, i] when no operator has a nonzero entry off its diagonal (live from
-    # t.any(axis=0); exact, no abs_eps), else None
+def _schur_form(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix | None, np.ndarray | None]:
+    # (A, None) for a Schur channel: a SchurMatrix is its own A, and an exactly diagonal list (no
+    # nonzero entry off the diagonal of any operator; exact, no abs_eps) has A = sum_s x_s x_s^dag of
+    # its diagonals x, None when that A fails SchurMatrix's checks. (None, live) for any other list,
+    # live[a, i]: K_s[a, i] != 0 for some s
+    if isinstance(m, SchurMatrix):
+        return m, None
+    t = m.kraus  # t[s, a, i] = K_s[a, i]
+    live = t.any(axis=0)
     if np.count_nonzero(live) > np.count_nonzero(np.diagonal(live)):
-        return None
-    i = np.arange(t.shape[1])
-    return t[:, i, i]
-
-
-def _diagonal_moved(x: np.ndarray) -> np.ndarray:
-    # _image_norms' second norm for a diagonal list: column i is live in row i only, so images[i] is
-    # the 1 x 1 Gram A_ii, formed by the same batched product at w = 1 and as many bits
-    c = np.ascontiguousarray(x.T[:, None, :])
-    images = c @ c.conj().transpose(0, 2, 1)
-    return np.sqrt(np.abs(images[:, 0, 0] - 1.0) ** 2)
+        return None, live
+    i = np.arange(m.dim)
+    return _diagonal_schur(t[:, i, i], tol), None
 
 
 def classify_channel(
-    m: KrausMap, hamiltonian: Hamiltonian | None = None, tol: Tolerance = DEFAULT_TOL
+    m: KrausMap | SchurMatrix, hamiltonian: Hamiltonian | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> ClassificationReport:
     """Membership flags of the channel and, when it is a Schur channel, its Schur matrix.
 
-    An exactly diagonal list (no nonzero entry off the diagonal of any operator) is a
-    Schur channel, and so is every representation of it. io, fi, sio, mio and dio then
-    hold, and so does tio for any Hamiltonian, since diagonal unitaries commute with
-    entrywise multiplication. The answer comes from the n x d Kraus diagonals alone:
+    A SchurMatrix, and an exactly diagonal list (no nonzero entry off the diagonal of
+    any operator), is a Schur channel, and so is every representation of it. io, fi,
+    sio, mio and dio then hold, and so does tio for any Hamiltonian, since diagonal
+    unitaries commute with entrywise multiplication. The answer comes from A alone:
     sgi is whether A passes SchurMatrix's checks and gi whether every |A_ii - 1| is
-    within abs_eps * d, O(n d^2) for the diagonal test and O(d^2 n) for A and its
-    eigenpairs. Any other list is classified on its Kraus tensor: io, sio and fi from
-    one mask, the basis-projector images and dio's diagonals over the live support at
-    O(n d w^2), w the widest column support, and the tio commutator over the live
-    entries. A Hamiltonian of another dimension raises ValueError.
+    within abs_eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
+    diagonal test and O(d^2 n) for A and its eigenpairs. Any other list is classified
+    on its Kraus tensor: io, sio and fi from one mask, the basis-projector images and
+    dio's diagonals over the live support at O(n d w^2), w the widest column support,
+    and the tio commutator over the live entries. A Hamiltonian of another dimension
+    raises ValueError.
     """
     if hamiltonian is not None and hamiltonian.dim != m.dim:
         raise ValueError("Hamiltonian dimension does not match the map")
-    t = m.kraus  # t[s, a, i] = K_s[a, i]
-    live = t.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
-    x = _kraus_diagonals(t, live)
-    if x is None:
+    schur, live = _schur_form(m, tol)
+    if live is not None:
         return _classify_tensor(m, live, hamiltonian, tol)
-    schur = _diagonal_schur(x, tol)
-    gi = _unit_schur(schur, _diagonal_moved(x), tol) is not None
+    gi = schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
     tio = None if hamiltonian is None else True
     return ClassificationReport(
         io=True, gi=gi, sgi=schur is not None, fi=True, sio=True, mio=True, dio=True, tio=tio, schur=schur
@@ -217,8 +208,9 @@ def _classify_tensor(
 
     schur = extract_schur_matrix(m, tol)
     sgi = schur is not None
+    # gi: Schur form and every basis projector fixed; moved[i] >= |A_ii - 1|, as A_ii = map(|i><i|)[i, i]
     off, moved = _image_norms(t, live)
-    gi = _unit_schur(schur, moved, tol) is not None
+    gi = sgi and bool(tol.close(moved.max(), d))
     mio = dio = bool(tol.close(off.max(), d))
     if mio and live.sum(axis=1).max() > 1:
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
@@ -268,19 +260,14 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     return KrausMap(new_ops, tol)
 
 
-def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[SchurMatrix, ExtremalityWitness]:
-    # A of a gi channel and its extremality; minimal_representation's relative cut on
-    # the eigenvalues of A, kept by SchurMatrix, keeps round-off eigenvalues of a list
-    # padded beyond the rank out
-    t = m.kraus
-    live = t.any(axis=0)
-    x = _kraus_diagonals(t, live)
-    if x is None:
-        unit = _unit_schur(extract_schur_matrix(m, tol), _image_norms(t, live)[1], tol)
-    else:
-        unit = _unit_schur(_diagonal_schur(x, tol), _diagonal_moved(x), tol)
-    if unit is None:
+def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix, ExtremalityWitness]:
+    # A of a gi channel (classify_channel's gi and schur) and its extremality;
+    # minimal_representation's relative cut on the eigenvalues of A, kept by SchurMatrix,
+    # keeps round-off eigenvalues of a list padded beyond the rank out
+    report = classify_channel(m, tol=tol)
+    if not report.gi:
         raise ValueError("map is not a unit-diagonal Schur channel")
+    unit = report.schur
     w, v = unit.eigen
     keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
     x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
@@ -297,18 +284,17 @@ def _gi_extremality(m: KrausMap, tol: Tolerance) -> tuple[SchurMatrix, Extremali
     )
 
 
-def gi_extremality(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitness:
+def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> ExtremalityWitness:
     """Decide extremality of a unit-diagonal Schur channel among all channels.
 
     The channel with diagonal Kraus operators D_1 .. D_n is extremal iff the
     n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
     the minimal diagonal representation taken from the eigenpairs of the d x d
-    Schur matrix A, so it is representation-independent. Cost: for an exactly
-    diagonal list, O(n d^2) to find it so and O(n d) for the gi check, |A_ii - 1|
-    from the Kraus diagonals; for any other list, O(n d w^2) for the gi check, the
-    basis-projector images over the w rows that some operator reaches in each
-    column, and O(n^2 d^2) for A. A's eigenpairs come from one SVD of the d x n
-    Kraus diagonals, O(d^2 n), and A is never eigendecomposed; no Choi matrix.
+    Schur matrix A, so it is representation-independent. The gi check and A are
+    classify_channel's, at its cost: O(d) for a SchurMatrix, whose eigenpairs are
+    those of its own PSD check; for a Kraus list, A's eigenpairs come from one SVD
+    of the d x n Kraus diagonals, O(d^2 n), and A is never eigendecomposed. No
+    Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 
@@ -432,7 +418,7 @@ def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tole
 
 
 def mixed_unitary_decompose(
-    m: KrausMap, max_terms: int = 16, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+    m: KrausMap | SchurMatrix, max_terms: int = 16, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> list[tuple[float, np.ndarray]] | None:
     """Write a unit-diagonal Schur channel as a convex mixture of diagonal unitaries.
 
@@ -443,11 +429,10 @@ def mixed_unitary_decompose(
     keeps the remainder PSD, so the remainder's rank drops every step; for
     dim <= 3 this always terminates with at most dim terms.
 
-    A is read once from the Kraus diagonals, and the gi check is gi_extremality's:
-    O(n d) from the diagonals of an exactly diagonal list, else O(n d w^2), w the
-    widest column support. The extremality test and the first peeling step share
-    A's eigenpairs from the SVD of the d x n diagonals, O(d^2 n), each further
-    step takes one eigh of a d x d remainder, O(d^3); no Choi matrix. At
+    A and the gi check are gi_extremality's. The extremality test and the first
+    peeling step share A's eigenpairs (a SchurMatrix's own, or from the SVD of a
+    Kraus list's d x n diagonals, O(d^2 n)), each further step takes one eigh of
+    a d x d remainder, O(d^3); no Choi matrix. At
     corank >= 2 each restart of the search for a unimodular vector in the range
     is seeded by a descent over r x r matrices, r the rank (one eigh of order at
     most r per step), to a rank-1 point, which is such a vector.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance
 from .states import DensityMatrix, PureState
-from .channels import KrausMap, SchurMatrix, schur_map
+from .channels import KrausMap, SchurMatrix
 from .classify import (
     BudgetExhaustedError,
     Hamiltonian,
@@ -143,7 +143,7 @@ _READERS = {
     },
     "channel": {
         "channel_kraus": KrausMap,
-        "channel_schur": lambda a, tol: schur_map(SchurMatrix(a, tol), tol),
+        "channel_schur": SchurMatrix,
     },
     "channel_schur": {"channel_schur": SchurMatrix},
     "hamiltonian": {"hamiltonian": lambda energies, tol: Hamiltonian(tuple(energies))},

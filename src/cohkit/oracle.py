@@ -98,9 +98,7 @@ def _pinned_psd(a: np.ndarray, tol: Tolerance) -> FeasibilityResult:
     return FeasibilityResult(h if tol.psd(w) else None, max(0.0, -float(w[0])), 0)
 
 
-def search_sgi_probability(
-    psi: PureState, phi: PureState, budget: SearchBudget = SearchBudget(), tol: Tolerance = DEFAULT_TOL
-) -> float:
+def search_sgi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> float:
     """Best conversion probability found by bisecting over feasible Schur matrices.
 
     A success probability k is feasible when the multiplier matrix forced by
@@ -109,7 +107,7 @@ def search_sgi_probability(
 
     Cost: the k = 1 probe and 30 bisection probes, each one array expression
     for the matrix and at most one eigvalsh. Every entry is pinned, so no
-    completion iterates and budget is not drawn on.
+    completion iterates.
     """
     if psi.dim != phi.dim:
         raise ValueError("states must share a dimension")

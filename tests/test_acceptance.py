@@ -67,7 +67,6 @@ def _verdict(name: str, ok: bool) -> None:
 def test_stochastic_ratio_matches_search():
     # closed-form optimal branch probability vs the independent feasibility search
     rng = np.random.default_rng(101)
-    budget = SearchBudget(max_iterations=4000)
     start = time.perf_counter()
     worst = 0.0
     for d in (2, 3, 4):
@@ -75,7 +74,7 @@ def test_stochastic_ratio_matches_search():
             psi = rand_pure(rng, d)
             phi = rand_pure(rng, d)
             direct = sgi_optimal_probability(psi, phi).probability
-            searched = search_sgi_probability(psi, phi, budget)
+            searched = search_sgi_probability(psi, phi)
             worst = max(worst, abs(direct - searched))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed <= 60.0

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cohkit import cli
+from cohkit import classify, cli
 from cohkit.classify import BudgetExhaustedError
 from cohkit.cli import main
 
@@ -479,3 +479,37 @@ def test_error_report_shape(docs, capsys, monkeypatch, argv, code):
     assert got == code and out == ""
     assert err.endswith("\n") and err.count("\n") == 1
     assert set(json.loads(err)) == {"error"}
+
+
+def test_channel_schur_decompose_takes_one_eigh_of_a(tmp_path, capsys, monkeypatch):
+    # a channel_schur document is read as a SchurMatrix and is the channel: classification,
+    # extremality and the first peel all read the eigenpairs of its PSD check, so an order-32
+    # eigh runs once before the first peel (the remainders take theirs afterwards), and the only
+    # SVDs are the two cross-term rank tests of the n^2 x d products, none of a Kraus factor
+    rng = np.random.default_rng(32)
+    u = np.exp(2j * np.pi * rng.random((2, 32)))
+    a = 0.6 * np.outer(u[0], np.conj(u[0])) + 0.4 * np.outer(u[1], np.conj(u[1]))
+    np.fill_diagonal(a, 1.0)
+    doc = _write(tmp_path / "mix32.json", _schur_doc(a))
+    calls, at_first_peel = [], []
+    eigh, svd, unimodular = np.linalg.eigh, np.linalg.svd, classify._unimodular_in_range
+
+    def counted(name, f):
+        def call(m, *args, **kwargs):
+            calls.append((name, np.shape(m)))
+            return f(m, *args, **kwargs)
+
+        return call
+
+    def first_peel(*args):
+        at_first_peel.append(list(calls))
+        return unimodular(*args)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(classify, "_unimodular_in_range", first_peel)
+    code, out, _ = _run(capsys, ["extremal", doc, "--decompose"])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["extremal"] is False and len(verdict["decomposition"]) == 2
+    assert at_first_peel[0] == [("eigh", (32, 32)), ("svd", (4, 32)), ("svd", (4, 32))]

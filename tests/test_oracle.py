@@ -120,22 +120,21 @@ def test_psd_complete_validation():
 
 def test_search_sgi_matches_closed_form():
     rng = np.random.default_rng(0)
-    budget = SearchBudget(max_iterations=4000)
     for d in (2, 3):
         for _ in range(5):
             psi = rand_pure(rng, d)
             phi = rand_pure(rng, d)
             direct = sgi_optimal_probability(psi, phi).probability
-            searched = search_sgi_probability(psi, phi, budget)
+            searched = search_sgi_probability(psi, phi)
             assert abs(direct - searched) < 1e-6
 
 
 def test_search_sgi_support_violation():
     psi = PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0]))
-    assert search_sgi_probability(psi, plus_state(3), SearchBudget()) == 0.0
+    assert search_sgi_probability(psi, plus_state(3)) == 0.0
 
 
-def _sgi_probability_loop(psi, phi, budget, tol=DEFAULT_TOL):
+def _sgi_probability_loop(psi, phi, tol=DEFAULT_TOL):
     # reference: one scalar complex expression per entry of each probe's zero-padded d x d
     # multiplier matrix, decided by the public psd_complete with every entry pinned
     d = psi.dim
@@ -157,7 +156,7 @@ def _sgi_probability_loop(psi, phi, budget, tol=DEFAULT_TOL):
                 )
         if float(np.max(np.real(np.diag(a)))) > 1.0 + ROUNDOFF_SUM:
             return False
-        return psd_complete(a, np.ones((d, d), dtype=bool), budget, tol).feasible
+        return psd_complete(a, np.ones((d, d), dtype=bool), SearchBudget(), tol).feasible
 
     if feasible(1.0):
         return 1.0
@@ -205,11 +204,10 @@ def _sgi_corpus(rng, d):
 @pytest.mark.parametrize("d", range(1, 9))
 def test_search_sgi_equals_loop_reference(d):
     rng = np.random.default_rng(100 + d)
-    budget = SearchBudget()
     for psi_amps, phi_amps, expected in _sgi_corpus(rng, d):
         psi, phi = PureState(psi_amps), PureState(phi_amps)
-        got = search_sgi_probability(psi, phi, budget)
-        assert got.hex() == _sgi_probability_loop(psi, phi, budget).hex()
+        got = search_sgi_probability(psi, phi)
+        assert got.hex() == _sgi_probability_loop(psi, phi).hex()
         if expected is not None:
             assert got == expected
 

@@ -567,13 +567,10 @@ def _same_bits(a, b):
 @given(exactly_diagonal_lists(), st.booleans())
 def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # classify_channel, gi_extremality and mixed_unitary_decompose answer an exactly diagonal list from
-    # its diagonals; the tensor path gives the same bits on the same list
+    # its A; the tensor path gives the same bits on the same list
     d = m.dim
-    t = m.kraus
-    live = t.any(axis=0)
-    x = classify._kraus_diagonals(t, live)
-    assert x is not None
-    assert _same_bits(classify._diagonal_moved(x), _image_norms(t, live)[1])
+    live = m.kraus.any(axis=0)
+    assert classify._schur_form(m, DEFAULT_TOL)[1] is None
     rng = np.random.default_rng(d)
     h = _hamiltonian(rng, d) if with_hamiltonian else None
     got, ref = classify_channel(m, h), classify._classify_tensor(m, live, h, DEFAULT_TOL)
@@ -592,7 +589,7 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # a decomposition that runs out of budget takes about 0.3 s at d >= 4, twice here
     decompose = got.gi and d <= 5
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_kraus_diagonals", lambda t, live: None)  # the tensor path everywhere
+        mp.setattr(classify, "_schur_form", lambda m, tol: (None, m.kraus.any(axis=0)))  # the tensor path
         ref_witness = _outcome(gi_extremality, m)
         ref_terms = _outcome(mixed_unitary_decompose, m) if decompose else None
     witness = _outcome(gi_extremality, m)
@@ -630,4 +627,106 @@ def test_image_kernel_runs_only_for_lists_off_the_diagonal(off_diagonal, image_n
         assert len(calls) == image_norm_calls
         gi_extremality(m)
         assert len(calls) == 2 * image_norm_calls
-    assert (report.io, report.gi, report.sgi, report.fi, report.sio, report.mio, report.dio, report.tio) == (True,) * 8
+    flags = (report.io, report.gi, report.sgi, report.fi, report.sio, report.mio, report.dio, report.tio)
+    assert all(flag is True for flag in flags)  # Python bools, as the CLI's JSON report needs
+
+
+@st.composite
+def schur_matrices(draw):
+    """SchurMatrix inputs with d <= 6: mixtures of up to d + 1 diagonal unitaries, unit-diagonal
+    matrices of rank r <= d, and matrices of rank r with the diagonal in [0.2, 0.9] (sgi, not gi)."""
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["mixture", "unit", "sgi"]))
+    if kind == "mixture":
+        k = draw(st.integers(1, d + 1))
+        u = np.exp(2j * np.pi * rng.random((k, d)))
+        a = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(k)), u, np.conj(u))
+        np.fill_diagonal(a, 1.0)
+        return SchurMatrix(a)
+    r = draw(st.integers(1, d))
+    v = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if kind == "sgi":
+        v *= np.sqrt(rng.uniform(0.2, 0.9, size=(d, 1)))
+    return SchurMatrix(v @ np.conj(v).T)
+
+
+class _Seeded(Exception):
+    """A remainder of corank >= 2 reached the descent-seeded search."""
+
+
+def _seeded(*args):
+    raise _Seeded
+
+
+def _peel(m):
+    # mixed_unitary_decompose's outcome on m, or "seeded" where a descent would seed its search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_descent_seed", _seeded)
+        try:
+            return _outcome(mixed_unitary_decompose, m)
+        except _Seeded:
+            return "seeded"
+
+
+def _projector(phases):
+    u = np.exp(1j * phases)
+    return np.outer(u, np.conj(u))
+
+
+@settings(max_examples=200, deadline=None)
+@given(schur_matrices(), st.booleans())
+def test_schur_matrix_answers_as_its_diagonal_list(sm, with_hamiltonian):
+    # a SchurMatrix is the channel itself: the three functions give it the answers of schur_map's
+    # diagonal list, whose A is rebuilt from A's eigenpairs and decomposed from an SVD of its diagonals
+    d = sm.dim
+    km = schur_map(sm)
+    h = _hamiltonian(np.random.default_rng(d), d) if with_hamiltonian else None
+    got, ref = classify_channel(sm, h), classify_channel(km, h)
+    flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
+    assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
+    assert got.schur is sm and ref.schur is not None
+    witness, ref_witness = _outcome(gi_extremality, sm), _outcome(gi_extremality, km)
+    if isinstance(witness, tuple):
+        assert witness == ref_witness and not got.gi
+        return
+    fields = ("extremal", "rank_found", "rank_required")
+    assert [getattr(witness, f) for f in fields] == [getattr(ref_witness, f) for f in fields]
+    # at corank >= 2 each restart of the unimodular search draws a random direction in eigenvector
+    # coordinates, whose phases differ between the eigh of A and the SVD of the diagonals, so the
+    # mixtures may differ from there on: both inputs reach that search, and the terms are compared
+    # where they do not. Every other peel is fixed by A's eigenpairs up to a global phase per term;
+    # round-off in the peeling weights grows with A's condition number on its range
+    terms, ref_terms = _peel(sm), _peel(km)
+    if not isinstance(terms, list):
+        assert terms == ref_terms
+        return
+    w = sm.eigen[0]
+    bound = 1e-12 * w[-1] / w[w > DEFAULT_TOL.rank_cut(float(w[-1]))].min()
+    assert isinstance(ref_terms, list) and len(terms) == len(ref_terms)
+    for (weight, phases), (ref_weight, ref_phases) in zip(terms, ref_terms):
+        assert abs(weight - ref_weight) <= bound
+        assert np.abs(_projector(phases) - _projector(ref_phases)).max() <= bound
+
+
+@pytest.mark.parametrize("d", [1, 4, 32])
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+@pytest.mark.parametrize("c", [0.5, 2.0])
+def test_gi_reads_the_diagonal_of_a(d, sign, c):
+    # gi is max |A_ii - 1| <= abs_eps * d for a SchurMatrix and a diagonal list alike. Above 1, A_ii
+    # beyond abs_eps fails SchurMatrix's diagonal check: the list is then neither sgi nor gi
+    rng = np.random.default_rng(d)
+    v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v[-1] *= np.sqrt(1.0 + sign * c * DEFAULT_TOL.abs_eps * d)  # A = V V^dag, A_(d-1)(d-1) moved
+    km = KrausMap([np.diag(x) for x in v.T], LOOSE)
+    sgi = sign < 0 or c * d <= 1
+    gi = sgi and c <= 1
+    report = classify_channel(km)
+    assert (report.sgi, report.gi) == (sgi, gi)
+    if sgi:
+        assert classify_channel(SchurMatrix(v @ np.conj(v).T)).gi == gi
+    else:
+        with pytest.raises(ValueError, match="diagonal must lie in"):
+            SchurMatrix(v @ np.conj(v).T)
