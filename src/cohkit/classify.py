@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_NULL, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
+from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
 from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
 from .channels import KrausMap, SchurMatrix, _diagonal_schur, _kraus_tensor, extract_schur_matrix
 
@@ -299,39 +299,6 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     return _gi_extremality(m, tol)[1]
 
 
-def _realize_polygon(radii: np.ndarray, target: complex, tol: Tolerance) -> np.ndarray:
-    """Angles t_i with sum_i radii_i * exp(1j*t_i) = target.
-
-    Assumes the polygon inequality max <= sum(rest) + |target| and
-    |target| <= sum(radii) holds; entries with radius ~0 get angle 0.
-    """
-    n = radii.size
-    if n == 0:
-        if abs(target) > ROUNDOFF_SUM:
-            raise ValueError("cannot realize a nonzero target with no sides")
-        return np.zeros(0)
-    if n == 1:
-        return np.array([np.angle(target) if abs(target) > 0 else 0.0])
-    r0 = float(radii[0])
-    rest = radii[1:]
-    hi_rest = float(np.sum(rest))
-    lo_rest = max(2.0 * float(np.max(rest)) - hi_rest, 0.0) if rest.size else 0.0
-    t = abs(target)
-    lo = max(lo_rest, abs(t - r0))
-    hi = min(hi_rest, t + r0)
-    if lo > hi + tol.abs_eps:
-        raise ValueError("polygon closure is infeasible")
-    s = min(max((lo + hi) / 2.0, lo), hi)
-    if t < ROUNDOFF:
-        theta0 = 0.0
-    else:
-        c = (t * t + r0 * r0 - s * s) / (2.0 * t * r0) if r0 > ROUNDOFF else 1.0
-        theta0 = np.angle(target) + float(np.arccos(min(max(c, -1.0), 1.0)))
-    first = r0 * np.exp(1j * theta0)
-    sub = _realize_polygon(rest, target - first, tol)
-    return np.concatenate(([theta0], sub))
-
-
 def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
     """A point of the range of x (d x r, full column rank) whose moduli are those of x's rows.
 
@@ -376,21 +343,15 @@ def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
 
 
 def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
-    # w, v: ascending eigenpairs of a remainder with unit diagonal, rank of them above the cut
+    # w, v: ascending eigenpairs of a remainder with unit diagonal, rank of them above the cut.
+    # Alternating projection between the range and the torus, from descent seeds that start at the
+    # kept eigenpairs, x x^dag the remainder within the cut, each column phased so that its first
+    # entry within rel_eps of its largest modulus is real: the seeds depend on the remainder alone
     d = v.shape[0]
-    if rank == d:
-        return np.exp(1j * np.angle(v[:, -1]))
-    if rank == d - 1:
-        null = v[:, 0]
-        radii = np.abs(null)
-        live = radii > ROUNDOFF_NULL
-        angles = np.zeros(d)
-        if np.any(live):
-            angles[live] = _realize_polygon(radii[live], 0.0 + 0.0j, tol)
-        return np.exp(1j * (angles + np.angle(np.where(live, null, 1.0))))
-    # corank >= 2: alternating projection between the range and the torus, from descent seeds
-    # that start at the kept eigenpairs, x x^dag the remainder within the cut
     basis = v[:, d - rank :]
+    mod = np.abs(basis)
+    lead = basis[np.argmax(mod >= mod.max(axis=0) * (1.0 - tol.rel_eps), axis=0), np.arange(rank)]
+    basis = basis * (np.conj(lead) / np.abs(lead))
     x = basis * np.sqrt(w[d - rank :])
     proj = basis @ dagger(basis)
     best_u = None
@@ -426,16 +387,17 @@ def mixed_unitary_decompose(
     the channel's Schur matrix, or None when the channel is provably not a
     mixture (extremal with more than one Kraus operator). Peeling extracts
     one unimodular rank-1 component per step with the largest weight that
-    keeps the remainder PSD, so the remainder's rank drops every step; for
-    dim <= 3 this always terminates with at most dim terms.
+    keeps the remainder PSD, so the remainder's rank drops every step. At
+    every rank r >= 2 each restart of the search for that component is seeded
+    by a descent over r x r matrices (one eigh of order at most r per step) to
+    a rank-1 point, a unimodular vector in the range; a descent step exists
+    while r^2 > dim, so for dim <= 3 the peel ends within dim terms. The terms
+    depend on A alone wherever A's kept eigenvalues are distinct.
 
     A and the gi check are gi_extremality's. The extremality test and the first
     peeling step share A's eigenpairs (a SchurMatrix's own, or from the SVD of a
     Kraus list's d x n diagonals, O(d^2 n)), each further step takes one eigh of
-    a d x d remainder, O(d^3); no Choi matrix. At
-    corank >= 2 each restart of the search for a unimodular vector in the range
-    is seeded by a descent over r x r matrices, r the rank (one eigh of order at
-    most r per step), to a rank-1 point, which is such a vector.
+    a d x d remainder, O(d^3); no Choi matrix.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a

@@ -158,12 +158,14 @@ def gi_deterministic(
 ) -> ConversionVerdict:
     """Deterministic conversion rho -> sigma under unit-diagonal Schur channels.
 
-    The diagonals must agree entrywise within tol.abs_eps. A pure source psi
-    (top eigenvalue 1 within tol.abs_eps) converts iff the identity with
-    sigma_ij / (psi_i conj(psi_j)) on psi's support is a Schur matrix. A mixed
-    source cannot reach a pure target. Otherwise, on the Hermitian parts
-    (m + m^dag)/2 of rho and sigma, A_ij = sigma_ij / rho_ij is pinned
-    where |rho_ij| > tol.abs_eps, and a coherence of sigma above it
+    The diagonals must agree entrywise within tol.abs_eps; both states are
+    read through their Hermitian parts (m + m^dag)/2. A pure source psi (top
+    eigenvalue 1 within tol.abs_eps) then converts: the witness's A is
+    sigma's correlation matrix on psi's support with psi's phases taken off,
+    PSD by congruence (clipped if round-off says otherwise), and must map
+    psi psi^dag to sigma within 10 tol.abs_eps, else ArithmeticError. A mixed
+    source cannot reach a pure target. Otherwise A_ij = sigma_ij / rho_ij is
+    pinned where |rho_ij| > tol.abs_eps, and a coherence of sigma above it
     elsewhere is a SupportViolation; oracle.psd_complete (default budget 5,000
     iterations) fills the rest and stops on the PSD rule of SchurMatrix, so its
     completion is the witness's Schur matrix as it stands. No completion
@@ -172,31 +174,36 @@ def gi_deterministic(
     _check_dims(rho.dim, sigma.dim)
     if not tol.close(float(np.max(np.abs(rho.diagonal() - sigma.diagonal())))):
         return ConversionVerdict(False, 0.0, None, Reason.DIAGONAL_MISMATCH)
+    # DensityMatrix bounds m - m^dag only by abs_eps * d: Hermitian parts give Hermitian ratios
+    s = (sigma.matrix + dagger(sigma.matrix)) / 2.0
     rho_pure, psi = _purity(rho, tol)
     if rho_pure:
-        support = np.abs(psi) > tol.abs_eps
-        # psi_i conj(psi_j) from real products, rounded as numpy's scalar complex product: np.outer's
-        # vectorised product may fuse a multiply-add, and its last bits flip witness Kraus signs
-        re, im = psi.real, psi.imag
-        den = np.empty((rho.dim, rho.dim), dtype=complex)
-        den.real = np.outer(re, re) + np.outer(im, im)
-        den.imag = np.outer(im, re) - np.outer(re, im)
-        a = _masked_ratio(sigma.matrix, den, np.outer(support, support))
-    elif _purity(sigma, tol)[0]:
+        support = (np.abs(psi) > tol.abs_eps) & (sigma.diagonal() > 0.0)
+        scale = np.sqrt(np.where(support, sigma.diagonal(), 1.0)) * np.exp(1j * np.angle(psi))
+        a = _masked_ratio(s, np.outer(scale, np.conj(scale)), np.outer(support, support))
+        try:
+            schur = SchurMatrix(a, tol)
+        except ValueError:
+            # sigma's tolerated negative eigenvalues grow by 1 / sigma_ii in A: clip, rescale to unit diagonal
+            w, v = np.linalg.eigh(a)
+            a = (v * np.maximum(w, 0.0)) @ dagger(v)
+            a /= np.sqrt(np.outer(a.diagonal(), a.diagonal()).real)
+            schur = SchurMatrix(a, tol)
+        if frobenius(a * np.outer(psi, np.conj(psi)) - s) > tol.abs_eps * 10:
+            raise ArithmeticError("rounding broke the genuinely incoherent witness")
+        return ConversionVerdict(True, 1.0, schur_map(schur, tol), None)
+    if _purity(sigma, tol)[0]:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
-    else:
-        # DensityMatrix bounds m - m^dag only by abs_eps * d: the Hermitian parts give a symmetric
-        # mask and Hermitian-consistent ratios
-        r, s = ((x.matrix + dagger(x.matrix)) / 2.0 for x in (rho, sigma))
-        pinned = (np.abs(r) > tol.abs_eps) | np.eye(rho.dim, dtype=bool)
-        if np.any(~pinned & (np.abs(s) > tol.abs_eps)):
-            return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
-        a = _masked_ratio(s, r, pinned)
-        if not pinned.all():
-            # the completion stops on the PSD rule of SchurMatrix, which therefore accepts it
-            a = oracle.psd_complete(a, pinned, budget or oracle.SearchBudget(max_iterations=5000), tol).witness
-            if a is None:
-                return ConversionVerdict(None, 0.0, None, Reason.COMPLETION_INFEASIBLE)
+    r = (rho.matrix + dagger(rho.matrix)) / 2.0
+    pinned = (np.abs(r) > tol.abs_eps) | np.eye(rho.dim, dtype=bool)
+    if np.any(~pinned & (np.abs(s) > tol.abs_eps)):
+        return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
+    a = _masked_ratio(s, r, pinned)
+    if not pinned.all():
+        # the completion stops on the PSD rule of SchurMatrix, which therefore accepts it
+        a = oracle.psd_complete(a, pinned, budget or oracle.SearchBudget(max_iterations=5000), tol).witness
+        if a is None:
+            return ConversionVerdict(None, 0.0, None, Reason.COMPLETION_INFEASIBLE)
     try:
         witness = schur_map(SchurMatrix(a, tol), tol)
     except ValueError:

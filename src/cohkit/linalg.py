@@ -71,7 +71,6 @@ DEFAULT_TOL = Tolerance()
 # Round-off guards: fixed floors far below any tolerance that keep float noise out
 # of angles, roots and sums. They do not follow a Tolerance.
 ROUNDOFF_SUM = 1e-12  # slack of probabilities, weights and conjugate pairs that round-off moves
-ROUNDOFF_NULL = 1e-13  # null-vector entries at most this carry no angle
 ROUNDOFF_PHASE = 1e-14  # entries at most this keep phase 0 when pushed onto the unit circle
 ROUNDOFF = 1e-15  # moduli, eigenvalues and steps at most this count as zero
 

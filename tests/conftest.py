@@ -22,8 +22,10 @@ def rand_unitary(rng, d):
     return q * (ph / np.abs(ph))
 
 
-def rand_gi_schur(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+def rand_gi_schur(rng, d, rank=None):
+    # a random unit-diagonal Schur matrix, of full rank unless a rank is given
+    r = d if rank is None else rank
+    g = rng.normal(size=(d, r)) + 1j * rng.normal(size=(d, r))
     a = g @ g.conj().T
     s = np.sqrt(np.real(np.diag(a)))
     a = a / np.outer(s, s)

@@ -213,12 +213,17 @@ def test_gi_extremality_rejects_non_gi():
 
 
 def test_mixed_unitary_decompose_reconstructs():
+    # up to d = 3 every unit-diagonal A decomposes in at most d terms, at every rank: full-rank draws,
+    # then each rank 1..d, given as a SchurMatrix and as its diagonal list
     rng = np.random.default_rng(7)
-    for d in (2, 3):
-        for _ in range(10):
-            a = rand_gi_schur(rng, d)
-            terms = mixed_unitary_decompose(schur_map(a))
-            assert terms is not None
+    draws = [a for d in (2, 3) for a in (rand_gi_schur(rng, d) for _ in range(10))]
+    low = np.random.default_rng(17)
+    draws += [rand_gi_schur(low, d, r) for d in (1, 2, 3) for r in range(1, d + 1) for _ in range(10)]
+    for a in draws:
+        d = a.dim
+        for m in (a, schur_map(a)):
+            terms = mixed_unitary_decompose(m)
+            assert terms is not None and len(terms) <= d
             total = sum(w for w, _ in terms)
             assert abs(total - 1.0) < 1e-9
             recon = np.zeros((d, d), dtype=complex)
@@ -247,9 +252,10 @@ def test_mixed_unitary_decompose_rejects_non_gi():
 
 
 def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
-    # a four-term mixture at d = 7 whose fourth peel (seed 1) has 1 - t = 8.8e-10 while rank 2 is still
-    # above the cut: dividing the remainder by 1 - t would scale its round-off asymmetry past abs_eps * d
-    rng = np.random.default_rng(16)
+    # a four-term mixture at d = 7 whose fourth peel (seed 0) has 1 - t = 4.5e-10 while rank 2 is still
+    # above the cut: dividing the remainder by 1 - t would scale its round-off asymmetry past abs_eps * d,
+    # so that peel takes the rest of the weight and ends the mixture
+    rng = np.random.default_rng(21)
     weights = rng.dirichlet(np.ones(4))
     v = np.sqrt(weights)[None, :] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(7, 4)))
     found = []
@@ -262,15 +268,12 @@ def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
 
     unimodular = classify._unimodular_in_range
     monkeypatch.setattr(classify, "_unimodular_in_range", spy)
-    try:
-        terms = mixed_unitary_decompose(KrausMap([np.diag(x) for x in v.T]), seed=1)
-    except BudgetExhaustedError:
-        terms = None
+    terms = mixed_unitary_decompose(KrausMap([np.diag(x) for x in v.T]), seed=0)
     assert min(1.0 - t for t in found) < 1e-8
-    if terms is not None:
-        rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
-        assert np.linalg.norm(rebuilt - v @ np.conj(v).T) <= 1e-8
-        assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
+    assert len(terms) == len(found)  # the last peel took the rest: no rank-1 remainder followed it
+    rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
+    assert np.linalg.norm(rebuilt - v @ np.conj(v).T) <= 1e-8
+    assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
 
 
 def test_pio_witness_channel():

@@ -105,6 +105,56 @@ def test_gi_deterministic_pure_to_mixed():
             assert np.max(np.abs(sigma.diagonal() - target)) < 1e-12
 
 
+@st.composite
+def faint_pure_pairs(draw):
+    """(psi, sigma = C * psi psi^dag): C unit-diagonal of random rank r <= d <= 8, and
+    psi with 1..d-1 amplitudes of modulus 10^u, u in [log10(2 abs_eps), -7], so just above abs_eps."""
+    d = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rand_gi_schur(rng, d, draw(st.integers(1, d))).matrix
+    faint = rng.choice(d, size=draw(st.integers(1, d - 1)), replace=False)
+    mod = rng.uniform(0.1, 1.0, size=d)
+    mod[faint] = 10.0 ** rng.uniform(np.log10(2.0 * DEFAULT_TOL.abs_eps), -7.0, size=faint.size)
+    bright = np.setdiff1d(np.arange(d), faint)
+    mod[bright] *= np.sqrt(1.0 - np.sum(mod[faint] ** 2)) / np.linalg.norm(mod[bright])
+    psi = mod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=d))
+    return psi, c * np.outer(psi, np.conj(psi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(faint_pure_pairs())
+def test_gi_deterministic_pure_source_is_decided_by_populations(pair):
+    # psi -> C * psi psi^dag is always reachable: the witness is the correlation matrix of sigma with
+    # psi's phases taken off, never a ratio sigma_ij / (psi_i conj(psi_j)), whose round-off grows as
+    # 1 / |psi_i| when an amplitude lies just above abs_eps
+    psi, sigma = pair
+    rho = np.outer(psi, np.conj(psi))
+    v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
+    assert v.possible is True and v.reason is None
+    out, prob = apply(v.map, rho)
+    assert abs(prob - 1.0) <= 1e-10
+    assert np.linalg.norm(out - sigma) <= 10 * DEFAULT_TOL.abs_eps
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [
+        # sigma_01 exceeds sqrt(sigma_00 sigma_11) by a relative 1e-8, which DensityMatrix's PSD rule
+        # admits: the correlation entry 1 + 1e-8 leaves A an eigenvalue of -1e-8, beyond SchurMatrix's
+        # rule, and A clipped to A_01 = 1 maps psi to sigma within 1e-14
+        [[1.0 - 1e-12, 1e-6 * (1.0 + 1e-8)], [1e-6 * (1.0 + 1e-8), 1e-12]],
+        # sigma_11 = 0 while |psi_1|^2 = 1e-12: row 1 has no correlation and keeps the identity's
+        [[1.0, 0.0], [0.0, 0.0]],
+    ],
+)
+def test_gi_deterministic_pure_source_at_the_psd_edge(sigma):
+    psi = np.array([np.sqrt(1.0 - 1e-12), 1e-6])
+    rho, sigma = np.outer(psi, psi), np.array(sigma)
+    v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
+    assert v.possible is True
+    assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= DEFAULT_TOL.abs_eps
+
+
 def test_gi_deterministic_mixed_to_pure_blocked():
     rho = DensityMatrix(np.array([[0.5, 0.2], [0.2, 0.5]]))
     sigma = DensityMatrix(plus_state(2).density())
