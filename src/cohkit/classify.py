@@ -342,17 +342,23 @@ def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
     return x @ np.linalg.eigh(dagger(x) @ x)[1][:, -1]
 
 
-def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
-    # w, v: ascending eigenpairs of a remainder with unit diagonal, rank of them above the cut.
-    # Alternating projection between the range and the torus, from descent seeds that start at the
-    # kept eigenpairs, x x^dag the remainder within the cut, each column phased so that its first
-    # entry within rel_eps of its largest modulus is real: the seeds depend on the remainder alone
-    d = v.shape[0]
-    basis = v[:, d - rank :]
+def _phased_factor(w: np.ndarray, v: np.ndarray, rank: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    # w, v: ascending eigenpairs, rank of them above the cut. The kept eigenvectors, each phased so
+    # that its first entry within rel_eps of its largest modulus is real, and x = basis sqrt(w), so
+    # that x x^dag is the matrix within the cut and x depends on it alone, not on how w, v were found
+    basis = v[:, v.shape[0] - rank :]
     mod = np.abs(basis)
     lead = basis[np.argmax(mod >= mod.max(axis=0) * (1.0 - tol.rel_eps), axis=0), np.arange(rank)]
     basis = basis * (np.conj(lead) / np.abs(lead))
-    x = basis * np.sqrt(w[d - rank :])
+    return basis, basis * np.sqrt(w[v.shape[0] - rank :])
+
+
+def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
+    # w, v: ascending eigenpairs of a remainder with unit diagonal, rank of them above the cut.
+    # Alternating projection between the range and the torus, from descent seeds that start at the
+    # phased factor of the remainder, so that the seeds depend on the remainder alone
+    d = v.shape[0]
+    basis, x = _phased_factor(w, v, rank, tol)
     proj = basis @ dagger(basis)
     best_u = None
     best_res = np.inf

@@ -9,7 +9,8 @@ sfi_probability pairs sorted populations in O(d log d).
 
 Verdicts are three-valued: possible is True, False, or None. None means only
 that a bounded search (PSD completion, label-map backtracking) ran out of
-budget; it is never a claim of impossibility.
+budget, or that no witness of a pure-source GI conversion passed while no
+bound rules one out; it is never a claim of impossibility.
 """
 
 from __future__ import annotations
@@ -150,6 +151,31 @@ def _purity(rho: DensityMatrix, tol: Tolerance) -> tuple[bool, np.ndarray]:
     return tol.close(1.0 - top), v[:, -1] * np.sqrt(max(top, 0.0))
 
 
+def _pure_source_witness(psi: np.ndarray, s: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
+    # gi_deterministic's three candidates in turn, the clip's eigh only where the first two fail: the
+    # first that SchurMatrix accepts and that maps psi psi^dag to s within 10 abs_eps
+    support = (np.abs(psi) > tol.abs_eps) & (s.diagonal().real > 0.0)
+    pinned = np.outer(support, support)
+    scale = np.sqrt(np.where(support, s.diagonal().real, 1.0)) * np.exp(1j * np.angle(psi))
+    corr = _masked_ratio(s, np.outer(scale, np.conj(scale)), pinned)
+
+    def candidates():
+        yield corr
+        yield _masked_ratio(s, np.outer(psi, np.conj(psi)), pinned)
+        w, v = np.linalg.eigh(corr)
+        a = (v * np.maximum(w, 0.0)) @ dagger(v)
+        yield a / np.sqrt(np.outer(a.diagonal(), a.diagonal()).real)
+
+    for a in candidates():
+        try:
+            schur = SchurMatrix(a, tol)
+        except ValueError:
+            continue
+        if frobenius(a * np.outer(psi, np.conj(psi)) - s) <= tol.abs_eps * 10:
+            return schur
+    return None
+
+
 def gi_deterministic(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -160,16 +186,20 @@ def gi_deterministic(
 
     The diagonals must agree entrywise within tol.abs_eps; both states are
     read through their Hermitian parts (m + m^dag)/2. A pure source psi (top
-    eigenvalue 1 within tol.abs_eps) then converts: the witness's A is
-    sigma's correlation matrix on psi's support with psi's phases taken off,
-    PSD by congruence (clipped if round-off says otherwise), and must map
-    psi psi^dag to sigma within 10 tol.abs_eps, else ArithmeticError. A mixed
-    source cannot reach a pure target. Otherwise A_ij = sigma_ij / rho_ij is
-    pinned where |rho_ij| > tol.abs_eps, and a coherence of sigma above it
-    elsewhere is a SupportViolation; oracle.psd_complete (default budget 5,000
-    iterations) fills the rest and stops on the PSD rule of SchurMatrix, so its
-    completion is the witness's Schur matrix as it stands. No completion
-    within the budget: possible=None.
+    eigenvalue 1 within tol.abs_eps) converts in exact arithmetic. The
+    witness's A, the identity off psi's support, is the first of three to
+    map psi psi^dag to sigma within 10 tol.abs_eps: sigma's correlation
+    matrix with psi's phases taken off (free of the 1 / |psi_i| round-off of
+    a ratio), the ratio sigma_ij / (psi_i conj(psi_j)) (for sigma_ii equal to
+    |psi_i|^2 only within abs_eps), and the correlation matrix clipped to
+    PSD. If none does, the answer is False where sum_ij max(|sigma_ij| -
+    |psi_i||psi_j|, 0)^2 > (10 tol.abs_eps)^2, a bound no unit-diagonal A
+    beats, and None otherwise. A mixed source cannot reach a pure target.
+    Otherwise A_ij = sigma_ij / rho_ij is pinned where |rho_ij| > tol.abs_eps,
+    and a coherence of sigma above it elsewhere is a SupportViolation;
+    oracle.psd_complete (default budget 5,000 iterations) fills the rest and
+    stops on the PSD rule of SchurMatrix, so its completion is the witness's
+    Schur matrix as it stands. No completion within the budget: possible=None.
     """
     _check_dims(rho.dim, sigma.dim)
     if not tol.close(float(np.max(np.abs(rho.diagonal() - sigma.diagonal())))):
@@ -178,20 +208,13 @@ def gi_deterministic(
     s = (sigma.matrix + dagger(sigma.matrix)) / 2.0
     rho_pure, psi = _purity(rho, tol)
     if rho_pure:
-        support = (np.abs(psi) > tol.abs_eps) & (sigma.diagonal() > 0.0)
-        scale = np.sqrt(np.where(support, sigma.diagonal(), 1.0)) * np.exp(1j * np.angle(psi))
-        a = _masked_ratio(s, np.outer(scale, np.conj(scale)), np.outer(support, support))
-        try:
-            schur = SchurMatrix(a, tol)
-        except ValueError:
-            # sigma's tolerated negative eigenvalues grow by 1 / sigma_ii in A: clip, rescale to unit diagonal
-            w, v = np.linalg.eigh(a)
-            a = (v * np.maximum(w, 0.0)) @ dagger(v)
-            a /= np.sqrt(np.outer(a.diagonal(), a.diagonal()).real)
-            schur = SchurMatrix(a, tol)
-        if frobenius(a * np.outer(psi, np.conj(psi)) - s) > tol.abs_eps * 10:
-            raise ArithmeticError("rounding broke the genuinely incoherent witness")
-        return ConversionVerdict(True, 1.0, schur_map(schur, tol), None)
+        schur = _pure_source_witness(psi, s, tol)
+        if schur is not None:
+            return ConversionVerdict(True, 1.0, schur_map(schur, tol), None)
+        # |A_ij| <= 1 for every unit-diagonal A, so no witness maps psi psi^dag closer to sigma than this
+        gap = np.maximum(np.abs(s) - np.outer(np.abs(psi), np.abs(psi)), 0.0)
+        possible = False if frobenius(gap) > tol.abs_eps * 10 else None
+        return ConversionVerdict(possible, 0.0, None, Reason.COMPLETION_INFEASIBLE)
     if _purity(sigma, tol)[0]:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
     r = (rho.matrix + dagger(rho.matrix)) / 2.0

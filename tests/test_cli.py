@@ -121,6 +121,18 @@ def test_convert_gi_pure_rule(tmp_path, capsys):
     assert report["verdict"]["possible"] is True
 
 
+def test_convert_gi_pure_source_out_of_reach(tmp_path, capsys):
+    # |sigma_01| = 2e-5 exceeds |psi_0||psi_1| = 1e-6, a bound no unit-diagonal A can beat: the report
+    # says False and exits 0
+    psi = np.array([np.sqrt(1.0 - 1e-12), 1e-6])
+    src = _write(tmp_path / "rho.json", _density_doc(np.outer(psi, psi)))
+    dst = _write(tmp_path / "sig.json", _density_doc([[1.0 - 1e-12, 2e-5], [2e-5, 1e-12]]))
+    code, out, _ = _run(capsys, ["convert", "gi", src, dst, "--emit-map"])
+    assert code == 0
+    verdict = json.loads(out)["verdict"]
+    assert verdict["possible"] is False and verdict["reason"] == "CompletionInfeasible"
+
+
 def test_convert_fi_undecided_exit(tmp_path, capsys):
     src = _write(tmp_path / "plus3.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))
     dst = _write(tmp_path / "rank2.json", _vector_doc(np.sqrt([2 / 3, 1 / 3, 0.0])))

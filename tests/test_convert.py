@@ -125,7 +125,7 @@ def faint_pure_pairs(draw):
 @given(faint_pure_pairs())
 def test_gi_deterministic_pure_source_is_decided_by_populations(pair):
     # psi -> C * psi psi^dag is always reachable: the witness is the correlation matrix of sigma with
-    # psi's phases taken off, never a ratio sigma_ij / (psi_i conj(psi_j)), whose round-off grows as
+    # psi's phases taken off, not the ratio sigma_ij / (psi_i conj(psi_j)), whose round-off grows as
     # 1 / |psi_i| when an amplitude lies just above abs_eps
     psi, sigma = pair
     rho = np.outer(psi, np.conj(psi))
@@ -153,6 +153,36 @@ def test_gi_deterministic_pure_source_at_the_psd_edge(sigma):
     v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
     assert v.possible is True
     assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= DEFAULT_TOL.abs_eps
+
+
+_FAINT = np.array([np.sqrt(1.0 - 1e-12), 1e-6])
+_FAINT3 = np.array([np.sqrt(1.0 - 2e-12), 1e-6, 1e-6])
+
+
+@pytest.mark.parametrize(
+    "psi, sigma, possible",
+    [
+        # |sigma_01| exceeds |psi_0||psi_1| by 1.9e-5 while DensityMatrix admits sigma (least eigenvalue
+        # -4e-10): no unit-diagonal A comes within 10 abs_eps, a proven False
+        (_FAINT, [[1.0 - 1e-12, 2e-5], [2e-5, 1e-12]], False),
+        # sigma_11 = 1e-9 against |psi_1|^2 = 1e-12, equal within abs_eps: the forced A_01 = 1 reaches
+        # sigma, while sigma's correlation entry 1e-6 / sqrt(1e-9) misses it by 1e-6
+        (_FAINT, [[1.0 - 1e-9, 1e-6], [1e-6, 1e-9]], True),
+        # C * psi psi^dag with C = [[1, 1, 1], [1, 1, -1], [1, -1, 1]], whose eigenvalue -1 leaves sigma
+        # one of -1e-12, which DensityMatrix admits: A_12 = 1 would reach sigma within 3e-12, but the
+        # clip of C moves A_01 to 1/2 and no bound rules a witness out, so the answer is undecided
+        (_FAINT3, np.array([[1, 1, 1], [1, 1, -1], [1, -1, 1]]) * np.outer(_FAINT3, _FAINT3), None),
+    ],
+)
+def test_gi_deterministic_pure_source_past_its_witnesses(psi, sigma, possible):
+    # a pure source whose witnesses all miss sigma gets a verdict, never an exception
+    rho, sigma = np.outer(psi, psi), np.array(sigma)
+    v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
+    assert v.possible is possible
+    if possible:
+        assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= 10 * DEFAULT_TOL.abs_eps
+    else:
+        assert v.map is None and v.reason is Reason.COMPLETION_INFEASIBLE
 
 
 def test_gi_deterministic_mixed_to_pure_blocked():
