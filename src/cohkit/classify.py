@@ -43,9 +43,6 @@ __all__ = [
     "expose_hidden_coherence",
     "gi_extremality",
     "mixed_unitary_decompose",
-    "extremal_nonunitary_gi_kraus",
-    "pio_witness_channel",
-    "pio_pattern_gap",
 ]
 
 
@@ -385,13 +382,18 @@ def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tole
 
 
 def mixed_unitary_decompose(
-    m: KrausMap | SchurMatrix, max_terms: int = 16, seed: int = 0, tol: Tolerance = DEFAULT_TOL
+    m: KrausMap | SchurMatrix, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> list[tuple[float, np.ndarray]] | None:
     """Write a unit-diagonal Schur channel as a convex mixture of diagonal unitaries.
 
-    Returns a list of (weight, phase-vector) pairs whose mixture reproduces
-    the channel's Schur matrix, or None when the channel is provably not a
-    mixture (extremal with more than one Kraus operator). Peeling extracts
+    Returns a list of (weight, phase-vector) pairs, at most rank(A) of them,
+    whose mixture rebuilds S A S, S = diag(A)^(-1/2), or None when the channel
+    is provably not a mixture (extremal with more than one Kraus operator).
+    S A S is the channel's Schur matrix A when A's diagonal is 1 to round-off.
+    A gi channel's diagonal may be 1 only within abs_eps * d; the terms then
+    rebuild S A S, which has A's rank and a unit diagonal (S_ii = 1 where
+    A_ii = 0, which gi allows only when abs_eps * d >= 1; each such entry is
+    set to 1 and adds one to the rank). Peeling extracts
     one unimodular rank-1 component per step with the largest weight that
     keeps the remainder PSD, so the remainder's rank drops every step. At
     every rank r >= 2 each restart of the search for that component is seeded
@@ -403,7 +405,7 @@ def mixed_unitary_decompose(
     A and the gi check are gi_extremality's. The extremality test and the first
     peeling step share A's eigenpairs (a SchurMatrix's own, or from the SVD of a
     Kraus list's d x n diagonals, O(d^2 n)), each further step takes one eigh of
-    a d x d remainder, O(d^3); no Choi matrix.
+    a d x d remainder, O(d^3); a rescaled S A S takes one more. No Choi matrix.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a
@@ -414,11 +416,19 @@ def mixed_unitary_decompose(
         return None
     a0 = a = unit.matrix
     w, v = unit.eigen
+    diag = np.diagonal(a0).real
+    if float(np.max(np.abs(diag - 1.0))) > ROUNDOFF_SUM:
+        # forcing each remainder's diagonal to 1 below would raise its rank: peel S A S instead,
+        # of A's rank and unit diagonal, from its own eigenpairs; a zero row of A keeps S_ii = 1
+        s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        a0 = a = s[:, None] * a0 * s[None, :]
+        np.fill_diagonal(a, 1.0)
+        w, v = hermitian_eigen(a, tol)
     cut = tol.rank_cut(float(w[-1]))
     rng = np.random.default_rng(seed)
     terms: list[tuple[float, np.ndarray]] = []
     remaining = 1.0
-    for _ in range(max_terms):
+    for _ in range(unit.dim):
         keep = w > tol.rank_cut(float(w[-1]))
         rank = int(np.sum(keep))
         if rank <= 1:
@@ -444,7 +454,7 @@ def mixed_unitary_decompose(
         remaining *= 1.0 - t
         w, v = hermitian_eigen(a, tol)
     else:
-        raise BudgetExhaustedError("term budget exhausted before the remainder became rank 1")
+        raise BudgetExhaustedError("the remainder did not reach rank 1 within dim peeling steps")
     recon = np.zeros_like(a0)
     for weight, phases in terms:
         u = np.exp(1j * phases)
@@ -452,49 +462,3 @@ def mixed_unitary_decompose(
     if frobenius(recon - a0) > tol.abs_eps * 10:
         raise BudgetExhaustedError("decomposition failed to reconstruct the Schur matrix")
     return terms
-
-
-def extremal_nonunitary_gi_kraus(d: int = 4) -> KrausMap:
-    """Two diagonal Kraus operators forming an extremal non-unitary Schur channel.
-
-    Entries a_k = 1/k and b_k = i^k * sqrt(1 - 1/k^2) for k = 1..d; for d = 4
-    the four moduli/cross-term vectors are linearly independent, so the
-    channel is extremal although it is not a unitary.
-    """
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    k = np.arange(1, d + 1, dtype=float)
-    a = 1.0 / k
-    b = (1j ** np.arange(1, d + 1)) * np.sqrt(1.0 - a**2)
-    return KrausMap([np.diag(a.astype(complex)), np.diag(b)])
-
-
-def pio_witness_channel(theta: float) -> KrausMap:
-    """Four-level unit-diagonal Schur channel used to separate Schur channels
-    from mixtures of permutation-style isometries."""
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    k1 = np.diag(np.array([1.0, 0.0, c, c], dtype=complex))
-    k2 = np.diag(np.array([0.0, 1.0, s, 1j * s], dtype=complex))
-    return KrausMap([k1, k2])
-
-
-def pio_pattern_gap(theta: float, grid_points: int = 200) -> float:
-    """Smallest deviation, over a phase grid, from the modulus pattern a
-    permutation-style representation of pio_witness_channel would force.
-
-    Any such representation needs a combination L = alpha*K1 + beta*K2 with
-    nonzero alpha, beta whose diagonal entries each vanish or share one
-    modulus. The first two entries force |alpha| = |beta|, so the grid scans
-    the two phases at unit modulus and measures how far the remaining two
-    entries stay from the pattern. A strictly positive return value means no
-    combination on the grid attains the pattern.
-    """
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    ph = np.linspace(0.0, 2.0 * np.pi, grid_points, endpoint=False)
-    alpha = np.exp(1j * ph)[:, None]
-    beta = np.exp(1j * ph)[None, :]
-    l3 = np.abs(c * alpha + s * beta)
-    l4 = np.abs(c * alpha + 1j * s * beta)
-    dev3 = np.minimum(np.abs(l3 - 1.0), l3)
-    dev4 = np.minimum(np.abs(l4 - 1.0), l4)
-    return float(np.min(np.maximum(dev3, dev4)))

@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_PARSE
     tol = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
     try:
-        rule, inputs, verdict, code = args.func(args, tol, SearchBudget(max_iterations=args.budget, seed=args.seed))
+        rule, inputs, verdict, code = args.func(args, tol, SearchBudget(max_iterations=args.budget))
     except (DocumentError, ValueError, BudgetExhaustedError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         if isinstance(exc, DocumentError):

@@ -20,18 +20,15 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, frobenius, hermitian_eigen, partial_trace_second
-from .states import DensityMatrix, PureState, plus_state
+from .linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, frobenius, hermitian_eigen
+from .states import DensityMatrix, PureState
 from .channels import (
     CompletenessClass,
     KrausMap,
-    Permutation,
     SchurMatrix,
-    apply,
     completeness_class,
     diagonal_unitary,
     extract_schur_matrix,
-    permutation_unitary,
     schur_map,
 )
 from .classify import BudgetExhaustedError, same_form
@@ -41,7 +38,6 @@ __all__ = [
     "Reason",
     "ConversionVerdict",
     "SfiBound",
-    "ActivationDemo",
     "gi_deterministic_pure",
     "gi_pure_parent",
     "gi_deterministic",
@@ -50,11 +46,9 @@ __all__ = [
     "sgi_mixed_to_pure",
     "reduce_joint",
     "fi_deterministic_pure",
-    "build_fi_rank2_map",
     "sfi_probability",
     "fi_erase",
     "fi_max_mixed_reachable",
-    "fi_activation_demo",
 ]
 
 
@@ -91,15 +85,6 @@ class SfiBound:
     lower_bound: float
     exact: bool
     map: KrausMap | None
-
-
-@dataclass
-class ActivationDemo:
-    joint_map: KrausMap
-    joint_output: np.ndarray
-    reduced_output: DensityMatrix
-    one_copy_possible: bool
-    single_copy_verdicts: list[ConversionVerdict]
 
 
 def _check_dims(a: int, b: int) -> None:
@@ -431,33 +416,6 @@ def fi_deterministic_pure(
     return ConversionVerdict(True, 1.0, KrausMap(ops, tol), None)
 
 
-def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Two-branch fully incoherent qutrit map sending rank-3 states to rank-2 ones.
-
-    Branch i is [[a_i, 0, c_i], [0, b_i, 0], [0, 0, 0]]. Trace preservation
-    pins sum |a_i|^2 = sum |b_i|^2 = sum |c_i|^2 = 1 and a . conj(c) = 0,
-    all enforced within tol.abs_eps / 10.
-    """
-    av = np.asarray(a, dtype=complex)
-    bv = np.asarray(b, dtype=complex)
-    cv = np.asarray(c, dtype=complex)
-    if av.shape != (2,) or bv.shape != (2,) or cv.shape != (2,):
-        raise ValueError("parameters must be pairs (two branches)")
-    for name, vec in (("a", av), ("b", bv), ("c", cv)):
-        if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > tol.abs_eps / 10:
-            raise ValueError(f"column normalization violated for {name}")
-    if abs(complex(np.sum(av * np.conj(cv)))) > tol.abs_eps / 10:
-        raise ValueError("cross-column orthogonality a . conj(c) = 0 violated")
-    ops = []
-    for i in range(2):
-        k = np.zeros((3, 3), dtype=complex)
-        k[0, 0] = av[i]
-        k[0, 2] = cv[i]
-        k[1, 1] = bv[i]
-        ops.append(k)
-    return KrausMap(ops, tol)
-
-
 def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> SfiBound:
     """Relabeling-optimized stochastic conversion bound for fully incoherent maps.
 
@@ -500,33 +458,3 @@ def fi_max_mixed_reachable(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> 
     Full-rank targets force invertible operators (label permutations), so
     this requires the populations to be uniform already, within tol.abs_eps."""
     return tol.close(float(np.max(np.abs(rho.diagonal() - 1.0 / rho.dim))))
-
-
-def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
-    """Two copies of the uniform qubit state reach a state whose single copy is blocked.
-
-    The witness of fi_deterministic_pure takes the product of two uniform
-    qubits to the pure state (1+i, 1, 0, 1)/2, whose first marginal has
-    populations (3/4, 1/4). One copy alone cannot reach that marginal: its
-    populations are (1/2, 1/2) under every relabeling, and unit-diagonal
-    Schur channels preserve populations."""
-    source = plus_state(4)
-    joint = fi_deterministic_pure(source, PureState(np.array([1 + 1j, 1, 0, 1]) / 2, tol), tol).map
-    out, prob = apply(joint, source.density())
-    if abs(prob - 1.0) > ROUNDOFF_SUM:
-        raise AssertionError("activation map must be trace preserving on the product state")
-    reduced = DensityMatrix(partial_trace_second(out, 2, 2), tol)
-    marginal = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex), tol)
-    verdicts = []
-    for mapping in ((0, 1), (1, 0)):
-        p_unitary = permutation_unitary(Permutation(mapping))
-        permuted = DensityMatrix(p_unitary @ plus_state(2).density() @ dagger(p_unitary), tol)
-        verdicts.append(gi_deterministic(permuted, marginal, tol))
-    one_copy = any(v.possible is True for v in verdicts)
-    return ActivationDemo(
-        joint_map=joint,
-        joint_output=out,
-        reduced_output=reduced,
-        one_copy_possible=one_copy,
-        single_copy_verdicts=verdicts,
-    )

@@ -16,30 +16,22 @@ from cohkit import (
     Reason,
     SearchBudget,
     apply,
-    build_fi_rank2_map,
     choi_matrix,
     classify_channel,
     completeness_class,
     dephasing_channel,
     expose_hidden_coherence,
     extract_schur_matrix,
-    extremal_nonunitary_gi_kraus,
-    fi_activation_demo,
     fi_deterministic_pure,
     gi_extremality,
     gi_pure_parent,
     identity_channel,
     is_incoherent_operator,
     mixed_unitary_decompose,
-    monte_carlo_protocol,
-    pio_pattern_gap,
-    pio_witness_channel,
     plus_state,
     reduce_joint,
     rel_entropy_coherence,
     schur_map,
-    search_cr,
-    search_fi_map,
     search_sgi_probability,
     sgi_optimal_probability,
 )
@@ -57,6 +49,14 @@ from conftest import (
     rand_pure,
     rand_sgi_schur,
 )
+from exhibits import (
+    build_fi_rank2_map,
+    extremal_nonunitary_gi_kraus,
+    fi_activation_demo,
+    pio_pattern_gap,
+    pio_witness_channel,
+)
+from oracles import monte_carlo_protocol, search_cr, search_fi_map
 
 
 def _verdict(name: str, ok: bool) -> None:

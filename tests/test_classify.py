@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cohkit import (
+    DEFAULT_TOL,
     BudgetExhaustedError,
     Hamiltonian,
     KrausMap,
@@ -10,13 +11,10 @@ from cohkit import (
     classify_channel,
     dephasing_channel,
     expose_hidden_coherence,
-    extremal_nonunitary_gi_kraus,
     gi_extremality,
     identity_channel,
     is_incoherent_operator,
     mixed_unitary_decompose,
-    pio_pattern_gap,
-    pio_witness_channel,
     same_form,
     schur_map,
 )
@@ -32,6 +30,7 @@ from conftest import (
     rand_sgi_schur,
     rand_sio_map,
 )
+from exhibits import extremal_nonunitary_gi_kraus, pio_pattern_gap, pio_witness_channel
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -231,6 +230,30 @@ def test_mixed_unitary_decompose_reconstructs():
                 u = np.exp(1j * phases)
                 recon += w * np.outer(u, np.conj(u))
             assert np.max(np.abs(recon - a.matrix)) < 1e-8
+
+
+def test_mixed_unitary_decompose_near_unit_diagonal():
+    # a gi channel's diagonal is 1 only within abs_eps * d: forcing each remainder's diagonal to 1 would
+    # raise its rank, so S A S, S = diag(A)^(-1/2), is peeled instead, in at most rank(A) terms
+    eps = DEFAULT_TOL.abs_eps
+    rng = np.random.default_rng(5)
+    for d in (3, 6, 32):
+        for r in (2, 3):
+            for c in (0.5, 0.9):
+                phases = rng.uniform(0.0, 2.0 * np.pi, size=(r, d))
+                x = np.sqrt(rng.dirichlet(np.ones(r)) * (1.0 - c * eps * d))[:, None] * np.exp(1j * phases)
+                a = x.T @ np.conj(x)
+                s = 1.0 / np.sqrt(np.diagonal(a).real)
+                for m in (SchurMatrix(a), KrausMap([np.diag(row) for row in x])):
+                    terms = mixed_unitary_decompose(m)
+                    assert terms is not None and len(terms) <= np.linalg.matrix_rank(a, tol=eps)
+                    rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
+                    assert np.linalg.norm(rebuilt - s[:, None] * a * s[None, :]) <= eps * 10
+    # gi allows A_ii = 0 only when abs_eps * d >= 1; S_ii stays 1 there and the unit diagonal is rebuilt
+    loose = Tolerance(abs_eps=0.5, rel_eps=0.5)
+    terms = mixed_unitary_decompose(SchurMatrix(np.diag([1.0, 0.0]), loose), tol=loose)
+    rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
+    assert np.linalg.norm(rebuilt - np.eye(2)) <= 1e-12
 
 
 def test_mixed_unitary_decompose_known_mixture():

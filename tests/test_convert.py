@@ -10,11 +10,9 @@ from cohkit import (
     SchurMatrix,
     SearchBudget,
     apply,
-    build_fi_rank2_map,
     classify_channel,
     complete_sgi,
     extract_schur_matrix,
-    fi_activation_demo,
     fi_deterministic_pure,
     fi_erase,
     fi_max_mixed_reachable,
@@ -31,6 +29,7 @@ from cohkit import (
 from cohkit.linalg import DEFAULT_TOL, dagger, partial_trace_second, tensor
 
 from conftest import pure_fidelity, rand_density, rand_gi_schur, rand_pure
+from exhibits import build_fi_rank2_map, fi_activation_demo
 
 
 def _random_phase_twin(rng, psi):

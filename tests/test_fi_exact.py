@@ -17,9 +17,10 @@ from cohkit import (
     SearchBudget,
     fi_deterministic_pure,
     plus_state,
-    search_fi_map,
     sfi_probability,
 )
+
+from oracles import search_fi_map
 
 SUPPORT_EPS = DEFAULT_TOL.abs_eps**2
 

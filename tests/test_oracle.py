@@ -11,12 +11,9 @@ from cohkit import (
     apply,
     classify_channel,
     fi_deterministic_pure,
-    monte_carlo_protocol,
     plus_state,
     psd_complete,
     rel_entropy_coherence,
-    search_cr,
-    search_fi_map,
     search_sgi_probability,
     sgi_optimal_probability,
 )
@@ -25,11 +22,12 @@ from cohkit.linalg import ROUNDOFF_SUM
 from cohkit.oracle import _pinned_psd
 
 from conftest import pure_fidelity, rand_density, rand_pure, rand_unitary
+from oracles import monte_carlo_protocol, search_cr, search_fi_map
 
 
 def test_search_budget_validation():
     b = SearchBudget()
-    assert b.max_iterations == 10000 and b.seed == 0
+    assert b.max_iterations == 10000
     with pytest.raises(ValueError):
         SearchBudget(max_iterations=0)
 

@@ -15,13 +15,14 @@ from cohkit import (
     PureState,
     SchurMatrix,
     classify_channel,
-    extremal_nonunitary_gi_kraus,
     gi_extremality,
     plus_state,
     schur_map,
     sgi_optimal_probability,
 )
 from cohkit.linalg import is_psd
+
+from exhibits import extremal_nonunitary_gi_kraus
 
 LAYERS = (states, channels, classify, convert, oracle)
 
@@ -35,6 +36,23 @@ def test_public_names_declared_once_in_their_modules():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(cohkit, name) is getattr(layer, name)
+
+
+def test_oracles_and_exhibits_are_test_code():
+    # the brute-force oracles and the paper's exhibits decide nothing, so they live in tests/
+    moved = [
+        "search_fi_map",
+        "search_cr",
+        "monte_carlo_protocol",
+        "extremal_nonunitary_gi_kraus",
+        "pio_witness_channel",
+        "pio_pattern_gap",
+        "ActivationDemo",
+        "build_fi_rank2_map",
+        "fi_activation_demo",
+    ]
+    assert [name for name in moved if hasattr(cohkit, name)] == []
+    assert oracle.__all__ == ["SearchBudget", "FeasibilityResult", "psd_complete", "search_sgi_probability"]
 
 
 def test_thresholds_live_in_linalg():
