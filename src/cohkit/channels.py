@@ -103,18 +103,22 @@ class KrausMap:
 
     Built from a list of d x d matrices, an (n, d, d) array or a KrausMap, `kraus` is one
     read-only complex copy, kraus[s, a, i] = K_s[a, i], checked once; iterate or index it per operator.
+    `completeness` is completeness_class of the map under its own tol, from that check.
     `==` and `hash` go by identity; compare channels through their Choi matrices.
     """
 
     kraus: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
+    completeness: CompletenessClass = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = _kraus_tensor(self.kraus)
         t.flags.writeable = False
         object.__setattr__(self, "kraus", t)
-        if completeness_class(self, self.tol) is CompletenessClass.INVALID:
+        completeness = completeness_class(self, self.tol)
+        if completeness is CompletenessClass.INVALID:
             raise ValueError("Kraus operators exceed trace preservation (sum K^dag K > 1)")
+        object.__setattr__(self, "completeness", completeness)
 
     @property
     def dim(self) -> int:

@@ -153,6 +153,20 @@ def _schur_form(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix 
     return _diagonal_schur(t[:, i, i], tol), None
 
 
+def _unit_diagonal(schur: SchurMatrix | None, tol: Tolerance) -> bool:
+    # gi of a Schur channel: A passes SchurMatrix's checks and every |A_ii - 1| is within abs_eps * d
+    return schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
+
+
+def _tensor_gi(m: KrausMap, live: np.ndarray, tol: Tolerance) -> tuple[SchurMatrix | None, bool, np.ndarray]:
+    # (A, gi, off) of a list that is not exactly diagonal: extract_schur_matrix's A; gi when A exists and
+    # every basis projector is fixed, moved[i] >= |A_ii - 1| as A_ii = map(|i><i|)[i, i]; off, the
+    # off-diagonal norms of the basis-projector images, which mio reads
+    schur = extract_schur_matrix(m, tol)
+    off, moved = _image_norms(m.kraus, live)
+    return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), off
+
+
 def classify_channel(
     m: KrausMap | SchurMatrix, hamiltonian: Hamiltonian | None = None, tol: Tolerance = DEFAULT_TOL
 ) -> ClassificationReport:
@@ -175,7 +189,7 @@ def classify_channel(
     schur, live = _schur_form(m, tol)
     if live is not None:
         return _classify_tensor(m, live, hamiltonian, tol)
-    gi = schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
+    gi = _unit_diagonal(schur, tol)
     tio = None if hamiltonian is None else True
     return ClassificationReport(
         io=True, gi=gi, sgi=schur is not None, fi=True, sio=True, mio=True, dio=True, tio=tio, schur=schur
@@ -203,11 +217,8 @@ def _classify_tensor(
         io = bool(tol.close(np.sqrt(2.0 * (p * below).sum(axis=1)).max(), d))
     fi = io and _one_form(hit)
 
-    schur = extract_schur_matrix(m, tol)
+    schur, gi, off = _tensor_gi(m, live, tol)
     sgi = schur is not None
-    # gi: Schur form and every basis projector fixed; moved[i] >= |A_ii - 1|, as A_ii = map(|i><i|)[i, i]
-    off, moved = _image_norms(t, live)
-    gi = sgi and bool(tol.close(moved.max(), d))
     mio = dio = bool(tol.close(off.max(), d))
     if mio and live.sum(axis=1).max() > 1:
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
@@ -258,13 +269,16 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
 
 
 def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix, ExtremalityWitness]:
-    # A of a gi channel (classify_channel's gi and schur) and its extremality;
+    # A of a gi channel (classify_channel's gi and A, none of its other flags) and its extremality;
     # minimal_representation's relative cut on the eigenvalues of A, kept by SchurMatrix,
     # keeps round-off eigenvalues of a list padded beyond the rank out
-    report = classify_channel(m, tol=tol)
-    if not report.gi:
+    unit, live = _schur_form(m, tol)
+    if live is None:
+        gi = _unit_diagonal(unit, tol)
+    else:
+        unit, gi, _ = _tensor_gi(m, live, tol)
+    if not gi:
         raise ValueError("map is not a unit-diagonal Schur channel")
-    unit = report.schur
     w, v = unit.eigen
     keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
     x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
@@ -288,10 +302,12 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     n^2 vectors diag(D_i^dag D_j) are linearly independent. The test runs on
     the minimal diagonal representation taken from the eigenpairs of the d x d
     Schur matrix A, so it is representation-independent. The gi check and A are
-    classify_channel's, at its cost: O(d) for a SchurMatrix, whose eigenpairs are
-    those of its own PSD check; for a Kraus list, A's eigenpairs come from one SVD
-    of the d x n Kraus diagonals, O(d^2 n), and A is never eigendecomposed. No
-    Choi matrix.
+    classify_channel's, without its other flags: O(d) for a SchurMatrix, whose
+    eigenpairs are those of its own PSD check; for a Kraus list, A's eigenpairs
+    come from one SVD of the d x n Kraus diagonals, O(d^2 n), and A is never
+    eigendecomposed. A list that is not exactly diagonal also pays the
+    basis-projector images that gi reads, not the io/sio/fi mask or dio's
+    diagonals. No Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 

@@ -20,13 +20,12 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, frobenius, hermitian_eigen
-from .states import DensityMatrix, PureState
+from .linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, frobenius
+from .states import DensityMatrix, PureState, _eigen
 from .channels import (
     CompletenessClass,
     KrausMap,
     SchurMatrix,
-    completeness_class,
     diagonal_unitary,
     extract_schur_matrix,
     schur_map,
@@ -130,8 +129,9 @@ def gi_pure_parent(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[Pu
 
 
 def _purity(rho: DensityMatrix, tol: Tolerance) -> tuple[bool, np.ndarray]:
-    # one eigh: is the top eigenvalue 1 within abs_eps, and its eigenvector times its root
-    w, v = hermitian_eigen(rho.matrix, tol)
+    # from rho's stored eigenpairs, no eigh: is the top eigenvalue 1 within abs_eps, and its eigenvector
+    # times its root
+    w, v = _eigen(rho, tol)
     top = float(w[-1])
     return tol.close(1.0 - top), v[:, -1] * np.sqrt(max(top, 0.0))
 
@@ -185,6 +185,8 @@ def gi_deterministic(
     oracle.psd_complete (default budget 5,000 iterations) fills the rest and
     stops on the PSD rule of SchurMatrix, so its completion is the witness's
     Schur matrix as it stands. No completion within the budget: possible=None.
+    The purity tests read the states' stored eigenpairs (DensityMatrix.eigen)
+    and eigendecompose neither state.
     """
     _check_dims(rho.dim, sigma.dim)
     if not tol.close(float(np.max(np.abs(rho.diagonal() - sigma.diagonal())))):
@@ -407,13 +409,18 @@ def fi_deterministic_pure(
     # than 1 - 10 abs_eps: sum over r of |phi_r| |psi_F| squared
     promised = float(amp_t @ np.sqrt(np.bincount(labels, weights=amp_s[order] ** 2, minlength=d))) ** 2
     overlap = (ops @ psi.amplitudes) @ np.conj(phi.amplitudes)
+    try:
+        witness = KrausMap(ops, tol)  # its completeness class is the one check of sum K^dag K
+    except ValueError:  # sum K^dag K > 1
+        witness = None
     if (
-        not same_form(ops, tol)
-        or completeness_class(ops, tol) is not CompletenessClass.TRACE_PRESERVING
+        witness is None
+        or not same_form(witness, tol)
+        or witness.completeness is not CompletenessClass.TRACE_PRESERVING
         or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - tol.abs_eps * 10, promised - tol.abs_eps / 10)
     ):
         raise ArithmeticError("rounding broke the fully incoherent witness")
-    return ConversionVerdict(True, 1.0, KrausMap(ops, tol), None)
+    return ConversionVerdict(True, 1.0, witness, None)
 
 
 def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> SfiBound:

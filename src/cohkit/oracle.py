@@ -98,8 +98,11 @@ def search_sgi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFA
     k on the source support extends to a PSD matrix with diagonal at most 1.
     Returns 0 when the target needs amplitudes outside the source support.
 
-    Cost: the k = 1 probe and 30 bisection probes, each one array expression
-    for the matrix and at most one eigvalsh. Every entry is pinned, so no
+    Cost: one eigvalsh per call, none on a support violation. The k = 1
+    multiplier matrix M is formed once and its Hermitian part diagonalized
+    once; each of the 31 probes (k = 1, then 30 halvings) applies the
+    diagonal bound to k max diag M and the PSD rule to k w, since the
+    spectrum of k M is k times that of M. Every entry is pinned, so no
     completion iterates.
     """
     if psi.dim != phi.dim:
@@ -109,18 +112,17 @@ def search_sgi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFA
     if np.any(tp & ~sp):
         return 0.0
     phi_s, psi_s = phi.amplitudes[sp], psi.amplitudes[sp]
-    phi_c = np.conj(phi_s)[None, :]
-    den = psi_s[:, None] * np.conj(psi_s)[None, :]
+    # the multiplier matrix phi_i conj(phi_j) / (psi_i conj(psi_j)) on the source support; it is zero
+    # elsewhere, and zero rows and columns change neither the diagonal bound nor the PSD rule
+    m = phi_s[:, None] * np.conj(phi_s)[None, :] / (psi_s[:, None] * np.conj(psi_s)[None, :])
+    top = float(m.diagonal().real.max())
+    # M is rank 1 and Hermitian to a few ulps, so at a k that passes the diagonal bound
+    # |k M_ij|^2 = k M_ii k M_jj <= 1 and psd_complete's Hermitian-gap check cannot fire: only its
+    # PSD rule is applied, as _pinned_psd applies it
+    w = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
 
     def feasible(k: float) -> bool:
-        # the multiplier matrix k phi_i conj(phi_j) / (psi_i conj(psi_j)) on the source support; it is
-        # zero elsewhere, and zero rows and columns change neither the diagonal bound nor the PSD rule
-        a = (k * phi_s)[:, None] * phi_c / den
-        if float(a.diagonal().real.max()) > 1.0 + ROUNDOFF_SUM:
-            return False
-        # a is rank 1 and Hermitian to a few ulps with diagonal at most 1, so |a_ij|^2 = a_ii a_jj <= 1
-        # and psd_complete's Hermitian-gap check cannot fire: only its PSD rule is applied
-        return _pinned_psd(a, tol).feasible
+        return k * top <= 1.0 + ROUNDOFF_SUM and tol.psd(k * w)
 
     if feasible(1.0):
         return 1.0

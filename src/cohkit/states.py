@@ -19,7 +19,7 @@ from .linalg import (
     as_matrix,
     binary_entropy,
     hermitian_eigen,
-    is_psd,
+    is_hermitian,
 )
 
 __all__ = [
@@ -65,21 +65,30 @@ class PureState:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix over the reference basis, held as a read-only copy; `==` is identity."""
+    """Hermitian, PSD, unit-trace matrix over the reference basis, held as a read-only copy; `==` is identity.
+
+    `eigen` holds the read-only eigenvalues (ascending) and eigenvector columns of
+    (matrix + matrix^dag) / 2 from the PSD check, so that callers never
+    eigendecompose the state again.
+    """
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
+    eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = as_matrix(self.matrix).copy()  # as_matrix hands back the caller's complex array itself
         if m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if not is_psd(m, self.tol):
+        w, v = hermitian_eigen(m, self.tol)  # the test of is_psd, keeping the eigenpairs
+        if not self.tol.psd(w):
             raise ValueError("density matrix must be Hermitian PSD within tolerance")
         if not self.tol.close(abs(float(np.real(np.trace(m))) - 1.0), m.shape[0]):
             raise ValueError("density matrix must have unit trace within tol.abs_eps * dim")
-        m.flags.writeable = False
+        for x in (m, w, v):
+            x.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigen", (w, v))
 
     @property
     def dim(self) -> int:
@@ -134,9 +143,17 @@ def _shannon(p: np.ndarray) -> float:
     return float(-np.sum(q * np.log2(q)))
 
 
+def _eigen(rho: DensityMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    # rho's stored eigenpairs, read under tol: of hermitian_eigen(rho.matrix, tol), only its
+    # Hermiticity test depends on tol, so a tol tighter than rho's still raises ValueError
+    if not is_hermitian(rho.matrix, tol):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return rho.eigen
+
+
 def rel_entropy_coherence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> float:
     """Relative entropy of coherence: S(dephased rho) - S(rho), in bits."""
-    w, _ = hermitian_eigen(rho.matrix, tol)
+    w, _ = _eigen(rho, tol)
     w = np.clip(w, 0.0, None)
     diag = np.clip(rho.diagonal(), 0.0, None)
     value = _shannon(diag) - _shannon(w)

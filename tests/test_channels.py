@@ -21,7 +21,7 @@ from cohkit import (
     tensor_channels,
     transform_representation,
 )
-from cohkit.linalg import DEFAULT_TOL, dagger, frobenius, tensor
+from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, tensor
 
 from conftest import rand_cptp, rand_density, rand_gi_schur, rand_unitary
 
@@ -30,6 +30,24 @@ def test_completeness_class():
     assert completeness_class([np.eye(2)]) is CompletenessClass.TRACE_PRESERVING
     assert completeness_class([0.5 * np.eye(2)]) is CompletenessClass.TRACE_NON_INCREASING
     assert completeness_class([1.5 * np.eye(2)]) is CompletenessClass.INVALID
+
+
+def test_kraus_map_keeps_its_completeness_class():
+    # completeness is the class its constructor computed under the map's tol, kept out of repr
+    rng = np.random.default_rng(5)
+    maps = [KrausMap([np.eye(2)]), KrausMap([0.5 * np.eye(2)]), KrausMap(rand_cptp(rng, 3, 2))]
+    maps.append(KrausMap([0.5 * rand_unitary(rng, 3)], Tolerance(1e-6, 1e-6)))
+    for m in maps:
+        assert m.completeness is completeness_class(m, m.tol)
+        assert "completeness" not in repr(m)
+        with pytest.raises(AttributeError):
+            m.completeness = CompletenessClass.INVALID
+    assert [m.completeness.value for m in maps] == [
+        "trace_preserving",
+        "trace_non_increasing",
+        "trace_preserving",
+        "trace_non_increasing",
+    ]
 
 
 @pytest.mark.parametrize("offset", [-1e-12, 1e-12])

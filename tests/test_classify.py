@@ -211,6 +211,47 @@ def test_gi_extremality_rejects_non_gi():
         gi_extremality(KrausMap([SX]))
 
 
+def test_gi_extremality_reads_gi_and_a_without_classifying(monkeypatch):
+    # Kraus lists that are diagonal up to off-diagonal entries of at most abs_eps: gi and A come from
+    # extract_schur_matrix and the basis-image norms alone, as classify_channel gives them, and the
+    # rest of the tensor classification is not run
+    rng = np.random.default_rng(19)
+    cases = []
+    for d in (2, 3, 5, 8, 16):
+        for _ in range(6):
+            a = rand_gi_schur(rng, d, int(rng.integers(1, d + 1)))
+            if rng.random() < 0.3:
+                a = rand_sgi_schur(rng, d)  # diagonal below 1: sgi, not gi
+            ops = np.array(schur_map(a).kraus)
+            at = rng.random(ops.shape) < 0.1
+            at[:, np.arange(d), np.arange(d)] = False
+            at[0, 0, d - 1] = True  # at least one entry off the diagonal
+            scale = DEFAULT_TOL.abs_eps * rng.choice([1e-3, 0.5, 1.0])
+            ops[at] = scale * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, int(at.sum())))
+            cases.append(KrausMap(ops))
+    cases.append(KrausMap([SX]))  # not a Schur channel
+    reports = [classify_channel(m) for m in cases]
+    assert 0 < sum(r.gi for r in reports) < len(cases)
+
+    def unreachable(*args):
+        raise AssertionError("gi_extremality ran the tensor classification")
+
+    monkeypatch.setattr(classify, "_classify_tensor", unreachable)
+    for m, report in zip(cases, reports):
+        if not report.gi:
+            with pytest.raises(ValueError):
+                gi_extremality(m)
+            continue
+        unit, witness = classify._gi_extremality(m, DEFAULT_TOL)
+        assert unit.matrix.tobytes() == report.schur.matrix.tobytes()
+        ref = gi_extremality(report.schur)
+        assert (witness.extremal, witness.rank_found, witness.rank_required) == (
+            ref.extremal,
+            ref.rank_found,
+            ref.rank_required,
+        )
+
+
 def test_mixed_unitary_decompose_reconstructs():
     # up to d = 3 every unit-diagonal A decomposes in at most d terms, at every rank: full-rank draws,
     # then each rank 1..d, given as a SchurMatrix and as its diagonal list

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cohkit import (
     DEFAULT_TOL,
+    CompletenessClass,
     PureState,
     Reason,
     SearchBudget,
@@ -19,6 +20,8 @@ from cohkit import (
     plus_state,
     sfi_probability,
 )
+
+from cohkit import channels
 
 from oracles import search_fi_map
 
@@ -272,6 +275,20 @@ def test_fi_decider_tiny_populations_trade_labels():
     v = fi_deterministic_pure(psi, phi)
     assert v.possible is True is _coarse_grains(psi, phi)
     _check_fi_witness(v.map, psi, phi)
+
+
+def test_fi_decider_checks_completeness_once(monkeypatch):
+    # the witness KrausMap's own completeness pass is the decider's only one
+    calls = []
+    completeness_class = channels.completeness_class
+    monkeypatch.setattr(channels, "completeness_class", lambda *a: calls.append(1) or completeness_class(*a))
+    pairs = [(plus_state(4), _pure([0.75, 0.25, 0.0, 0.0])), (_pure([0.5, 0.3, 0.2]), _pure([0.2, 0.5, 0.3]))]
+    pairs.append((_pure([0.4, 0.3, 0.2, 0.1]), _pure([0.0, 0.0, 1.0, 0.0])))
+    for psi, phi in pairs:
+        calls.clear()
+        verdict = fi_deterministic_pure(psi, phi)
+        assert verdict.possible is True and verdict.map.completeness is CompletenessClass.TRACE_PRESERVING
+        assert len(calls) == 1
 
 
 def test_fi_decider_reports_broken_witness(monkeypatch):

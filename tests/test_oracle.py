@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,30 @@ def _sgi_probability_loop(psi, phi, tol=DEFAULT_TOL):
             return False
         return psd_complete(a, np.ones((d, d), dtype=bool), SearchBudget(), tol).feasible
 
+    return _bisect(feasible)
+
+
+def _sgi_probability_per_probe(psi, phi, tol=DEFAULT_TOL):
+    # reference: each probe forms k's multiplier matrix on the source support and decides it with
+    # its own eigvalsh, the PSD rule of psd_complete's fully pinned branch
+    sp = np.abs(psi.amplitudes) > tol.abs_eps
+    tp = np.abs(phi.amplitudes) > tol.abs_eps
+    if np.any(tp & ~sp):
+        return 0.0
+    phi_s, psi_s = phi.amplitudes[sp], psi.amplitudes[sp]
+    den = psi_s[:, None] * np.conj(psi_s)[None, :]
+
+    def feasible(k):
+        a = (k * phi_s)[:, None] * np.conj(phi_s)[None, :] / den
+        if float(a.diagonal().real.max()) > 1.0 + ROUNDOFF_SUM:
+            return False
+        return _pinned_psd(a, tol).feasible
+
+    return _bisect(feasible)
+
+
+def _bisect(feasible):
+    # the k = 1 probe, then 30 halvings of [0, 1]
     if feasible(1.0):
         return 1.0
     lo, hi = 0.0, 1.0
@@ -197,6 +223,38 @@ def _sgi_corpus(rng, d):
         small = unit(np.where(at, tiny * phases(), rand(full)))
         yield small, unit(rand(full)), None
         yield small, unit(np.where(at, tiny * phases(), rand(full))), None
+
+
+def test_search_sgi_equals_per_probe_bisection():
+    # 3,000 pairs, 375 at each d = 1..8, drawn as the corpus draws them: the scaled spectrum of the
+    # one k = 1 eigvalsh decides every probe as each probe's own eigvalsh did, to the bit
+    count = 0
+    for d in range(1, 9):
+        rng = np.random.default_rng(200 + d)
+        corpus = itertools.chain.from_iterable(_sgi_corpus(rng, d) for _ in itertools.count())
+        for psi_amps, phi_amps, _ in itertools.islice(corpus, 375):
+            psi, phi = PureState(psi_amps), PureState(phi_amps)
+            assert search_sgi_probability(psi, phi).hex() == _sgi_probability_per_probe(psi, phi).hex()
+            count += 1
+    assert count == 3000
+
+
+def test_search_sgi_takes_one_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    rng = np.random.default_rng(7)
+    for d in range(1, 9):
+        for psi_amps, phi_amps, _ in _sgi_corpus(rng, d):
+            calls.clear()
+            search_sgi_probability(PureState(psi_amps), PureState(phi_amps))
+            # a support violation returns before any matrix is formed
+            eps = DEFAULT_TOL.abs_eps
+            violation = np.any((np.abs(phi_amps) > eps) & (np.abs(psi_amps) <= eps))
+            assert len(calls) == (0 if violation else 1)
+    calls.clear()
+    psi = PureState(np.array([np.sqrt(0.5), np.sqrt(0.5), 0.0]))
+    assert search_sgi_probability(psi, plus_state(3)) == 0.0 and calls == []
 
 
 @pytest.mark.parametrize("d", range(1, 9))

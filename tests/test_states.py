@@ -9,11 +9,13 @@ from cohkit import (
     coherence_set,
     continuity_bound,
     dephase,
+    gi_deterministic,
     majorizes,
     plus_state,
     rel_entropy_coherence,
+    sgi_mixed_to_pure,
 )
-from cohkit.linalg import DEFAULT_TOL, Tolerance, relative_entropy
+from cohkit.linalg import DEFAULT_TOL, Tolerance, hermitian_eigen, relative_entropy
 
 from conftest import rand_density, rand_pure
 
@@ -53,6 +55,66 @@ def test_states_are_read_only():
             setattr(state, name, given)
         with pytest.raises(ValueError):
             getattr(state, name)[0, ...] = 0.0
+
+
+def test_density_matrix_keeps_its_eigenpairs():
+    # eigen is the eigh of the PSD check: read-only, the bits of hermitian_eigen, kept out of repr
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 8):
+        rho = rand_density(rng, d)
+        w, v = rho.eigen
+        ref_w, ref_v = hermitian_eigen(rho.matrix)
+        assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+        for x in (w, v):
+            with pytest.raises(ValueError):
+                x[0, ...] = 0.0
+        with pytest.raises(AttributeError):
+            rho.eigen = (w, v)
+        assert "eigen" not in repr(rho)
+
+
+def test_density_matrix_eigen_read_under_a_tighter_tol():
+    # an anti-Hermitian gap of 2.8e-7 passes DensityMatrix at abs_eps = 1e-6 (bound 2e-6); a call
+    # at the default abs_eps (bound 2e-9) still rejects it, as hermitian_eigen did, and a call at
+    # the state's tol reads eigen
+    loose = Tolerance(1e-6, 1e-6)
+    m = np.array([[0.5, 0.25 + 2e-7j], [0.25, 0.5]])
+    rho = DensityMatrix(m, loose)
+    sigma = DensityMatrix(np.diag([0.5, 0.5]).astype(complex), loose)
+    with pytest.raises(ValueError):
+        rel_entropy_coherence(rho)
+    with pytest.raises(ValueError):
+        gi_deterministic(rho, sigma)
+    with pytest.raises(ValueError):
+        sgi_mixed_to_pure(rho)
+    assert rel_entropy_coherence(rho, loose) >= 0.0
+    assert gi_deterministic(rho, sigma, loose).possible is True
+
+
+def test_conversions_never_eigendecompose_a_given_state(monkeypatch):
+    # gi_deterministic (both purity tests) and sgi_mixed_to_pure read the states' stored eigenpairs;
+    # any eigh they run is of a witness candidate, a completion iterate or a 2 x 2 block
+    rng = np.random.default_rng(11)
+    psi = rand_pure(rng, 4)
+    pure = DensityMatrix(psi.density())
+    corr = rand_density(rng, 4).matrix
+    corr = corr / np.sqrt(np.outer(np.diag(corr), np.diag(corr)).real)
+    reached = DensityMatrix(corr * pure.matrix)
+    rho = rand_density(rng, 4)
+    dephased = DensityMatrix(np.diag(np.diag(rho.matrix)))
+    states = (pure, reached, rho, dephased)
+    seen = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(np.array(a)) or eigh(a))
+
+    assert gi_deterministic(pure, reached).possible is True
+    assert gi_deterministic(rho, dephased).possible is True
+    sgi_mixed_to_pure(rho)
+    assert seen
+    for a in seen:
+        for state in states:
+            h = (state.matrix + state.matrix.conj().T) / 2.0
+            assert not (a.shape == h.shape and np.array_equal(a, h))
 
 
 def test_density_matrix_trace_follows_tolerance():
