@@ -3,8 +3,8 @@
 A map is stored as one read-only (n, d, d) tensor t[s, a, i] = K_s[a, i], the
 only Kraus format of the package; the representation is part of the object's
 identity (two KrausMaps can describe the same channel with different operators).
-Channel identity is decided through the Choi matrix: two maps are considered
-equal when their Choi matrices agree within tol.abs_eps / 10 * dim in Frobenius norm.
+Channel identity is equality of Choi matrices, within tol.abs_eps / 10 * dim in Frobenius
+norm, computed from the n x n Gram matrix tr(K_s^dag K_t) with no d^2 x d^2 array.
 
 Schur-type maps (entrywise multiplication by a fixed PSD matrix with
 diagonal in [0, 1]) get a dedicated wrapper, since they describe exactly the
@@ -218,14 +218,9 @@ def apply(m: KrausMap, rho) -> tuple[np.ndarray, float]:
     return out, float(np.real(np.trace(out)))
 
 
-def _choi_vectors(m: KrausMap) -> np.ndarray:
-    # row s holds vec(K_s) with index (input i, output a) -> i*d + a
-    return m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1)
-
-
 def choi_matrix(m: KrausMap) -> np.ndarray:
     """Choi matrix sum_ij |i><j| (x) map(|i><j|)."""
-    vecs = _choi_vectors(m)
+    vecs = m.kraus.transpose(0, 2, 1).reshape(len(m.kraus), -1)  # row s: vec(K_s), (i, a) -> i*d + a
     return np.einsum("si,sj->ij", vecs, np.conj(vecs))
 
 
@@ -279,7 +274,8 @@ def transform_representation(m: KrausMap, v, tol: Tolerance = DEFAULT_TOL) -> Kr
     V must be a partial isometry whose action leaves the channel unchanged
     (V^dag V restricted to the span of the Kraus operators is the identity);
     the output is checked to have the same Choi matrix and a ValueError is
-    raised otherwise.
+    raised otherwise. C_L - C_K = Y M Y^dag for Y = [vec(K_s)] and M = V^T conj(V) - 1,
+    so ||C_L - C_K||_F^2 = tr(M G M G) with the n x n Gram matrix G = Y^dag Y.
     """
     vm = as_matrix(v)
     n = len(m.kraus)
@@ -289,19 +285,23 @@ def transform_representation(m: KrausMap, v, tol: Tolerance = DEFAULT_TOL) -> Kr
     if np.any(np.minimum(np.abs(sing), np.abs(sing - 1.0)) > tol.abs_eps * 10.0):
         raise ValueError("mixing matrix is not a partial isometry (singular values not 0/1)")
     out = KrausMap(np.tensordot(vm, m.kraus, axes=1), tol)
-    if frobenius(choi_matrix(out) - choi_matrix(m)) > tol.abs_eps / 10 * m.dim:
+    y = m.kraus.reshape(n, -1)
+    mg = (vm.T @ np.conj(vm) - np.eye(n)) @ (np.conj(y) @ y.T)
+    if np.sqrt(max(float(np.real(np.sum(mg * mg.T))), 0.0)) > tol.abs_eps / 10 * m.dim:
         raise ValueError("partial isometry does not preserve the channel")
     return out
 
 
 def minimal_representation(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Kraus representation with the minimum number of operators (Choi rank)."""
-    d = m.dim
-    c = choi_matrix(m)
-    w, v = hermitian_eigen(c, tol)
+    """Kraus representation with the minimum number of operators (Choi rank).
+
+    G_st = tr(K_s^dag K_t) = V w V^dag has the Choi matrix's nonzero spectrum; L_k = sum_s V_sk K_s.
+    """
+    y = m.kraus.reshape(len(m.kraus), -1)
+    w, v = hermitian_eigen(np.conj(y) @ y.T, tol)
     keep = w > tol.rank_cut(float(w[-1]))
-    ops = (np.sqrt(w[keep]) * v[:, keep]).T.reshape(-1, d, d).transpose(0, 2, 1)
-    return KrausMap(ops if len(ops) else np.zeros((1, d, d), dtype=complex), tol)
+    ops = np.tensordot(v[:, keep].T, m.kraus, axes=1)
+    return KrausMap(ops if len(ops) else np.zeros((1, m.dim, m.dim), dtype=complex), tol)
 
 
 def permutation_unitary(p: Permutation) -> np.ndarray:

@@ -167,8 +167,8 @@ def binary_entropy(x: float) -> float:
     return float(out)
 
 
-def _state_eigenvalues(rho, tol: Tolerance) -> np.ndarray:
-    w, _ = hermitian_eigen(rho, tol)
+def _state_spectrum(w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # a state's ascending eigenvalues w, checked PSD and of unit trace, clipped at 0
     if not tol.psd(w):
         raise ValueError("matrix is not positive semidefinite within tolerance")
     if not tol.close(abs(float(np.sum(w)) - 1.0), w.size):
@@ -178,7 +178,7 @@ def _state_eigenvalues(rho, tol: Tolerance) -> np.ndarray:
 
 def von_neumann_entropy(rho, tol: Tolerance = DEFAULT_TOL) -> float:
     """Von Neumann entropy in bits of a unit-trace PSD matrix."""
-    w = _state_eigenvalues(rho, tol)
+    w = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
     p = w[w > 0.0]
     return float(-np.sum(p * np.log2(p)))
 
@@ -189,9 +189,9 @@ def relative_entropy(rho, sigma, tol: Tolerance = DEFAULT_TOL) -> float:
     Returns +inf when the support of rho is not contained in the support of
     sigma (weight above tol.abs_eps outside sigma's support).
     """
-    wr = _state_eigenvalues(rho, tol)
+    wr = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
     ws, vs = hermitian_eigen(sigma, tol)
-    _state_eigenvalues(sigma, tol)
+    _state_spectrum(ws, tol)
     a = as_matrix(rho)
     support_thr = tol.abs_eps * max(float(ws[-1]), 1.0)
     kernel = vs[:, ws <= support_thr]

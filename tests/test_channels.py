@@ -1,29 +1,53 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cohkit.channels
 from cohkit import (
     CompletenessClass,
+    DensityMatrix,
     KrausMap,
     Permutation,
+    PureState,
     SchurMatrix,
     apply,
     choi_matrix,
+    classify_channel,
     completeness_class,
     dephasing_channel,
     diagonal_unitary,
     extract_schur_matrix,
+    fi_deterministic_pure,
+    fi_max_mixed_reachable,
+    gi_deterministic,
+    gi_deterministic_pure,
+    gi_extremality,
     identity_channel,
     minimal_representation,
+    mixed_unitary_decompose,
     permutation_unitary,
+    plus_state,
     schur_map,
+    sfi_probability,
+    sgi_mixed_to_pure,
+    sgi_optimal_probability,
     tensor_channels,
     transform_representation,
 )
 from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, tensor
 
-from conftest import rand_cptp, rand_density, rand_gi_schur, rand_unitary
+from conftest import (
+    rand_cptp,
+    rand_density,
+    rand_fi_map,
+    rand_gi_schur,
+    rand_mixed_unitary_schur,
+    rand_pure,
+    rand_unitary,
+)
 
 
 def test_completeness_class():
@@ -264,6 +288,12 @@ def test_choi_matrix_identity_channel():
     assert abs(np.trace(c) - 2.0) < 1e-12
 
 
+def _choi_rank(m):
+    # the count the d^2 x d^2 Choi solve gives: eigenvalues above rel_eps times the largest
+    w = np.linalg.eigvalsh(choi_matrix(m))
+    return int(np.sum(w > DEFAULT_TOL.rank_cut(w[-1])))
+
+
 def test_minimal_representation():
     rng = np.random.default_rng(3)
     for d, n in ((2, 3), (3, 2), (3, 5)):
@@ -275,6 +305,17 @@ def test_minimal_representation():
         assert np.max(np.abs(choi_matrix(mini) - choi_matrix(m))) < 1e-9
         rank = np.linalg.matrix_rank(choi_matrix(m), tol=1e-9)
         assert len(mini.kraus) == rank
+    # redundant lists (an isometric mix of n operators into n + 2) at d = 2..16: as many operators
+    # as the Choi solve keeps, and the Choi matrix to round-off
+    rng = np.random.default_rng(19)
+    for d in range(2, 17):
+        n = int(rng.integers(1, 6))
+        m = rand_cptp(rng, d, n)
+        v, _ = np.linalg.qr(rng.normal(size=(n + 2, n)) + 1j * rng.normal(size=(n + 2, n)))
+        redundant = KrausMap(np.tensordot(v, m.kraus, axes=1))
+        mini = minimal_representation(redundant)
+        assert len(mini.kraus) == _choi_rank(redundant) == n
+        assert np.max(np.abs(choi_matrix(mini) - choi_matrix(redundant))) < 1e-12
 
 
 def test_transform_representation_unitary_mix():
@@ -301,6 +342,116 @@ def test_transform_representation_rejects_non_isometry():
     m = rand_cptp(rng, 2, 2)
     with pytest.raises(ValueError):
         transform_representation(m, np.array([[1.0, 0.0], [0.0, 0.5]]))
+    # V = [[1, 0]] is a partial isometry, but it drops the second of two orthogonal operators
+    with pytest.raises(ValueError, match="does not preserve the channel"):
+        transform_representation(dephasing_channel(2), np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_minimal_representation_rank_cut(d):
+    # a second operator whose weight is 1/2 or 2 times the rel_eps cut of the first is dropped or
+    # kept; the list is mixed by a unitary first, so the Gram matrix is not diagonal
+    rng = np.random.default_rng(d)
+    u = rand_unitary(rng, d)
+    z = np.diag(np.resize([1.0, -1.0], d))  # tr(z) = 0: the two operators are orthogonal
+    for factor, count in ((0.5, 1), (2.0, 2)):
+        q = factor * DEFAULT_TOL.rel_eps
+        ops = np.array([u, u @ z]) * np.sqrt(np.array([1.0, q]) / (1.0 + q))[:, None, None]
+        m = KrausMap(np.tensordot(rand_unitary(rng, 2), ops, axes=1))
+        assert len(minimal_representation(m).kraus) == _choi_rank(m) == count
+
+
+def test_transform_representation_decides_as_the_choi_difference():
+    # unitaries plus eps noise on seeded lists: the Gram formula accepts and rejects exactly where
+    # the Frobenius norm of the Choi difference crosses abs_eps / 10 * d
+    rng = np.random.default_rng(23)
+    decided = {True: 0, False: 0}
+    for _ in range(400):
+        d, n = int(rng.integers(2, 9)), int(rng.integers(1, 6))
+        m = rand_cptp(rng, d, n)
+        for eps in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
+            v = rand_unitary(rng, n) + eps * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            try:
+                transform_representation(m, v)
+                accepted = True
+            except ValueError as exc:
+                if "does not preserve the channel" not in str(exc):
+                    continue  # rejected as no partial isometry or as no valid map, before the channel check
+                accepted = False
+            out = KrausMap(np.tensordot(v, m.kraus, axes=1))
+            assert accepted == (frobenius(choi_matrix(out) - choi_matrix(m)) <= DEFAULT_TOL.abs_eps / 10 * d)
+            decided[accepted] += 1
+    assert decided[True] > 500 and decided[False] > 200, decided
+
+
+def _summary(x):
+    # a comparable value: arrays by their bytes, maps by their tensors, dataclasses by their fields
+    if isinstance(x, KrausMap):
+        return x.kraus.tobytes()
+    if isinstance(x, SchurMatrix):
+        return x.matrix.tobytes()
+    if isinstance(x, np.ndarray):
+        return x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return tuple(_summary(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, (list, tuple)):
+        return tuple(_summary(y) for y in x)
+    return x
+
+
+def test_no_path_builds_a_choi_matrix(monkeypatch):
+    # every representation change, classification and conversion decider answers as before with
+    # choi_matrix unavailable, and no eigh runs at order d^2
+    rng = np.random.default_rng(29)
+    d = 4
+    m = rand_cptp(rng, d, 3)
+    u = rand_unitary(rng, 3)
+    pad, _ = np.linalg.qr(rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)))
+    fi_map = rand_fi_map(rng, d)
+    mix = rand_mixed_unitary_schur(rng, d, 2)
+    gi = rand_gi_schur(rng, d)
+    psi, phi = rand_pure(rng, d), rand_pure(rng, d)
+    rho, sigma = rand_density(rng, d), rand_density(rng, d)
+    chi = PureState(np.array([np.sqrt(0.5), 0.5, 0.5]))
+    rank2 = PureState(np.array([np.sqrt(2.0 / 3.0), np.sqrt(1.0 / 3.0), 0.0]))
+
+    def answers():
+        return _summary(
+            [
+                minimal_representation(m),
+                minimal_representation(transform_representation(m, pad)),
+                transform_representation(m, u),
+                classify_channel(m),
+                classify_channel(fi_map),
+                classify_channel(schur_map(gi)),
+                classify_channel(mix),
+                gi_extremality(gi),
+                gi_extremality(schur_map(gi)),
+                gi_extremality(schur_map(mix)),
+                mixed_unitary_decompose(mix),
+                mixed_unitary_decompose(schur_map(mix)),
+                gi_deterministic_pure(psi, phi),
+                gi_deterministic(rho, sigma),
+                gi_deterministic(DensityMatrix(psi.density()), sigma),
+                sgi_optimal_probability(chi, plus_state(3)),
+                sgi_mixed_to_pure(rho),
+                fi_deterministic_pure(plus_state(3), rank2),
+                sfi_probability(chi, plus_state(3)),
+                fi_max_mixed_reachable(rho),
+            ]
+        )
+
+    before = answers()
+
+    def no_choi(_):
+        raise AssertionError("choi_matrix called")
+
+    orders = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(cohkit.channels, "choi_matrix", no_choi)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: orders.append(a.shape[-1]) or eigh(a, *args, **kw))
+    assert answers() == before
+    assert 0 < max(orders) < d * d
 
 
 def test_permutation_unitary_and_transpositions():

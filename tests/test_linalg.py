@@ -106,5 +106,31 @@ def test_relative_entropy_cases():
     assert relative_entropy(sigma, np.diag([1.0, 0.0])) == np.inf
 
 
+def test_relative_entropy_takes_one_eigh_per_state(monkeypatch):
+    # sigma is validated from the spectrum its support and logarithm are read from
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    rho, sigma = np.diag([0.75, 0.25]), np.eye(2) / 2
+    assert abs(relative_entropy(rho, sigma) - (0.75 * np.log2(1.5) + 0.25 * np.log2(0.5))) < 1e-10
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "rho, sigma, message",
+    [
+        (np.diag([1.5, -0.5]), np.diag([1.5, -0.5]) + [[0, 1], [0, 0]], "positive semidefinite"),
+        (np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+        (np.eye(2) / 2, np.diag([1.5, -0.5]), "positive semidefinite"),
+        (np.eye(2) / 2, np.diag([1.5, 0.5]), "unit trace"),
+        (np.eye(2) / 2, np.diag([1.5, -0.1]), "positive semidefinite"),
+    ],
+)
+def test_relative_entropy_validates_rho_then_sigma(rho, sigma, message):
+    # rho's checks run first; sigma is checked for Hermiticity, then PSD, then unit trace
+    with pytest.raises(ValueError, match=message):
+        relative_entropy(rho, sigma)
+
+
 def test_frobenius():
     assert abs(frobenius(np.array([[3.0, 4.0], [0.0, 0.0]])) - 5.0) < 1e-12

@@ -207,6 +207,12 @@ def _sgi_corpus(rng, d):
     def phases():
         return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
 
+    def with_tiny(at):
+        # unit vector with modulus tiny at `at`: the other entries are scaled to norm sqrt(1 - tiny^2)
+        v = rand(~at)
+        v *= np.sqrt(1.0 - tiny**2) / np.linalg.norm(v)
+        return np.where(at, tiny * phases(), v)
+
     tiny = 2.0 * DEFAULT_TOL.abs_eps
     full = np.ones(d, dtype=bool)
     for _ in range(6):
@@ -219,10 +225,13 @@ def _sgi_corpus(rng, d):
         yield psi, np.abs(psi) * phases(), 1.0
         if not src.all():
             yield psi, unit(rand(tgt | ~src)), 0.0
+        if d == 1:
+            continue  # no unit vector has a tiny entry
         at = np.arange(d) == rng.integers(d)
-        small = unit(np.where(at, tiny * phases(), rand(full)))
+        small = with_tiny(at)
+        assert np.abs(PureState(small).amplitudes[at]) > DEFAULT_TOL.abs_eps
         yield small, unit(rand(full)), None
-        yield small, unit(np.where(at, tiny * phases(), rand(full))), None
+        yield small, with_tiny(at), None
 
 
 def test_search_sgi_equals_per_probe_bisection():
