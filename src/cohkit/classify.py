@@ -359,23 +359,24 @@ def _phased_factor(w: np.ndarray, v: np.ndarray, rank: int, tol: Tolerance) -> t
     # w, v: ascending eigenpairs, rank of them above the cut. The kept eigenvectors, each phased so
     # that its first entry within rel_eps of its largest modulus is real, and x = basis sqrt(w), so
     # that x x^dag is the matrix within the cut and x depends on it alone, not on how w, v were found
-    basis = v[:, v.shape[0] - rank :]
+    basis = v[:, v.shape[1] - rank :]
     mod = np.abs(basis)
     lead = basis[np.argmax(mod >= mod.max(axis=0) * (1.0 - tol.rel_eps), axis=0), np.arange(rank)]
     basis = basis * (np.conj(lead) / np.abs(lead))
-    return basis, basis * np.sqrt(w[v.shape[0] - rank :])
+    return basis, basis * np.sqrt(w[v.shape[1] - rank :])
 
 
-def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tolerance) -> np.ndarray | None:
-    # w, v: ascending eigenpairs of a remainder with unit diagonal, rank of them above the cut.
+def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rng, tol: Tolerance) -> np.ndarray | None:
+    # w, v: the eigenpairs of a remainder with unit diagonal within its cut, v of shape d x rank.
     # Alternating projection between the range and the torus, from descent seeds that start at the
     # phased factor of the remainder, so that the seeds depend on the remainder alone
     d = v.shape[0]
-    basis, x = _phased_factor(w, v, rank, tol)
+    basis, x = _phased_factor(w, v, v.shape[1], tol)
     proj = basis @ dagger(basis)
     best_u = None
     best_res = np.inf
     for _ in range(64):
+        state = rng.bit_generator.state
         z = _descent_seed(x, rng, tol)
         u = np.exp(1j * np.angle(np.where(np.abs(z) > ROUNDOFF_PHASE, z, 1.0)))
         for _ in range(2000):
@@ -391,10 +392,19 @@ def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rank: int, rng, tol: Tole
         if res < best_res:
             best_res = res
             best_u = u
+        if rng.bit_generator.state == state:
+            break  # the descent drew nothing (its first face had no null direction): restarts repeat it
     # a slightly off-range direction only perturbs the remainder at res**2
     if best_res <= tol.abs_eps * 10 * np.sqrt(d):
         return best_u
     return None
+
+
+def _term(u: np.ndarray) -> np.ndarray:
+    # u and e^{i theta} u give one term: its phases relative to the first, mod 2 pi, so that
+    # phases[0] = 0 exactly (u_0 != 0, as u is unimodular or spans a unit-diagonal rank-1 remainder)
+    phases = np.angle(u)
+    return np.mod(phases - phases[0], 2.0 * np.pi)
 
 
 def mixed_unitary_decompose(
@@ -405,11 +415,12 @@ def mixed_unitary_decompose(
     Returns a list of (weight, phase-vector) pairs, at most rank(A) of them,
     whose mixture rebuilds S A S, S = diag(A)^(-1/2), or None when the channel
     is provably not a mixture (extremal with more than one Kraus operator).
-    S A S is the channel's Schur matrix A when A's diagonal is 1 to round-off.
-    A gi channel's diagonal may be 1 only within abs_eps * d; the terms then
-    rebuild S A S, which has A's rank and a unit diagonal (S_ii = 1 where
-    A_ii = 0, which gi allows only when abs_eps * d >= 1; each such entry is
-    set to 1 and adds one to the rank). Peeling extracts
+    Each phase vector has phases[0] = 0, since u and e^{i theta} u give the
+    same term. S A S is the channel's Schur matrix A when A's diagonal is 1 to
+    round-off. A gi channel's diagonal may be 1 only within abs_eps * d; the
+    terms then rebuild S A S, which has A's rank and a unit diagonal (S_ii = 1
+    where A_ii = 0, which gi allows only when abs_eps * d >= 1; each such entry
+    is set to 1 and adds one to the rank). Peeling extracts
     one unimodular rank-1 component per step with the largest weight that
     keeps the remainder PSD, so the remainder's rank drops every step. At
     every rank r >= 2 each restart of the search for that component is seeded
@@ -420,8 +431,12 @@ def mixed_unitary_decompose(
 
     A and the gi check are gi_extremality's. The extremality test and the first
     peeling step share A's eigenpairs (a SchurMatrix's own, or from the SVD of a
-    Kraus list's d x n diagonals, O(d^2 n)), each further step takes one eigh of
-    a d x d remainder, O(d^3); a rescaled S A S takes one more. No Choi matrix.
+    Kraus list's d x n diagonals, O(d^2 n)); a rescaled S A S takes one eigh of
+    order d. Each remainder is carried as its kept eigenpairs (w, V), V of shape
+    d x k with k <= rank(A), and never formed: peeling u leaves
+    (diag(w) - t c c^dag) / (1 - t) in V's coordinates, c = V^dag u, so a step
+    costs O(d k^2) plus one k x k eigh, besides the search's d x d projector.
+    No Choi matrix.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a
@@ -430,51 +445,47 @@ def mixed_unitary_decompose(
     unit, wit = _gi_extremality(m, tol)
     if wit.extremal and wit.rank_required > 1:
         return None
-    a0 = a = unit.matrix
+    a0 = unit.matrix
     w, v = unit.eigen
     diag = np.diagonal(a0).real
     if float(np.max(np.abs(diag - 1.0))) > ROUNDOFF_SUM:
-        # forcing each remainder's diagonal to 1 below would raise its rank: peel S A S instead,
-        # of A's rank and unit diagonal, from its own eigenpairs; a zero row of A keeps S_ii = 1
+        # peel S A S, of A's rank and unit diagonal, from its own eigenpairs, so that every remainder
+        # keeps a unit diagonal; a zero row of A keeps S_ii = 1
         s = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-        a0 = a = s[:, None] * a0 * s[None, :]
-        np.fill_diagonal(a, 1.0)
-        w, v = hermitian_eigen(a, tol)
+        a0 = s[:, None] * a0 * s[None, :]
+        np.fill_diagonal(a0, 1.0)
+        w, v = hermitian_eigen(a0, tol)
     cut = tol.rank_cut(float(w[-1]))
     rng = np.random.default_rng(seed)
     terms: list[tuple[float, np.ndarray]] = []
     remaining = 1.0
     for _ in range(unit.dim):
         keep = w > tol.rank_cut(float(w[-1]))
-        rank = int(np.sum(keep))
-        if rank <= 1:
-            terms.append((remaining, np.angle(v[:, -1])))
+        w, v = w[keep], v[:, keep]
+        if len(w) <= 1:
+            terms.append((remaining, _term(v[:, -1])))
             break
-        u = _unimodular_in_range(w, v, rank, rng, tol)
+        u = _unimodular_in_range(w, v, rng, tol)
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
-        comps = dagger(v[:, keep]) @ u
-        denom = float(np.sum((np.abs(comps) ** 2) / w[keep]))
-        t = 1.0 / denom
+        comps = dagger(v) @ u
+        t = 1.0 / float(np.sum((np.abs(comps) ** 2) / w))
         if not (0.0 < t < 1.0 - ROUNDOFF_SUM):
             raise BudgetExhaustedError("peeling weight left the open interval (0, 1)")
-        if remaining * (1.0 - t) * len(w) <= cut:
+        if remaining * (1.0 - t) * unit.dim <= cut:
             # the rest of the mixture, of unit diagonal and weight remaining * (1 - t), has its
             # eigenvalues below A's rank cut: u takes that weight and ends the mixture
-            terms.append((remaining, np.angle(u)))
+            terms.append((remaining, _term(u)))
             break
-        terms.append((remaining * t, np.angle(u)))
-        a = (a - t * np.outer(u, np.conj(u))) / (1.0 - t)
-        a = (a + dagger(a)) / 2.0  # dividing by 1 - t scales the round-off asymmetry up with it
-        np.fill_diagonal(a, 1.0)
+        terms.append((remaining * t, _term(u)))
+        r = (np.diag(w) - t * np.outer(comps, np.conj(comps))) / (1.0 - t)
+        w, q = np.linalg.eigh((r + dagger(r)) / 2.0)
+        v = v @ q
         remaining *= 1.0 - t
-        w, v = hermitian_eigen(a, tol)
     else:
         raise BudgetExhaustedError("the remainder did not reach rank 1 within dim peeling steps")
-    recon = np.zeros_like(a0)
-    for weight, phases in terms:
-        u = np.exp(1j * phases)
-        recon = recon + weight * np.outer(u, np.conj(u))
-    if frobenius(recon - a0) > tol.abs_eps * 10:
+    weights = np.array([weight for weight, _ in terms])
+    u = np.exp(1j * np.array([phases for _, phases in terms]))
+    if frobenius((u.T * weights) @ np.conj(u) - a0) > tol.abs_eps * 10:
         raise BudgetExhaustedError("decomposition failed to reconstruct the Schur matrix")
     return terms

@@ -3,7 +3,9 @@
 Every routine here reaches its answer by constraint satisfaction or direct
 sampling, never by evaluating the formula it is meant to validate. Searches
 are one-sided: a returned witness is verified before it is handed back,
-while an exhausted budget means undecided, not impossible.
+while an exhausted budget means undecided, not impossible. `dense_peel` is a
+reference implementation instead: the greedy peel of
+`mixed_unitary_decompose` on whole d x d remainders.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from collections import Counter
 
 import numpy as np
 
+from cohkit import classify
 from cohkit.channels import CompletenessClass, KrausMap, apply, completeness_class
-from cohkit.classify import classify_channel
-from cohkit.linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_SUM, Tolerance, dagger, von_neumann_entropy
+from cohkit.classify import BudgetExhaustedError, classify_channel
+from cohkit.linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_SUM, Tolerance, dagger, hermitian_eigen, von_neumann_entropy
 from cohkit.oracle import SearchBudget
 from cohkit.states import DensityMatrix, PureState, coherence_set
 
@@ -230,3 +233,36 @@ def search_fi_map(
         return candidate
     return None
 
+
+def dense_peel(a: np.ndarray, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, np.ndarray]]:
+    """The greedy peel of mixed_unitary_decompose on a unit-diagonal A, with dense remainders.
+
+    Each step forms the d x d remainder (R - t u u^dag) / (1 - t), symmetrises it,
+    resets its diagonal to 1 and eigendecomposes it, where the package carries the
+    remainder as its kept eigenpairs. The unimodular search is the package's, fed the
+    kept eigenpairs, so one seed draws the same restarts on both sides. Returns
+    (weight, u) pairs; raises BudgetExhaustedError where the search finds nothing.
+    """
+    d = a.shape[0]
+    w, v = hermitian_eigen(a, tol)
+    cut = tol.rank_cut(float(w[-1]))
+    rng = np.random.default_rng(seed)
+    terms: list[tuple[float, np.ndarray]] = []
+    remaining = 1.0
+    for _ in range(d):
+        keep = w > tol.rank_cut(float(w[-1]))
+        if np.sum(keep) <= 1:
+            return terms + [(remaining, v[:, -1] / np.abs(v[:, -1]))]
+        u = classify._unimodular_in_range(w[keep], v[:, keep], rng, tol)
+        if u is None:
+            raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
+        t = 1.0 / float(np.sum(np.abs(dagger(v[:, keep]) @ u) ** 2 / w[keep]))
+        if remaining * (1.0 - t) * d <= cut:
+            return terms + [(remaining, u)]
+        terms.append((remaining * t, u))
+        a = (a - t * np.outer(u, np.conj(u))) / (1.0 - t)
+        a = (a + dagger(a)) / 2.0
+        np.fill_diagonal(a, 1.0)
+        remaining *= 1.0 - t
+        w, v = hermitian_eigen(a, tol)
+    raise BudgetExhaustedError("the remainder did not reach rank 1 within d peeling steps")

@@ -31,6 +31,7 @@ from conftest import (
     rand_sio_map,
 )
 from exhibits import extremal_nonunitary_gi_kraus, pio_pattern_gap, pio_witness_channel
+from oracles import dense_peel
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -315,25 +316,93 @@ def test_mixed_unitary_decompose_rejects_non_gi():
         mixed_unitary_decompose(KrausMap([SX]))
 
 
+def _mixture(rng, d, r):
+    # a mixture of r random diagonal unitaries with Dirichlet weights, of exactly unit diagonal
+    u = np.exp(2j * np.pi * rng.random((r, d)))
+    a = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(r)), u, np.conj(u))
+    np.fill_diagonal(a, 1.0)
+    return a
+
+
+def test_factor_peel_matches_dense_peel():
+    # the peel carries each remainder as its kept eigenpairs; peeling whole d x d remainders from the
+    # same seed gives the same outcome, the same weights and the same terms u u^dag
+    rng = np.random.default_rng(23)
+    shapes = [(int(rng.integers(4, 9)), int(rng.integers(2, 5))) for _ in range(12)] + [(32, r) for r in (2, 3, 5)]
+    decomposed = 0
+    for d, r in shapes:
+        a = _mixture(rng, d, r)
+        try:
+            ref = dense_peel(a)
+        except BudgetExhaustedError:
+            with pytest.raises(BudgetExhaustedError):
+                mixed_unitary_decompose(SchurMatrix(a))
+            continue
+        terms = mixed_unitary_decompose(SchurMatrix(a))
+        assert len(terms) == len(ref)
+        for (weight, phases), (ref_weight, ref_u) in zip(terms, ref):
+            u = np.exp(1j * phases)
+            assert phases[0] == 0.0
+            assert abs(weight - ref_weight) <= 1e-10
+            assert np.abs(np.outer(u, np.conj(u)) - np.outer(ref_u, np.conj(ref_u))).max() <= 1e-10
+        decomposed += 1
+    assert decomposed >= len(shapes) // 2
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_factor_peel_at_d256_takes_no_eigh_above_the_rank(monkeypatch, r):
+    # every remainder lives in A's range: after the eigenpairs of the given A, no eigh of order above r
+    d = 256
+    sm = SchurMatrix(_mixture(np.random.default_rng(256 + r), d, r))
+    orders = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: orders.append(len(m)) or eigh(m, *args))
+    terms = mixed_unitary_decompose(sm)
+    assert orders and max(orders) <= r
+    assert len(terms) <= r and all(phases[0] == 0.0 for _, phases in terms)
+    u = np.exp(1j * np.array([phases for _, phases in terms]))
+    weights = np.array([weight for weight, _ in terms])
+    assert np.linalg.norm((u.T * weights) @ np.conj(u) - sm.matrix) <= DEFAULT_TOL.abs_eps * 10
+
+
+def test_search_runs_one_descent_when_it_takes_no_step(monkeypatch):
+    # a rank-2 remainder at d = 8: the descent's first face, in 2^2 <= 8 coordinates, has no null
+    # direction, so the descent draws nothing and returns one seed; a random 2-dimensional range
+    # holds no unimodular vector, and the search stops after that seed instead of repeating it
+    sm = rand_gi_schur(np.random.default_rng(8), 8, 2)
+    w, v = sm.eigen
+    seeds = []
+    descent = classify._descent_seed
+    monkeypatch.setattr(classify, "_descent_seed", lambda *args: seeds.append(1) or descent(*args))
+    assert classify._unimodular_in_range(w[-2:], v[:, -2:], np.random.default_rng(0), DEFAULT_TOL) is None
+    assert len(seeds) == 1
+
+
 def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
-    # a four-term mixture at d = 7 whose fourth peel (seed 0) has 1 - t = 4.5e-10 while rank 2 is still
-    # above the cut: dividing the remainder by 1 - t would scale its round-off asymmetry past abs_eps * d,
-    # so that peel takes the rest of the weight and ends the mixture
-    rng = np.random.default_rng(21)
-    weights = rng.dirichlet(np.ones(4))
-    v = np.sqrt(weights)[None, :] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(7, 4)))
+    # a peel that leaves less than A's rank cut, remaining * (1 - t) * d <= rel_eps * lambda_1(A), takes
+    # the rest of the weight and ends the mixture instead of dividing the remainder by 1 - t. In exact
+    # arithmetic no peel gets there: a rank-one downdate interlaces, so every nonzero eigenvalue of a
+    # remainder stays above A's smallest kept one. Round-off does: here the dominant term of
+    # 1 - 3e-8, 0.6 * 3e-8 and 0.4 * 3e-8 at d = 12 is peeled first, with 1 - t = 3e-8, which scales
+    # the k x k eigh's round-off into a spurious direction above rel_eps. The last genuine term then
+    # peels late, with remaining < lambda_1 / d and 1 - t far from both ends of
+    # (rel_eps, rel_eps * lambda_1 / (d * remaining)), and the guard ends the mixture
+    d, s = 12, 3e-8
+    rng = np.random.default_rng(4)
+    v = np.sqrt([1.0 - s, 0.6 * s, 0.4 * s])[None, :] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(d, 3)))
+    lam = float(np.linalg.eigvalsh(v @ np.conj(v).T)[-1])
     found = []
 
-    def spy(w, vecs, rank, rng, tol):
-        u = unimodular(w, vecs, rank, rng, tol)
-        keep = w > tol.rank_cut(float(w[-1]))
-        found.append(1.0 / float(np.sum(np.abs(np.conj(vecs[:, keep]).T @ u) ** 2 / w[keep])))
+    def spy(w, vecs, rng, tol):
+        u = unimodular(w, vecs, rng, tol)
+        found.append(1.0 / float(np.sum(np.abs(np.conj(vecs).T @ u) ** 2 / w)))
         return u
 
     unimodular = classify._unimodular_in_range
     monkeypatch.setattr(classify, "_unimodular_in_range", spy)
     terms = mixed_unitary_decompose(KrausMap([np.diag(x) for x in v.T]), seed=0)
-    assert min(1.0 - t for t in found) < 1e-8
+    remaining, eps = float(np.prod([1.0 - t for t in found[:-1]])), DEFAULT_TOL.rel_eps
+    assert remaining < lam / d and 10 * eps < 1.0 - found[-1] < eps * lam / (d * remaining) / 10
     assert len(terms) == len(found)  # the last peel took the rest: no rank-1 remainder followed it
     rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
     assert np.linalg.norm(rebuilt - v @ np.conj(v).T) <= 1e-8

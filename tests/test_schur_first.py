@@ -505,8 +505,8 @@ def _count_eigh(monkeypatch):
 
 @pytest.mark.parametrize("d", [4, 32])
 def test_eigh_of_order_d_only_for_a_given_matrix(monkeypatch, d):
-    # a Kraus list's A takes its eigenpairs from the SVD of the diagonals, so only a given A
-    # and the peel remainders are eigendecomposed at order d; the descent's r x r eighs are not counted
+    # a Kraus list's A takes its eigenpairs from the SVD of the diagonals, so only a given A is
+    # eigendecomposed at order d; the peel carries each remainder as its kept eigenpairs
     rng = np.random.default_rng(d)
     ops, v = _diagonal(rng, d, 3, 4)
     m = KrausMap(ops)
@@ -518,9 +518,10 @@ def test_eigh_of_order_d_only_for_a_given_matrix(monkeypatch, d):
     schur_map(SchurMatrix(v @ np.conj(v).T))
     assert calls == [(d, d)]
     calls.clear()
-    # two terms: the first peel reads the SVD's eigenpairs, then the rank-1 remainder's eigh
+    # two terms: the first peel reads the SVD's eigenpairs, and the rank-1 remainder is the 2 x 2
+    # eigh of the peeled factor; the descent's eighs are of order at most the rank too
     assert len(mixed_unitary_decompose(mixture)) == 2
-    assert [c for c in calls if c == (d, d)] == [(d, d)]
+    assert calls and all(c[0] <= 2 for c in calls)
 
 
 def test_diagonal_list_memory_at_d64():
