@@ -231,7 +231,10 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     (the norm of the basis-image entries A * X cannot produce, at most abs_eps * d)
     is sqrt(2 tr(Gx Gy) + ||Gy||_F^2), Gx and Gy the n x n Gram matrices of the
     diagonal and off-diagonal parts of the operators: O(n^2 d^2), no d^4 tensor,
-    and exactly 0 when every operator is diagonal.
+    and exactly 0 when every operator is diagonal. The residual is at least
+    ||Gy||_F >= (Gy)_ss >= |y_sk|^2 for every off-diagonal entry y_sk, so a list
+    with one such entry above abs_eps * d in squared modulus is answered None at
+    O(n d^2), before either Gram product.
     A's eigenpairs come from one SVD of the d x n matrix of diagonals, O(d^2 n);
     A is never eigendecomposed.
     """
@@ -240,6 +243,8 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     y = m.kraus.reshape(len(m.kraus), d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
     x = y[:, diag]
     y[:, diag] = 0.0
+    if not tol.close(float(np.abs(y).max()) ** 2, d):
+        return None
     gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
     residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
     if not tol.close(residual, d):

@@ -15,7 +15,8 @@ Flags reported for a Kraus representation:
 - dio: mio, and dephasing the image of every off-diagonal basis unit kills it.
 - tio: the superoperator commutes with the generator of time translations
        for a given nondegenerate diagonal Hamiltonian (None when no
-       Hamiltonian is supplied).
+       Hamiltonian is supplied); the commutator's norm is read from one thin
+       QR over the live Kraus entries, never from a d^2 x d^2 matrix.
 
 io, fi and sio are properties of the listed representation; gi, sgi, mio,
 dio and tio are properties of the channel itself. A SchurMatrix A is accepted as
@@ -52,7 +53,7 @@ class BudgetExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Diagonal Hamiltonian given by its energies; degeneracies are rejected."""
+    """Diagonal Hamiltonian given by its energies; degeneracies and an overflowing span are rejected."""
 
     energies: tuple[float, ...]
 
@@ -60,6 +61,8 @@ class Hamiltonian:
         e = [float(x) for x in self.energies]
         if len(e) < 1 or not all(np.isfinite(x) for x in e):
             raise ValueError("energies must be a nonempty finite sequence")
+        if not np.isfinite(max(e) - min(e)):  # tio reads the gaps E_i - E_a
+            raise ValueError("energies must span a finite range (max - min overflows)")
         if len(set(e)) < len(e):
             raise ValueError("energies must be pairwise distinct")
         object.__setattr__(self, "energies", tuple(e))
@@ -179,10 +182,13 @@ def classify_channel(
     sgi is whether A passes SchurMatrix's checks and gi whether every |A_ii - 1| is
     within abs_eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
     diagonal test and O(d^2 n) for A and its eigenpairs. Any other list is classified
-    on its Kraus tensor: io, sio and fi from one mask, the basis-projector images and
-    dio's diagonals over the live support at O(n d w^2), w the widest column support,
-    and the tio commutator over the live entries. A Hamiltonian of another dimension
-    raises ValueError.
+    on its Kraus tensor: io, sio and fi from one mask, sgi from extract_schur_matrix
+    (O(n d^2) when one off-diagonal entry already rules A out), the basis-projector
+    images and dio's diagonals over the live support at O(n d w^2), w the widest
+    column support, and tio from one thin QR of the L x 2n matrix [B | DB], B the n
+    operators' L live entries and D their energy gaps, at O(L n^2): no L x L array,
+    d^2 x d^2 for a dense list, is formed. A Hamiltonian of another dimension raises
+    ValueError.
     """
     if hamiltonian is not None and hamiltonian.dim != m.dim:
         raise ValueError("Hamiltonian dimension does not match the map")
@@ -230,13 +236,18 @@ def _classify_tensor(
 
     tio: bool | None = None
     if hamiltonian is not None:
-        # [sop, generator] at u = (a, i), v = (b, j) is (K^T conj K)[u, v] * (delta_u - delta_v),
-        # delta_(a,i) = E_i - E_a; only live entries count (d x d when diagonal)
+        # [sop, generator] at u = (a, i), v = (b, j) is X = D B B^dag - B B^dag D, B = K^T over the L
+        # live entries (L x n) and D = diag(delta), delta_(a,i) = E_i - E_a. One thin QR
+        # [B | DB] = Q [R_B | R_D] gives X = Q (Y - Y^dag) Q^dag, Y = R_D R_B^dag, so ||X||_F is the
+        # norm of a 2n x 2n matrix (smaller when L < 2n): O(L n^2), no L x L array
         e = np.asarray(hamiltonian.energies, dtype=float)
         flat = np.flatnonzero(live)
-        k = t.reshape(len(m.kraus), d * d)[:, flat]
+        n = len(m.kraus)
+        b = t.reshape(n, d * d)[:, flat].T
         delta = (e[None, :] - e[:, None]).reshape(-1)[flat]
-        tio = frobenius((k.T @ np.conj(k)) * (delta[:, None] - delta[None, :])) <= tol.abs_eps * d * d
+        r = np.linalg.qr(np.hstack((b, delta[:, None] * b)), mode="r")
+        y = r[:, n:] @ r[:, :n].conj().T
+        tio = frobenius(y - y.conj().T) <= tol.abs_eps * d * d
 
     return ClassificationReport(io=io, gi=gi, sgi=sgi, fi=fi, sio=sio, mio=mio, dio=dio, tio=tio, schur=schur)
 

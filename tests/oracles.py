@@ -3,9 +3,10 @@
 Every routine here reaches its answer by constraint satisfaction or direct
 sampling, never by evaluating the formula it is meant to validate. Searches
 are one-sided: a returned witness is verified before it is handed back,
-while an exhausted budget means undecided, not impossible. `dense_peel` is a
-reference implementation instead: the greedy peel of
-`mixed_unitary_decompose` on whole d x d remainders.
+while an exhausted budget means undecided, not impossible. `dense_peel` and
+`direct_tio_norm` are reference implementations instead: the greedy peel of
+`mixed_unitary_decompose` on whole d x d remainders, and the tio commutator
+as the L x L matrix over a list's L live entries.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from cohkit import classify
 from cohkit.channels import CompletenessClass, KrausMap, apply, completeness_class
-from cohkit.classify import BudgetExhaustedError, classify_channel
+from cohkit.classify import BudgetExhaustedError, Hamiltonian, classify_channel
 from cohkit.linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_SUM, Tolerance, dagger, hermitian_eigen, von_neumann_entropy
 from cohkit.oracle import SearchBudget
 from cohkit.states import DensityMatrix, PureState, coherence_set
@@ -266,3 +267,18 @@ def dense_peel(a: np.ndarray, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> li
         remaining *= 1.0 - t
         w, v = hermitian_eigen(a, tol)
     raise BudgetExhaustedError("the remainder did not reach rank 1 within d peeling steps")
+
+
+def direct_tio_norm(m: KrausMap, h: Hamiltonian) -> float:
+    """||(K^T conj K) o (delta_u - delta_v)||_F, the commutator of the map with time translations.
+
+    u = (a, i) and v run over the L entries live in some operator, delta_(a,i) = E_i - E_a,
+    and K is the n x L matrix of the operators' live entries: an L x L array, d^2 x d^2 for a
+    dense list. classify_channel holds tio iff this is at most abs_eps * d^2.
+    """
+    d = m.dim
+    flat = np.flatnonzero(m.kraus.any(axis=0))
+    k = m.kraus.reshape(len(m.kraus), d * d)[:, flat]
+    e = np.asarray(h.energies, dtype=float)
+    delta = (e[None, :] - e[:, None]).reshape(-1)[flat]
+    return float(np.linalg.norm((k.T @ np.conj(k)) * (delta[:, None] - delta[None, :])))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from cohkit import classify
 from cohkit.linalg import Tolerance
 
 from conftest import (
+    rand_cptp,
     rand_fi_map,
     rand_gi_map,
     rand_gi_schur,
@@ -31,7 +34,7 @@ from conftest import (
     rand_sio_map,
 )
 from exhibits import extremal_nonunitary_gi_kraus, pio_pattern_gap, pio_witness_channel
-from oracles import dense_peel
+from oracles import dense_peel, direct_tio_norm
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
@@ -108,6 +111,79 @@ def test_tio_threshold_follows_tolerance():
     assert classify_channel(m, h, tol=Tolerance(0.5 * c / 9, 1e-9)).tio is False
 
 
+def _ladder_list(rng, d, n, live):
+    # n operators, each on one band a - i = k_s and restricted to the entries in live: with
+    # E_i = w i every operator shifts every energy by w k_s, so the map commutes with time
+    # translations; scaled so that sum K^dag K has top eigenvalue 1/2
+    ops = np.zeros((n, d, d), dtype=complex)
+    for s in range(n):
+        k = int(rng.integers(-(d - 1), d))
+        i = np.arange(max(0, -k), min(d, d - k))
+        ops[s, i + k, i] = rng.normal(size=len(i)) + 1j * rng.normal(size=len(i))
+    ops *= live
+    top = np.linalg.eigvalsh(np.einsum("sai,saj->ij", ops.conj(), ops))[-1]
+    return ops / np.sqrt(2.0 * top) if top > 0.0 else ops
+
+
+def _near_tio_threshold(rng, d, n, live, tol=DEFAULT_TOL):
+    """A ladder-covariant list on the entries in live plus noise there, scaled so that the direct
+    commutator norm is c * abs_eps * d^2 with c in [1/2, 2]; the list, its ladder Hamiltonian and c."""
+    h = Hamiltonian(tuple(rng.uniform(0.5, 3.0) * np.arange(d) + rng.uniform(-5.0, 5.0)))
+    ops = _ladder_list(rng, d, n, live)
+    noise = (rng.normal(size=ops.shape) + 1j * rng.normal(size=ops.shape)) * live
+    c = float(rng.uniform(0.5, 2.0))
+
+    def norm(s):
+        return direct_tio_norm(KrausMap(ops + s * noise), h)
+
+    s = 1e-8
+    # the norm grows as s^p near 0, p = 1 or 2 (2 when the ladder part is zero on live). Where it is
+    # round-off only (one live entry, or live entries sharing one energy gap) the noise stops at 1e-3,
+    # which keeps sum K^dag K below 1
+    p = np.log2(norm(2.0 * s) / norm(s)) if norm(s) > 0.0 else 0.0
+    if p > 0.5:
+        s = min(s * (c * tol.abs_eps * d * d / norm(s)) ** (1.0 / p), 1e-3)
+    return KrausMap(ops + s * noise), h, c
+
+
+def test_tio_matches_the_direct_commutator_near_its_threshold():
+    # ladder-covariant lists with noise at 1/2 to 2 times the tio threshold: the verdict of the QR
+    # form equals the direct L x L form's on each. The live entries are all d^2 entries, or fewer
+    # than 2n of them (the QR's R is then L x 2n), down to one, where both norms are 0
+    rng = np.random.default_rng(21)
+    verdicts = []
+    for case in range(360):
+        d, n = int(rng.integers(2, 13)), int(rng.integers(1, 6))
+        live = np.ones((d, d), dtype=bool)
+        if case % 6 == 5:
+            count = int(rng.integers(1, min(2 * n, d * d + 1)))
+            live = (rng.permutation(d * d) < count).reshape(d, d)
+            live[0, -1] |= np.count_nonzero(live) == np.count_nonzero(np.diagonal(live))  # not diagonal
+        m, h, c = _near_tio_threshold(rng, d, n, live)
+        ref = direct_tio_norm(m, h)
+        tio = classify_channel(m, h).tio
+        assert tio == (ref <= DEFAULT_TOL.abs_eps * d * d), (case, d, n, c, ref)
+        verdicts.append((tio, np.count_nonzero(m.kraus.any(axis=0)) < 2 * n))
+    assert {v for v, _ in verdicts} == {True, False}
+    assert {v for v, small in verdicts if small} == {True, False}
+
+
+def test_dense_list_tio_memory_at_d128():
+    # the direct commutator of a dense list at d = 128 is a d^2 x d^2 complex array, 4.3 GB; the QR
+    # form's largest array is d^2 x 2n, and the basis-projector images are d x d x d (32 MiB)
+    rng = np.random.default_rng(128)
+    m = rand_cptp(rng, 128, 3)
+    h = Hamiltonian(tuple(np.sort(rng.uniform(0.0, 10.0, size=128))))
+    tracemalloc.start()
+    try:
+        report = classify_channel(m, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.tio is False and not report.io and report.schur is None
+    assert peak < 128 * 2**20
+
+
 def test_gi_family_flags():
     rng = np.random.default_rng(0)
     for d in (2, 3, 4):
@@ -154,6 +230,9 @@ def test_dephasing_channel_flags():
 def test_hamiltonian_validation():
     with pytest.raises(ValueError):
         Hamiltonian((1.0, 1.0))
+    # each energy is finite, but the gap E_i - E_a that tio reads overflows
+    with pytest.raises(ValueError, match="finite range"):
+        Hamiltonian((1e308, -1e308, 0.0))
     with pytest.raises(ValueError):
         classify_channel(identity_channel(2), Hamiltonian((0.0, 1.0, 2.0)))
 

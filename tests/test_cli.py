@@ -259,6 +259,15 @@ def test_exit_parse_on_non_numeric_energy(tmp_path, capsys):
     assert code == 2 and "error" in json.loads(err)
 
 
+def test_exit_invalid_on_overflowing_energy_span(tmp_path, capsys):
+    # every energy is a finite number, so the document parses; the span max - min overflows,
+    # which Hamiltonian rejects (3), where tio used to be read from infinite gaps
+    ident = _write(tmp_path / "id.json", _kraus_doc([np.eye(3)]))
+    ham = _write(tmp_path / "h.json", {"kind": "hamiltonian", "energies": [1e308, -1e308, 0]})
+    code, out, err = _run(capsys, ["classify", ident, "--hamiltonian", ham])
+    assert code == 3 and out == "" and "finite range" in json.loads(err)["error"]
+
+
 @pytest.mark.parametrize("entry", [None, "a", True])
 def test_exit_parse_on_bad_density_entry(tmp_path, capsys, entry):
     doc = _density_doc(np.eye(2) / 2)

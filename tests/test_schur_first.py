@@ -243,6 +243,31 @@ def test_extract_schur_matrix_matches_image_tensor(case):
         assert got is None
 
 
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("shared", [False, True])
+def test_one_off_diagonal_entry_at_the_extraction_threshold(factor, shared):
+    # one off-diagonal entry y with |y|^2 = factor * abs_eps * d. In an operator of its own the
+    # residual is |y|^2 itself: A exists at 1/2, and at 2 the entry alone decides None. Beside a
+    # diagonal (shared) the cross term tr(Gx Gy) puts the residual far above |y|^2, and the full
+    # residual rule answers None at 1/2 as well
+    d = 4
+    rng = np.random.default_rng(10 * shared + int(2 * factor))
+    ops = [np.sqrt(0.5) * k for k in _diagonal(rng, d, 2, 2)[0]]
+    y = np.zeros((d, d), dtype=complex)
+    y[0, 1] = np.sqrt(factor * DEFAULT_TOL.abs_eps * d) * np.exp(2j * np.pi * rng.random())
+    if shared:
+        ops[0] = ops[0] + y
+    else:
+        ops.append(y)
+    m = KrausMap(ops)
+    ref = _ref_extract(m)
+    got = extract_schur_matrix(m)
+    assert (got is None) == (ref is None) == (shared or factor > 1.0)
+    if ref is not None:
+        assert np.max(np.abs(got.matrix - ref.matrix)) <= 1e-12
+    assert classify_channel(m).sgi == (ref is not None)
+
+
 @settings(max_examples=150, deadline=None)
 @given(channels())
 def test_classification_flags_match_references(case):
