@@ -104,12 +104,16 @@ class KrausMap:
     Built from a list of d x d matrices, an (n, d, d) array or a KrausMap, `kraus` is one
     read-only complex copy, kraus[s, a, i] = K_s[a, i], checked once; iterate or index it per operator.
     `completeness` is completeness_class of the map under its own tol, from that check.
-    `==` and `hash` go by identity; compare channels through their Choi matrices.
+    `_schur` holds extract_schur_matrix's answer per Tolerance (a SchurMatrix, whose A and
+    eigenpairs are read-only, or None), so that A is computed once per map and Tolerance and
+    shared by every later question. `==` and `hash` go by identity; compare channels through
+    their Choi matrices.
     """
 
     kraus: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
     completeness: CompletenessClass = field(init=False, repr=False)
+    _schur: dict[Tolerance, SchurMatrix | None] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = _kraus_tensor(self.kraus)
@@ -158,7 +162,7 @@ class SchurMatrix:
         if not self.tol.psd(w):
             raise ValueError("Schur matrix must be Hermitian PSD within tolerance")
         diag = np.real(np.diag(a))
-        if np.any(diag < -self.tol.abs_eps) or np.any(diag > 1.0 + self.tol.abs_eps):
+        if (diag < -self.tol.abs_eps).any() or (diag > 1.0 + self.tol.abs_eps).any():
             raise ValueError("Schur matrix diagonal must lie in [0, 1] within tolerance")
         for x in (a, w, v):
             x.flags.writeable = False
@@ -230,26 +234,40 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     A = sum_s x_s x_s^dag over the Kraus diagonals x_s. The off-pattern residual
     (the norm of the basis-image entries A * X cannot produce, at most abs_eps * d)
     is sqrt(2 tr(Gx Gy) + ||Gy||_F^2), Gx and Gy the n x n Gram matrices of the
-    diagonal and off-diagonal parts of the operators: O(n^2 d^2), no d^4 tensor,
-    and exactly 0 when every operator is diagonal. The residual is at least
+    diagonal and off-diagonal parts of the operators: O(n^2 d^2) on the first call,
+    no d^4 tensor. A list whose off-diagonal entries are all exactly zero has
+    residual 0 and skips it, paying O(n d^2) for that test. The residual is at least
     ||Gy||_F >= (Gy)_ss >= |y_sk|^2 for every off-diagonal entry y_sk, so a list
     with one such entry above abs_eps * d in squared modulus is answered None at
     O(n d^2), before either Gram product.
-    A's eigenpairs come from one SVD of the d x n matrix of diagonals, O(d^2 n);
-    A is never eigendecomposed.
+    A's eigenpairs come from one SVD of the d x n matrix of diagonals, O(d^2 n) on
+    the first call; A is never eigendecomposed. The answer is kept on m per
+    Tolerance, so that every later call with an equal tol (classify_channel,
+    gi_extremality, mixed_unitary_decompose, complete_sgi) returns the same object.
     """
-    d = m.dim
-    diag = np.arange(d) * (d + 1)
-    y = m.kraus.reshape(len(m.kraus), d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
-    x = y[:, diag]
-    y[:, diag] = 0.0
+    if tol not in m._schur:
+        d = m.dim
+        i = np.arange(d)
+        x = m.kraus[:, i, i]
+        m._schur[tol] = _diagonal_schur(x, tol) if _on_pattern(m.kraus, x, tol) else None
+    return m._schur[tol]
+
+
+def _on_pattern(t: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
+    # whether the off-pattern residual of the (n, d, d) Kraus tensor t with diagonals x is within
+    # abs_eps * d; it is 0 when no word off the diagonal is nonzero, the two float64 halves of each
+    # entry read as integers
+    n, d = x.shape
+    words = t.view(np.int64).reshape(n, d * d, 2)
+    if np.count_nonzero(words) == np.count_nonzero(words[:, :: d + 1]):
+        return True
+    y = t.reshape(n, d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
+    y[:, np.arange(d) * (d + 1)] = 0.0
     if not tol.close(float(np.abs(y).max()) ** 2, d):
-        return None
+        return False
     gx, gy = np.conj(x) @ x.T, np.conj(y) @ y.T
     residual = np.sqrt(max(2.0 * float(np.real(np.sum(gx * gy.T))) + frobenius(gy) ** 2, 0.0))
-    if not tol.close(residual, d):
-        return None
-    return _diagonal_schur(x, tol)
+    return tol.close(residual, d)
 
 
 def _diagonal_schur(x: np.ndarray, tol: Tolerance) -> SchurMatrix | None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
 from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
-from .channels import KrausMap, SchurMatrix, _diagonal_schur, _kraus_tensor, extract_schur_matrix
+from .channels import KrausMap, SchurMatrix, _kraus_tensor, extract_schur_matrix
 
 __all__ = [
     "Hamiltonian",
@@ -143,17 +143,15 @@ def _image_norms(t: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _schur_form(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix | None, np.ndarray | None]:
     # (A, None) for a Schur channel: a SchurMatrix is its own A, and an exactly diagonal list (no
-    # nonzero entry off the diagonal of any operator; exact, no abs_eps) has A = sum_s x_s x_s^dag of
-    # its diagonals x, None when that A fails SchurMatrix's checks. (None, live) for any other list,
-    # live[a, i]: K_s[a, i] != 0 for some s
+    # nonzero entry off the diagonal of any operator; exact, no abs_eps) has extract_schur_matrix's A,
+    # kept on the list per tol, None when that A fails SchurMatrix's checks. (None, live) for any
+    # other list, live[a, i]: K_s[a, i] != 0 for some s
     if isinstance(m, SchurMatrix):
         return m, None
-    t = m.kraus  # t[s, a, i] = K_s[a, i]
-    live = t.any(axis=0)
+    live = m.kraus.any(axis=0)  # m.kraus[s, a, i] = K_s[a, i]
     if np.count_nonzero(live) > np.count_nonzero(np.diagonal(live)):
         return None, live
-    i = np.arange(m.dim)
-    return _diagonal_schur(t[:, i, i], tol), None
+    return extract_schur_matrix(m, tol), None
 
 
 def _unit_diagonal(schur: SchurMatrix | None, tol: Tolerance) -> bool:
@@ -181,10 +179,12 @@ def classify_channel(
     unitaries commute with entrywise multiplication. The answer comes from A alone:
     sgi is whether A passes SchurMatrix's checks and gi whether every |A_ii - 1| is
     within abs_eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
-    diagonal test and O(d^2 n) for A and its eigenpairs. Any other list is classified
-    on its Kraus tensor: io, sio and fi from one mask, sgi from extract_schur_matrix
-    (O(n d^2) when one off-diagonal entry already rules A out), the basis-projector
-    images and dio's diagonals over the live support at O(n d w^2), w the widest
+    diagonal test and, on the first call, O(d^2 n) for A and its eigenpairs, which the
+    list keeps per Tolerance and shares with every later call (extract_schur_matrix).
+    Any other list is classified on its Kraus tensor: io, sio and fi from one mask, sgi
+    from extract_schur_matrix (kept the same way; on the first call O(n d^2) when one
+    off-diagonal entry already rules A out), the basis-projector images and dio's
+    diagonals over the live support at O(n d w^2), w the widest
     column support, and tio from one thin QR of the L x 2n matrix [B | DB], B the n
     operators' L live entries and D their energy gaps, at O(L n^2): no L x L array,
     d^2 x d^2 for a dense list, is formed. A Hamiltonian of another dimension raises
@@ -315,10 +315,12 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     Schur matrix A, so it is representation-independent. The gi check and A are
     classify_channel's, without its other flags: O(d) for a SchurMatrix, whose
     eigenpairs are those of its own PSD check; for a Kraus list, A's eigenpairs
-    come from one SVD of the d x n Kraus diagonals, O(d^2 n), and A is never
-    eigendecomposed. A list that is not exactly diagonal also pays the
-    basis-projector images that gi reads, not the io/sio/fi mask or dio's
-    diagonals. No Choi matrix.
+    come from one SVD of the d x n Kraus diagonals, O(d^2 n) on the first call,
+    and A is never eigendecomposed. A and its eigenpairs are computed once per list
+    and Tolerance and then shared (extract_schur_matrix), so a list that
+    classify_channel has seen pays only the n^2 x d SVD below. A list that is not
+    exactly diagonal also pays the basis-projector images that gi reads, not the
+    io/sio/fi mask or dio's diagonals. No Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 
@@ -442,8 +444,9 @@ def mixed_unitary_decompose(
 
     A and the gi check are gi_extremality's. The extremality test and the first
     peeling step share A's eigenpairs (a SchurMatrix's own, or from the SVD of a
-    Kraus list's d x n diagonals, O(d^2 n)); a rescaled S A S takes one eigh of
-    order d. Each remainder is carried as its kept eigenpairs (w, V), V of shape
+    Kraus list's d x n diagonals, O(d^2 n) on the first call, then kept on the list
+    per Tolerance and shared with classify_channel); a rescaled S A S takes one
+    eigh of order d. Each remainder is carried as its kept eigenpairs (w, V), V of shape
     d x k with k <= rank(A), and never formed: peeling u leaves
     (diag(w) - t c c^dag) / (1 - t) in V's coordinates, c = V^dag u, so a step
     costs O(d k^2) plus one k x k eigh, besides the search's d x d projector.

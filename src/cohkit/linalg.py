@@ -59,7 +59,7 @@ class Tolerance:
 
     def psd(self, w: np.ndarray) -> bool:
         """The PSD rule on ascending eigenvalues w: w[0] >= -(abs_eps + rel_eps * max|w|)."""
-        return bool(-w[0] <= self.upper(0.0, float(np.max(np.abs(w)))))
+        return bool(-w[0] <= self.upper(0.0, float(np.abs(w).max())))
 
     def rank_cut(self, top: float | np.ndarray) -> float | np.ndarray:
         """Eigen- or singular values above rel_eps * max(top, 0) count toward a rank; elementwise on an array."""
@@ -80,7 +80,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got array with ndim={a.ndim}")
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
+    if not np.isfinite(a).all():  # a complex entry is finite when both parts are
         raise ValueError("matrix entries must be finite")
     return a
 

@@ -318,11 +318,12 @@ def test_gi_extremality_reads_gi_and_a_without_classifying(monkeypatch):
 
     monkeypatch.setattr(classify, "_classify_tensor", unreachable)
     for m, report in zip(cases, reports):
+        fresh = KrausMap(m.kraus, m.tol)  # m keeps classify_channel's A, which would answer the call below
         if not report.gi:
             with pytest.raises(ValueError):
-                gi_extremality(m)
+                gi_extremality(fresh)
             continue
-        unit, witness = classify._gi_extremality(m, DEFAULT_TOL)
+        unit, witness = classify._gi_extremality(fresh, DEFAULT_TOL)
         assert unit.matrix.tobytes() == report.schur.matrix.tobytes()
         ref = gi_extremality(report.schur)
         assert (witness.extremal, witness.rank_found, witness.rank_required) == (

@@ -27,6 +27,7 @@ from cohkit import (
     schur_map,
 )
 from cohkit import classify
+from cohkit.channels import _diagonal_schur
 from cohkit.classify import _image_norms
 from cohkit.linalg import dagger, frobenius
 
@@ -479,10 +480,17 @@ def diagonal_lists(draw):
     return KrausMap([np.diag(diags[:, s]) for s in range(n)])
 
 
-def _extract_by_eigh(m, tol=DEFAULT_TOL):
-    # the same A, its eigenpairs from the eigh of SchurMatrix's PSD check
-    sm = extract_schur_matrix(m, tol)
-    return None if sm is None else SchurMatrix(sm.matrix, tol)
+def _diagonal_schur_by_eigh(calls):
+    # _diagonal_schur's A from the Kraus diagonals x, its eigenpairs from the eigh of
+    # SchurMatrix's PSD check; each call appends x's shape to calls
+    def build(x, tol):
+        calls.append(x.shape)
+        try:
+            return SchurMatrix(np.einsum("si,sj->ij", x, np.conj(x)), tol)
+        except ValueError:
+            return None
+
+    return build
 
 
 @settings(max_examples=300, deadline=None)
@@ -503,10 +511,14 @@ def test_factor_eigenpairs_match_eigh(m):
     assert len(schur_map(sm).kraus) == len(schur_map(ref).kraus)
     h = _hamiltonian(np.random.default_rng(d), d)
     report = classify_channel(m, h)
+    # the builder that the diagonal path uses, on a fresh list: m already holds the SVD's A
+    calls = []
+    fresh = KrausMap(m.kraus)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "extract_schur_matrix", _extract_by_eigh)
-        by_eigh = classify_channel(m, h)
-        triple_by_eigh = _triple(m) if by_eigh.gi else None
+        mp.setattr("cohkit.channels._diagonal_schur", _diagonal_schur_by_eigh(calls))
+        by_eigh = classify_channel(fresh, h)
+        triple_by_eigh = _triple(fresh) if by_eigh.gi else None
+    assert calls == [(len(m.kraus), d)]  # one build, shared by classify_channel and gi_extremality
     assert all(getattr(report, f) == getattr(by_eigh, f) for f in ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio"))
     assert (_triple(m) if report.gi else None) == triple_by_eigh
 
@@ -593,13 +605,16 @@ def _same_bits(a, b):
 @given(exactly_diagonal_lists(), st.booleans())
 def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # classify_channel, gi_extremality and mixed_unitary_decompose answer an exactly diagonal list from
-    # its A; the tensor path gives the same bits on the same list
+    # its A; the tensor path gives the same bits on the same list. Its references run on a twin of m,
+    # so that they build their own A: m keeps the diagonal path's, which extract_schur_matrix hands back
     d = m.dim
     live = m.kraus.any(axis=0)
     assert classify._schur_form(m, DEFAULT_TOL)[1] is None
     rng = np.random.default_rng(d)
     h = _hamiltonian(rng, d) if with_hamiltonian else None
-    got, ref = classify_channel(m, h), classify._classify_tensor(m, live, h, DEFAULT_TOL)
+    twin = KrausMap(m.kraus, m.tol)
+    got, ref = classify_channel(m, h), classify._classify_tensor(twin, live, h, DEFAULT_TOL)
+    assert ref.schur is not got.schur or got.schur is None
     flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
     assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
     assert got.io and got.fi and got.sio and got.mio and got.dio and got.tio is (True if h else None)
@@ -616,8 +631,8 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     decompose = got.gi and d <= 5
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(classify, "_schur_form", lambda m, tol: (None, m.kraus.any(axis=0)))  # the tensor path
-        ref_witness = _outcome(gi_extremality, m)
-        ref_terms = _outcome(mixed_unitary_decompose, m) if decompose else None
+        ref_witness = _outcome(gi_extremality, twin)
+        ref_terms = _outcome(mixed_unitary_decompose, twin) if decompose else None
     witness = _outcome(gi_extremality, m)
     if isinstance(witness, tuple):
         assert witness == ref_witness and not got.gi
@@ -754,3 +769,43 @@ def test_gi_reads_the_diagonal_of_a(d, sign, c):
     else:
         with pytest.raises(ValueError, match="diagonal must lie in"):
             SchurMatrix(v @ np.conj(v).T)
+
+
+def test_one_schur_build_per_list_and_tolerance(monkeypatch):
+    # classify_channel, gi_extremality and mixed_unitary_decompose on one fresh diagonal list at d = 32
+    # build A once, with one SVD of the d x n diagonals, and later calls hand back that SchurMatrix
+    rng = np.random.default_rng(3232)
+    d, n = 32, 3
+    m = KrausMap(_mixture(rng, d, 2, n)[0])
+    h = _hamiltonian(rng, d)
+    builds, factor_svds = [], []
+    svd = np.linalg.svd
+
+    def build(x, tol):
+        builds.append(x.shape)
+        return _diagonal_schur(x, tol)
+
+    monkeypatch.setattr("cohkit.channels._diagonal_schur", build)
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: factor_svds.append(np.shape(a)) or svd(a, *args, **kw))
+    report = classify_channel(m, h)
+    assert not gi_extremality(m).extremal
+    assert len(mixed_unitary_decompose(m)) == 2
+    assert builds == [(n, d)] and factor_svds.count((d, n)) == 1
+    assert classify_channel(m).schur is report.schur
+    assert extract_schur_matrix(m) is report.schur
+    assert builds == [(n, d)] and factor_svds.count((d, n)) == 1
+
+
+@pytest.mark.parametrize("loose_first", [False, True])
+def test_schur_answers_are_kept_per_tolerance(loose_first):
+    # A_ii = 1 + 1e-7 fails SchurMatrix's diagonal check under DEFAULT_TOL and passes under LOOSE: one
+    # list answers each tol by its own rule, in either order, and its repr, == and hash do not change
+    m = KrausMap([np.sqrt(1.0 + 1e-7) * np.eye(3)], LOOSE)
+    text, key = repr(m), hash(m)
+    for tol in (LOOSE, DEFAULT_TOL) if loose_first else (DEFAULT_TOL, LOOSE):
+        report = classify_channel(m, tol=tol)
+        assert (report.sgi, report.gi) == ((True, True) if tol == LOOSE else (False, False))
+        assert extract_schur_matrix(m, tol) is report.schur
+    assert classify_channel(m, tol=LOOSE).schur is not None and classify_channel(m).schur is None
+    assert repr(m) == text == f"KrausMap(kraus={m.kraus!r})"
+    assert hash(m) == key and m == m and m != KrausMap(m.kraus, LOOSE)
