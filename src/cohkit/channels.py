@@ -16,11 +16,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
 from .states import DensityMatrix
+
+if TYPE_CHECKING:
+    from .classify import ExtremalityWitness
 
 __all__ = [
     "CompletenessClass",
@@ -137,13 +141,16 @@ class SchurMatrix:
     (ascending) and eigenvector columns of A, so that callers never
     eigendecompose A again. A given matrix takes them from the eigh of its PSD
     check; extract_schur_matrix takes them from the SVD of the Kraus diagonals.
-    `==` and `hash` go by identity.
+    `_extremality` holds gi_extremality's answer per Tolerance, a pure function of
+    those eigenpairs and the tol, so that the n^2 x d rank test runs once per A and
+    Tolerance. `==` and `hash` go by identity.
     """
 
     matrix: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
     eigen: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
     _factor: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
+    _extremality: dict[Tolerance, ExtremalityWitness] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self, _factor: np.ndarray | None) -> None:
         a = as_matrix(self.matrix).copy()  # as_matrix hands back the caller's complex array itself

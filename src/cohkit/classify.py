@@ -85,12 +85,15 @@ class ClassificationReport:
     schur: SchurMatrix | None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExtremalityWitness:
+    """gi_extremality's answer, kept on the SchurMatrix and shared by every caller: witness_vectors
+    (n = 2 only) is a tuple of read-only arrays."""
+
     extremal: bool
     rank_found: int
     rank_required: int
-    witness_vectors: list[np.ndarray] | None
+    witness_vectors: tuple[np.ndarray, ...] | None
 
 
 def is_incoherent_operator(k, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -280,9 +283,8 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
 
 
 def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix, ExtremalityWitness]:
-    # A of a gi channel (classify_channel's gi and A, none of its other flags) and its extremality;
-    # minimal_representation's relative cut on the eigenvalues of A, kept by SchurMatrix,
-    # keeps round-off eigenvalues of a list padded beyond the rank out
+    # A of a gi channel (classify_channel's gi and A, none of its other flags) and its extremality,
+    # kept on A per tol; the gi check runs on every call, so a map that is not gi raises under each tol
     unit, live = _schur_form(m, tol)
     if live is None:
         gi = _unit_diagonal(unit, tol)
@@ -290,18 +292,30 @@ def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMat
         unit, gi, _ = _tensor_gi(m, live, tol)
     if not gi:
         raise ValueError("map is not a unit-diagonal Schur channel")
+    if tol not in unit._extremality:
+        unit._extremality[tol] = _rank_test(unit, tol)
+    return unit, unit._extremality[tol]
+
+
+def _rank_test(unit: SchurMatrix, tol: Tolerance) -> ExtremalityWitness:
+    # Choi's test on the minimal diagonal Kraus operators x_k from A's eigenpairs, kept above the cut:
+    # the n^2 vectors conj(x_i) * x_j are independent, read from one SVD of the n^2 x d matrix of them;
+    # minimal_representation's relative cut on the eigenvalues of A keeps round-off eigenvalues of a
+    # list padded beyond the rank out
     w, v = unit.eigen
     keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
     x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
     n = len(keep)  # row i * n + j holds conj(x_i) * x_j
-    rows = (np.conj(x)[:, None, :] * x[None, :, :]).reshape(n * n, m.dim)
+    rows = (np.conj(x)[:, None, :] * x[None, :, :]).reshape(n * n, unit.dim)
     sing = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sing > tol.rank_cut(float(sing[0]))))
     witness = None
     if n == 2:
         a, b = x
-        witness = [np.abs(a) ** 2, np.abs(b) ** 2, np.conj(a) * b, a * np.conj(b)]
-    return unit, ExtremalityWitness(
+        witness = (np.abs(a) ** 2, np.abs(b) ** 2, np.conj(a) * b, a * np.conj(b))
+        for vec in witness:
+            vec.flags.writeable = False
+    return ExtremalityWitness(
         extremal=bool(rank == n * n), rank_found=rank, rank_required=n * n, witness_vectors=witness
     )
 
@@ -317,8 +331,10 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     eigenpairs are those of its own PSD check; for a Kraus list, A's eigenpairs
     come from one SVD of the d x n Kraus diagonals, O(d^2 n) on the first call,
     and A is never eigendecomposed. A and its eigenpairs are computed once per list
-    and Tolerance and then shared (extract_schur_matrix), so a list that
-    classify_channel has seen pays only the n^2 x d SVD below. A list that is not
+    and Tolerance and then shared (extract_schur_matrix), and the n^2 x d SVD below
+    runs once per A and tol: the answer is kept on the SchurMatrix and every later
+    call (and mixed_unitary_decompose) returns the same read-only witness. The gi
+    check still runs on every call. A list that is not
     exactly diagonal also pays the basis-projector images that gi reads, not the
     io/sio/fi mask or dio's diagonals. No Choi matrix.
     """
@@ -344,7 +360,7 @@ def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
         # imaginary parts above it) to diag(x H x^dag)_i, from p[i, a, b] = x_ia conj(x_ib)
         p = x[:, :, None] * np.conj(x)[:, None, :]
         kk = np.arange(k)
-        i, j = np.triu_indices(k, 1)
+        i, j = np.nonzero(kk[:, None] < kk)  # np.triu_indices(k, 1), without its fixed cost
         m = np.concatenate((p.real[:, kk, kk], 2.0 * p.real[:, i, j], -2.0 * p.imag[:, i, j]), axis=1)
         # a complex SVD, the LAPACK routine that A's factor already loaded: a real one would
         # page in another routine's code, about 0.5 MB of peak RSS
@@ -442,7 +458,10 @@ def mixed_unitary_decompose(
     while r^2 > dim, so for dim <= 3 the peel ends within dim terms. The terms
     depend on A alone wherever A's kept eigenvalues are distinct.
 
-    A and the gi check are gi_extremality's. The extremality test and the first
+    A, the gi check and the extremality test are gi_extremality's: the test's
+    n^2 x d SVD is kept on A per Tolerance, so after gi_extremality (or a first
+    decomposition) it is not taken again; the terms, which depend on seed, are not
+    kept. The extremality test and the first
     peeling step share A's eigenpairs (a SchurMatrix's own, or from the SVD of a
     Kraus list's d x n diagonals, O(d^2 n) on the first call, then kept on the list
     per Tolerance and shared with classify_channel); a rescaled S A S takes one

@@ -506,7 +506,8 @@ def test_channel_schur_decompose_takes_one_eigh_of_a(tmp_path, capsys, monkeypat
     # a channel_schur document is read as a SchurMatrix and is the channel: classification,
     # extremality and the first peel all read the eigenpairs of its PSD check, so an order-32
     # eigh runs once before the first peel (the remainders take theirs afterwards), and the only
-    # SVDs are the two cross-term rank tests of the n^2 x d products, none of a Kraus factor
+    # SVD is one cross-term rank test of the n^2 x d products, kept on A and read again by the
+    # decomposition; none is of a Kraus factor
     rng = np.random.default_rng(32)
     u = np.exp(2j * np.pi * rng.random((2, 32)))
     a = 0.6 * np.outer(u[0], np.conj(u[0])) + 0.4 * np.outer(u[1], np.conj(u[1]))
@@ -533,4 +534,4 @@ def test_channel_schur_decompose_takes_one_eigh_of_a(tmp_path, capsys, monkeypat
     assert code == 0
     verdict = json.loads(out)["verdict"]
     assert verdict["extremal"] is False and len(verdict["decomposition"]) == 2
-    assert at_first_peel[0] == [("eigh", (32, 32)), ("svd", (4, 32)), ("svd", (4, 32))]
+    assert at_first_peel[0] == [("eigh", (32, 32)), ("svd", (4, 32))]

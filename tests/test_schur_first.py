@@ -809,3 +809,59 @@ def test_schur_answers_are_kept_per_tolerance(loose_first):
     assert classify_channel(m, tol=LOOSE).schur is not None and classify_channel(m).schur is None
     assert repr(m) == text == f"KrausMap(kraus={m.kraus!r})"
     assert hash(m) == key and m == m and m != KrausMap(m.kraus, LOOSE)
+
+
+@pytest.mark.parametrize("loose_first", [False, True])
+def test_extremality_kept_per_schur_matrix_and_tolerance(monkeypatch, loose_first):
+    # gi_extremality's n^2 x d SVD runs once per A and tol: on a fresh d = 32 mixture list the
+    # decomposition and a second gi_extremality read the first call's witness, which is read-only
+    rng = np.random.default_rng(3233)
+    d = 32
+    m = KrausMap(_mixture(rng, d, 2, 3)[0])
+    rank_tests = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        rank_tests.append(np.shape(a) == (4, d))  # the 2^2 x d cross-term rows of A's two Kraus diagonals
+        return svd(a, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "svd", counted)
+        witness = gi_extremality(m)
+        assert len(mixed_unitary_decompose(m)) == 2
+        assert gi_extremality(m) is witness
+    assert rank_tests.count(True) == 1 and not witness.extremal
+    twin = gi_extremality(KrausMap(m.kraus))
+    assert twin is not witness and (twin.rank_found, twin.rank_required) == (witness.rank_found, 4)
+    assert isinstance(witness.witness_vectors, tuple) and len(witness.witness_vectors) == 4
+    assert not any(vec.flags.writeable for vec in witness.witness_vectors)
+    with pytest.raises(ValueError):
+        witness.witness_vectors[0][0] = 0.0
+    with pytest.raises(AttributeError):
+        witness.extremal = True
+
+    # test_tolerance's threshold construction, A = (1 - e) u u^dag + e I at d = 3 with the ratio 1e-7
+    # between the two rel_eps: LOOSE keeps one eigenvalue (rank 1, extremal), DEFAULT_TOL all three
+    # (nine cross terms in C^3, not extremal), in either order on one SchurMatrix
+    d, ratio = 3, 1e-7
+    e = ratio * d / (1.0 + ratio * (d - 1))
+    u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
+    sm = SchurMatrix((1.0 - e) * np.outer(u, np.conj(u)) + e * np.eye(d))
+    text, key = repr(sm), hash(sm)
+    expected = {LOOSE: (True, 1, 1), DEFAULT_TOL: (False, 3, 9)}
+    first = {}
+    for tol in (LOOSE, DEFAULT_TOL) if loose_first else (DEFAULT_TOL, LOOSE):
+        first[tol] = gi_extremality(sm, tol)
+        assert (first[tol].extremal, first[tol].rank_found, first[tol].rank_required) == expected[tol]
+    for tol in expected:
+        assert gi_extremality(sm, tol) is first[tol]
+        assert gi_extremality(SchurMatrix(sm.matrix), tol) is not first[tol]
+    assert repr(sm) == text == f"SchurMatrix(matrix={sm.matrix!r})"
+    assert hash(sm) == key and sm == sm and sm != SchurMatrix(sm.matrix)
+
+    # the gi check runs before the kept answer is read: A_ii = 1 + 1e-7 is gi under LOOSE only
+    over = SchurMatrix((1.0 + 1e-7) * np.eye(d), LOOSE)
+    assert gi_extremality(over, LOOSE).rank_required == d * d  # the dephasing channel, not extremal
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unit-diagonal"):
+            gi_extremality(over)
