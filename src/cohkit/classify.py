@@ -21,6 +21,8 @@ Flags reported for a Kraus representation:
 io, fi and sio are properties of the listed representation; gi, sgi, mio,
 dio and tio are properties of the channel itself. A SchurMatrix A is accepted as
 the channel rho -> A * rho, every Kraus representation of which is diagonal.
+An exactly incoherent list (at most one nonzero entry in every operator column)
+has exactly diagonal basis-projector images: io, mio and gi cost it O(n d^2).
 """
 
 from __future__ import annotations
@@ -128,13 +130,22 @@ def _support_grams(t: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndar
     return c @ c.conj().transpose(0, 2, 1), rows
 
 
-def _image_norms(t: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _one_per_column(t: np.ndarray) -> bool:
+    # every column of every operator holds at most one nonzero entry (exact, no abs_eps)
+    return bool((np.count_nonzero(t, axis=1) <= 1).all())
+
+
+def _image_norms(t: np.ndarray, live: np.ndarray, one_per_column: bool) -> tuple[np.ndarray, np.ndarray]:
     # images[i] = map(|i><i|) = C_i C_i^dag, where C_i[a, s] = t[s, a, i], vanishes outside the rows
     # live in column i (live[a, i]: K_s[a, i] != 0 for some s); those rows and row i, which holds the
     # target 1, are kept. Returns the Frobenius norms of each image's off-diagonal part and of
     # images[i] - |i><i|, summed from non-negative squares only: a difference of squares cancels at
-    # abs_eps * d
+    # abs_eps * d. With one nonzero per operator column (_one_per_column) each image is
+    # sum_a P[a, i] |a><a|, P = sum_s |K_s|^2, exactly diagonal: off is 0, and no Gram is formed
     d = t.shape[1]
+    if one_per_column:
+        p = (t.real**2 + t.imag**2).sum(axis=0) - np.eye(d)
+        return np.zeros(d), np.sqrt((p * p).sum(axis=0))
     images, rows = _support_grams(t, live | np.eye(d, dtype=bool))
     kk = np.arange(images.shape[1])
     sq = (images.conj() * images).real
@@ -162,12 +173,14 @@ def _unit_diagonal(schur: SchurMatrix | None, tol: Tolerance) -> bool:
     return schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
 
 
-def _tensor_gi(m: KrausMap, live: np.ndarray, tol: Tolerance) -> tuple[SchurMatrix | None, bool, np.ndarray]:
+def _tensor_gi(
+    m: KrausMap, live: np.ndarray, one_per_column: bool, tol: Tolerance
+) -> tuple[SchurMatrix | None, bool, np.ndarray]:
     # (A, gi, off) of a list that is not exactly diagonal: extract_schur_matrix's A; gi when A exists and
     # every basis projector is fixed, moved[i] >= |A_ii - 1| as A_ii = map(|i><i|)[i, i]; off, the
     # off-diagonal norms of the basis-projector images, which mio reads
     schur = extract_schur_matrix(m, tol)
-    off, moved = _image_norms(m.kraus, live)
+    off, moved = _image_norms(m.kraus, live, one_per_column)
     return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), off
 
 
@@ -188,10 +201,12 @@ def classify_channel(
     from extract_schur_matrix (kept the same way; on the first call O(n d^2) when one
     off-diagonal entry already rules A out), the basis-projector images and dio's
     diagonals over the live support at O(n d w^2), w the widest
-    column support, and tio from one thin QR of the L x 2n matrix [B | DB], B the n
-    operators' L live entries and D their energy gaps, at O(L n^2): no L x L array,
-    d^2 x d^2 for a dense list, is formed. A Hamiltonian of another dimension raises
-    ValueError.
+    column support; an exactly incoherent list (at most one nonzero entry in every
+    operator column, no abs_eps) forms no Gram for its images, O(n d^2), and dio's
+    only when an operator holds two nonzero entries in one row. tio comes from one
+    thin QR of the L x 2n matrix [B | DB], B the n operators' L live entries and D
+    their energy gaps, at O(L n^2): no L x L array, d^2 x d^2 for a dense list, is
+    formed. A Hamiltonian of another dimension raises ValueError.
     """
     if hamiltonian is not None and hamiltonian.dim != m.dim:
         raise ValueError("Hamiltonian dimension does not match the map")
@@ -216,22 +231,25 @@ def _classify_tensor(
 
     # one mask gives io, sio and fi: hits per column (K incoherent), per row (K^dag incoherent) and
     # rows hit per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
-    # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms
+    # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms (0 when
+    # every operator column holds one nonzero at most)
     io = bool((hit.sum(axis=1) <= 1).all())
+    one_per_column = io and _one_per_column(t)
     sio = io and bool((hit.sum(axis=2) <= 1).all())
-    if io:
+    if io and not one_per_column:
         p = mod**2
         below = np.zeros_like(p)
         below[:, 1:] = p[:, :-1].cumsum(axis=1)
         io = bool(tol.close(np.sqrt(2.0 * (p * below).sum(axis=1)).max(), d))
     fi = io and _one_form(hit)
 
-    schur, gi, off = _tensor_gi(m, live, tol)
+    schur, gi, off = _tensor_gi(m, live, one_per_column, tol)
     sgi = schur is not None
     mio = dio = bool(tol.close(off.max(), d))
-    if mio and live.sum(axis=1).max() > 1:
+    if mio and not (np.count_nonzero(t, axis=2) <= 1).all():
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
-        # vanishes outside the columns live in row a, so a row with fewer than two has no i != j term
+        # vanishes outside the columns live in row a; when no operator has two nonzeros in one row,
+        # every i != j term has a zero factor
         diags = np.abs(_support_grams(t.transpose(0, 2, 1), live.T)[0])
         kk = np.arange(diags.shape[1])
         diags[:, kk, kk] = 0.0
@@ -289,7 +307,7 @@ def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMat
     if live is None:
         gi = _unit_diagonal(unit, tol)
     else:
-        unit, gi, _ = _tensor_gi(m, live, tol)
+        unit, gi, _ = _tensor_gi(m, live, _one_per_column(m.kraus), tol)
     if not gi:
         raise ValueError("map is not a unit-diagonal Schur channel")
     if tol not in unit._extremality:

@@ -443,7 +443,7 @@ def sparse_channels(draw, tol=DEFAULT_TOL):
 def test_support_kernel_matches_image_tensor(case):
     m, h = case
     t = np.stack(m.kraus)
-    off, moved = _image_norms(t, np.any(t != 0.0, axis=0))
+    off, moved = _image_norms(t, np.any(t != 0.0, axis=0), classify._one_per_column(t))
     ref_off, ref_moved = _ref_image_norms(m)
     assert np.allclose(off, ref_off, rtol=1e-12, atol=1e-15)
     assert np.allclose(moved, ref_moved, rtol=1e-12, atol=1e-15)
@@ -670,6 +670,98 @@ def test_image_kernel_runs_only_for_lists_off_the_diagonal(off_diagonal, image_n
         assert len(calls) == 2 * image_norm_calls
     flags = (report.io, report.gi, report.sgi, report.fi, report.sio, report.mio, report.dio, report.tio)
     assert all(flag is True for flag in flags)  # Python bools, as the CLI's JSON report needs
+
+
+def _incoherent_list(rng, d, family):
+    # three operators with one nonzero per column: a mixture of permutations with phases, one shared
+    # permutation with unit columns (sio), or one form whose fibres of 2 or 3 columns land in one row
+    # each, their columns orthonormal across operators
+    ops = np.zeros((3, d, d), dtype=complex)
+    if family == "permmix":
+        weights = rng.dirichlet(np.ones(3))
+        for s in range(3):
+            ops[s, rng.permutation(d), np.arange(d)] = np.sqrt(weights[s]) * np.exp(2j * np.pi * rng.random(d))
+    elif family == "sio":
+        ops[:, rng.permutation(d), np.arange(d)] = _unitary(rng, 3)[:, :1] * np.exp(2j * np.pi * rng.random(d))
+    else:
+        labels, start = rng.permutation(d), 0
+        for row in rng.permutation(d):
+            cols = labels[start : start + int(rng.integers(2, 4))]
+            ops[:, row, cols] = _unitary(rng, 3)[:, : len(cols)]
+            start += len(cols)
+    return ops
+
+
+@pytest.mark.parametrize("family, gram_calls", [("permmix", 0), ("sio", 0), ("fi", 1)])
+def test_incoherent_lists_read_their_images_from_the_support(family, gram_calls):
+    # at d = 32 a list with one nonzero per operator column forms no image Gram; only a row of one
+    # operator with two nonzeros (a fibre of the one-form list) runs dio's row Grams. An entry of
+    # 1e-12 in a second row of one operator column, far inside abs_eps, sends the list down the
+    # Gram path, images and rows, with the same flags
+    rng = np.random.default_rng(32)
+    ops = _incoherent_list(rng, 32, family)
+    h = _hamiltonian(rng, 32)
+    col = int(np.flatnonzero(ops[1].any(axis=0))[0])
+    row = int(np.flatnonzero(ops[1].any(axis=1) & (ops[1][:, col] == 0.0))[0])
+    for tiny, calls_expected in ((0.0, gram_calls), (1e-12, 2)):
+        ops[1][row, col] = tiny
+        m = KrausMap(ops)
+        assert classify._one_per_column(m.kraus) == (tiny == 0.0)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = []
+            grams = classify._support_grams
+            mp.setattr(classify, "_support_grams", lambda *args: calls.append(1) or grams(*args))
+            report = classify_channel(m, h)
+        assert len(calls) == calls_expected
+        ref = _ref_flags(m, h)
+        assert {flag: getattr(report, flag) for flag in ref} == ref
+        assert all(type(getattr(report, flag)) is bool for flag in ref)  # as the CLI's JSON report needs
+        assert (report.io, report.fi, report.sio, report.mio, report.dio) == (True, family != "permmix", family != "fi", True, True)
+
+
+@st.composite
+def exactly_incoherent_lists(draw, tol=DEFAULT_TOL):
+    """Lists with one nonzero per operator column, sub-normalized: label maps (_label_maps), one
+    random row per column of each operator, or _fixed_edge's pair with its move on one row (a
+    diagonal operator and one entry off the diagonal, at the gi threshold's edge). Some columns are
+    then scaled by sqrt(1 + c * abs_eps * d), c in {-2, -0.5, 0.5, 2}: gi on either side of its
+    threshold."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from(["label_maps", "rows", "fixed_edge"]))
+    if base == "label_maps":
+        t = np.array(_label_maps(rng, d, n, bool(rng.integers(2))))
+    elif base == "rows":
+        t = np.zeros((n, d, d), dtype=complex)
+        for s in range(n):
+            t[s, rng.integers(0, d, size=d), np.arange(d)] = rng.normal(size=d) + 1j * rng.normal(size=d)
+        t *= np.sqrt(rng.uniform(0.25, 1.0) / np.linalg.eigvalsh(np.einsum("sai,saj->ij", t.conj(), t))[-1])
+    else:
+        t = np.array(_fixed_edge(rng, d, *rng.choice([0.5, 0.8], size=2), 1, tol))
+    if draw(st.booleans()):
+        c = rng.choice([-2.0, -0.5, 0.5, 2.0], size=d) * (rng.random(d) < 0.5)
+        t = t * np.sqrt(1.0 + c * tol.abs_eps * d)[None, None, :]
+    return KrausMap(t, LOOSE), _hamiltonian(rng, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exactly_incoherent_lists())
+def test_incoherent_images_match_image_tensor(case):
+    # the support shortcut against the d^4 image tensor and against the Gram path on the same list
+    m, h = case
+    t = m.kraus
+    live = t.any(axis=0)
+    assert classify._one_per_column(t)
+    off, moved = _image_norms(t, live, True)
+    ref_off, ref_moved = _ref_image_norms(m)
+    assert np.all(off == 0.0) and np.all(ref_off == 0.0)
+    assert np.allclose(moved, ref_moved, rtol=1e-12, atol=1e-15)
+    gram_off, gram_moved = _image_norms(t, live, False)
+    assert np.all(gram_off == 0.0) and np.allclose(moved, gram_moved, rtol=1e-12, atol=1e-15)
+    ref = _ref_flags(m, h)
+    report = classify_channel(m, h)
+    assert {flag: getattr(report, flag) for flag in ref} == ref
 
 
 @st.composite
