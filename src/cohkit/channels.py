@@ -13,7 +13,6 @@ maps whose Kraus operators can all be chosen diagonal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -30,7 +29,6 @@ __all__ = [
     "CompletenessClass",
     "KrausMap",
     "SchurMatrix",
-    "Permutation",
     "completeness_class",
     "apply",
     "choi_matrix",
@@ -38,9 +36,7 @@ __all__ = [
     "schur_map",
     "transform_representation",
     "minimal_representation",
-    "permutation_unitary",
     "diagonal_unitary",
-    "tensor_channels",
     "identity_channel",
     "dephasing_channel",
 ]
@@ -181,45 +177,6 @@ class SchurMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection i -> mapping[i] on range(dim)."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        d = len(self.mapping)
-        if sorted(self.mapping) != list(range(d)):
-            raise ValueError("mapping must be a bijection on range(dim)")
-
-    @property
-    def dim(self) -> int:
-        return len(self.mapping)
-
-    def transpositions(self) -> list[tuple[int, int]]:
-        """Two-cycles whose left-to-right matrix product reproduces the permutation.
-
-        With ts = p.transpositions(), the product
-        permutation_unitary_of(ts[0]) @ ... @ permutation_unitary_of(ts[-1])
-        equals permutation_unitary(p).
-        """
-        seen = [False] * self.dim
-        out: list[tuple[int, int]] = []
-        for start in range(self.dim):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = self.mapping[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = self.mapping[nxt]
-            for a, b in zip(cycle, cycle[1:]):
-                out.append((a, b))
-        return out
-
-
 def apply(m: KrausMap, rho) -> tuple[np.ndarray, float]:
     """Apply the map; returns the unnormalized output and its trace (probability)."""
     a = rho.matrix if isinstance(rho, DensityMatrix) else as_matrix(rho)
@@ -334,24 +291,11 @@ def minimal_representation(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMa
     return KrausMap(ops if len(ops) else np.zeros((1, m.dim, m.dim), dtype=complex), tol)
 
 
-def permutation_unitary(p: Permutation) -> np.ndarray:
-    u = np.zeros((p.dim, p.dim), dtype=complex)
-    for i, target in enumerate(p.mapping):
-        u[target, i] = 1.0
-    return u
-
-
 def diagonal_unitary(phases) -> np.ndarray:
     ph = np.asarray(phases, dtype=float)
     if ph.ndim != 1:
         raise ValueError("phases must be a 1-d array")
     return np.diag(np.exp(1j * ph))
-
-
-def tensor_channels(a: KrausMap, b: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Product map acting on the tensor product space."""
-    ops = [np.kron(ka, kb) for ka, kb in itertools.product(a.kraus, b.kraus)]
-    return KrausMap(ops, tol)
 
 
 def identity_channel(d: int) -> KrausMap:

@@ -59,7 +59,7 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, bytes that are not UTF-8, over-long ints, deep nesting
         raise DocumentError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: top-level value must be an object")

@@ -46,7 +46,6 @@ __all__ = [
     "reduce_joint",
     "fi_deterministic_pure",
     "sfi_probability",
-    "fi_erase",
     "fi_max_mixed_reachable",
 ]
 
@@ -436,7 +435,7 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     """
     _check_dims(psi.dim, phi.dim)
     d = psi.dim
-    tp = np.abs(phi.amplitudes) > tol.abs_eps  # the coherence sets, as coherence_set reads them
+    tp = np.abs(phi.amplitudes) > tol.abs_eps  # mask of phi's amplitudes above abs_eps
     exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.abs_eps) == np.count_nonzero(tp))
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
@@ -447,16 +446,6 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     worst = np.min(psq[sigma[support_t]] / tsq[support_t])
     bound = float(min(max(worst, 0.0), 1.0))
     return SfiBound(lower_bound=bound, exact=exact, map=_one_branch(psi, phi, tp, sigma, tol) if exact else None)
-
-
-def fi_erase(target: int, d: int, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Fully incoherent erasure: every input collapses to the basis state |target>."""
-    if d < 1 or not (0 <= target < d):
-        raise ValueError("target label out of range")
-    j = np.arange(d)
-    ops = np.zeros((d, d, d), dtype=complex)
-    ops[j, target, j] = 1.0
-    return KrausMap(ops, tol)
 
 
 def fi_max_mixed_reachable(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:

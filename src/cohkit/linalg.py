@@ -3,7 +3,6 @@
 All functions operate on plain numpy arrays with complex128 entries and
 validate their inputs (shape, finiteness, Hermiticity where required),
 raising ValueError on contract violations instead of silently coercing.
-Entropies are in bits; 0*log(0) is taken to be 0.
 """
 
 from __future__ import annotations
@@ -22,12 +21,8 @@ __all__ = [
     "schur_product",
     "hermitian_eigen",
     "is_psd",
-    "trace_norm",
     "tensor",
     "partial_trace_second",
-    "binary_entropy",
-    "von_neumann_entropy",
-    "relative_entropy",
 ]
 
 
@@ -135,12 +130,6 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.psd(hermitian_eigen(m, tol)[0])
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values; for Hermitian input this is the sum of |eigenvalues|."""
-    a = _require_square(as_matrix(m))
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with subsystem index convention (i, k) -> i*d2 + k."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -152,56 +141,3 @@ def partial_trace_second(m, d1: int, d2: int) -> np.ndarray:
     if d1 < 1 or d2 < 1 or a.shape[0] != d1 * d2:
         raise ValueError(f"matrix of shape {a.shape} is not compatible with {d1}x{d2}")
     return np.einsum("ikjk->ij", a.reshape(d1, d2, d1, d2))
-
-
-def binary_entropy(x: float) -> float:
-    """Shannon entropy of (x, 1-x) in bits."""
-    x = float(x)
-    if x < -ROUNDOFF_SUM or x > 1.0 + ROUNDOFF_SUM:
-        raise ValueError(f"binary_entropy argument must be in [0, 1], got {x}")
-    x = min(max(x, 0.0), 1.0)
-    out = 0.0
-    for p in (x, 1.0 - x):
-        if p > 0.0:
-            out -= p * np.log2(p)
-    return float(out)
-
-
-def _state_spectrum(w: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # a state's ascending eigenvalues w, checked PSD and of unit trace, clipped at 0
-    if not tol.psd(w):
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    if not tol.close(abs(float(np.sum(w)) - 1.0), w.size):
-        raise ValueError("matrix does not have unit trace within tolerance")
-    return np.clip(w, 0.0, None)
-
-
-def von_neumann_entropy(rho, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Von Neumann entropy in bits of a unit-trace PSD matrix."""
-    w = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
-    p = w[w > 0.0]
-    return float(-np.sum(p * np.log2(p)))
-
-
-def relative_entropy(rho, sigma, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Quantum relative entropy S(rho || sigma) in bits.
-
-    Returns +inf when the support of rho is not contained in the support of
-    sigma (weight above tol.abs_eps outside sigma's support).
-    """
-    wr = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
-    ws, vs = hermitian_eigen(sigma, tol)
-    _state_spectrum(ws, tol)
-    a = as_matrix(rho)
-    support_thr = tol.abs_eps * max(float(ws[-1]), 1.0)
-    kernel = vs[:, ws <= support_thr]
-    if kernel.shape[1] > 0:
-        leak = float(np.real(np.trace(dagger(kernel) @ a @ kernel)))
-        if leak > tol.abs_eps:
-            return float("inf")
-    p = wr[wr > 0.0]
-    term_rho = float(np.sum(p * np.log2(p)))
-    keep = ws > support_thr
-    weights = np.real(np.einsum("ij,jk,ki->i", dagger(vs[:, keep]), a, vs[:, keep]))
-    term_sigma = float(np.sum(weights * np.log2(ws[keep])))
-    return term_rho - term_sigma

@@ -12,28 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    DEFAULT_TOL,
-    ROUNDOFF_SUM,
-    Tolerance,
-    as_matrix,
-    binary_entropy,
-    hermitian_eigen,
-    is_hermitian,
-)
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, hermitian_eigen, is_hermitian
 
-__all__ = [
-    "PureState",
-    "DensityMatrix",
-    "CoherenceSet",
-    "plus_state",
-    "coherence_set",
-    "coherence_rank",
-    "dephase",
-    "rel_entropy_coherence",
-    "majorizes",
-    "continuity_bound",
-]
+__all__ = ["PureState", "DensityMatrix", "plus_state", "rel_entropy_coherence"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,43 +80,11 @@ class DensityMatrix:
         return np.real(np.diag(self.matrix)).copy()
 
 
-@dataclass(frozen=True)
-class CoherenceSet:
-    """Indices (0-based) of the basis states on which an amplitude vector lives."""
-
-    dim: int
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-        if any(i < 0 or i >= self.dim for i in self.members):
-            raise ValueError("members must lie in range(dim)")
-        if tuple(sorted(set(self.members))) != self.members:
-            raise ValueError("members must be sorted and duplicate-free")
-
-
 def plus_state(d: int) -> PureState:
     """Uniform superposition over d basis states."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     return PureState(np.full(d, 1.0 / np.sqrt(d), dtype=complex))
-
-
-def coherence_set(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> CoherenceSet:
-    """Indices whose amplitude modulus exceeds tol.abs_eps."""
-    idx = tuple(int(i) for i in np.flatnonzero(np.abs(psi.amplitudes) > tol.abs_eps))
-    return CoherenceSet(dim=psi.dim, members=idx)
-
-
-def coherence_rank(psi: PureState, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of basis states the pure state is supported on."""
-    return len(coherence_set(psi, tol).members)
-
-
-def dephase(rho: DensityMatrix) -> DensityMatrix:
-    """Kill all off-diagonal entries (full dephasing in the reference basis)."""
-    return DensityMatrix(np.diag(np.diag(rho.matrix)), rho.tol)
 
 
 def _shannon(p: np.ndarray) -> float:
@@ -160,29 +109,3 @@ def rel_entropy_coherence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> f
     if value < -tol.abs_eps / 10:
         raise ValueError("entropy difference was negative beyond numerical noise")
     return max(value, 0.0)
-
-
-def majorizes(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every partial sum of descending-sorted p dominates that of q."""
-    a = np.asarray(p, dtype=float)
-    b = np.asarray(q, dtype=float)
-    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
-        raise ValueError("distributions must be 1-d arrays of equal length")
-    for v in (a, b):
-        if np.any(v < -ROUNDOFF_SUM):
-            raise ValueError("distribution entries must be nonnegative")
-        if abs(float(np.sum(v)) - 1.0) > tol.abs_eps / 10:
-            raise ValueError("distribution must sum to 1 within tol.abs_eps / 10")
-    ca = np.cumsum(np.sort(a)[::-1])
-    cb = np.cumsum(np.sort(b)[::-1])
-    return bool(np.all(ca >= cb - tol.abs_eps))
-
-
-def continuity_bound(eps: float, d: int) -> float:
-    """Entropy continuity bound eps*log2(d) + 2*h(eps/2) for trace distance eps."""
-    eps = float(eps)
-    if eps < 0.0 or eps > 1.0:
-        raise ValueError("eps must be in [0, 1]")
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    return eps * float(np.log2(d)) + 2.0 * binary_entropy(eps / 2.0)

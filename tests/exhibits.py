@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohkit.channels import KrausMap, Permutation, apply, permutation_unitary
+from cohkit.channels import KrausMap, apply
 from cohkit.convert import ConversionVerdict, fi_deterministic_pure, gi_deterministic
 from cohkit.linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, partial_trace_second
 from cohkit.states import DensityMatrix, PureState, plus_state
@@ -118,7 +118,7 @@ def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
     marginal = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex), tol)
     verdicts = []
     for mapping in ((0, 1), (1, 0)):
-        p_unitary = permutation_unitary(Permutation(mapping))
+        p_unitary = np.eye(2, dtype=complex)[:, list(mapping)]
         permuted = DensityMatrix(p_unitary @ plus_state(2).density() @ dagger(p_unitary), tol)
         verdicts.append(gi_deterministic(permuted, marginal, tol))
     one_copy = any(v.possible is True for v in verdicts)

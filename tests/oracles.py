@@ -6,7 +6,9 @@ are one-sided: a returned witness is verified before it is handed back,
 while an exhausted budget means undecided, not impossible. `dense_peel` and
 `direct_tio_norm` are reference implementations instead: the greedy peel of
 `mixed_unitary_decompose` on whole d x d remainders, and the tio commutator
-as the L x L matrix over a list's L live entries.
+as the L x L matrix over a list's L live entries. So are the entropies, the
+trace norm and majorization at the end, which the tests measure cohkit's
+answers with.
 """
 
 from __future__ import annotations
@@ -19,9 +21,18 @@ import numpy as np
 from cohkit import classify
 from cohkit.channels import CompletenessClass, KrausMap, apply, completeness_class
 from cohkit.classify import BudgetExhaustedError, Hamiltonian, classify_channel
-from cohkit.linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_SUM, Tolerance, dagger, hermitian_eigen, von_neumann_entropy
+from cohkit.linalg import (
+    DEFAULT_TOL,
+    ROUNDOFF,
+    ROUNDOFF_SUM,
+    Tolerance,
+    _require_square,
+    as_matrix,
+    dagger,
+    hermitian_eigen,
+)
 from cohkit.oracle import SearchBudget
-from cohkit.states import DensityMatrix, PureState, coherence_set
+from cohkit.states import DensityMatrix, PureState
 
 
 def monte_carlo_protocol(
@@ -135,8 +146,8 @@ def search_fi_map(
     d = psi.dim
     if d > 4:
         raise ValueError("assignment enumeration is limited to dimension <= 4")
-    src = list(coherence_set(psi, tol).members)
-    tgt = list(coherence_set(phi, tol).members)
+    src = np.flatnonzero(np.abs(psi.amplitudes) > tol.abs_eps).tolist()
+    tgt = np.flatnonzero(np.abs(phi.amplitudes) > tol.abs_eps).tolist()
     if len(tgt) < 2 or len(tgt) >= len(src):
         raise ValueError("search requires 2 <= target rank < source rank")
     psq = np.abs(psi.amplitudes) ** 2
@@ -282,3 +293,65 @@ def direct_tio_norm(m: KrausMap, h: Hamiltonian) -> float:
     e = np.asarray(h.energies, dtype=float)
     delta = (e[None, :] - e[:, None]).reshape(-1)[flat]
     return float(np.linalg.norm((k.T @ np.conj(k)) * (delta[:, None] - delta[None, :])))
+
+
+def trace_norm(m) -> float:
+    """Sum of singular values; for Hermitian input this is the sum of |eigenvalues|."""
+    a = _require_square(as_matrix(m))
+    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+
+
+def _state_spectrum(w: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # a state's ascending eigenvalues w, checked PSD and of unit trace, clipped at 0
+    if not tol.psd(w):
+        raise ValueError("matrix is not positive semidefinite within tolerance")
+    if not tol.close(abs(float(np.sum(w)) - 1.0), w.size):
+        raise ValueError("matrix does not have unit trace within tolerance")
+    return np.clip(w, 0.0, None)
+
+
+def von_neumann_entropy(rho, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Von Neumann entropy in bits of a unit-trace PSD matrix."""
+    w = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
+    p = w[w > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def relative_entropy(rho, sigma, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Quantum relative entropy S(rho || sigma) in bits.
+
+    Returns +inf when the support of rho is not contained in the support of
+    sigma (weight above tol.abs_eps outside sigma's support).
+    """
+    wr = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
+    ws, vs = hermitian_eigen(sigma, tol)
+    _state_spectrum(ws, tol)
+    a = as_matrix(rho)
+    support_thr = tol.abs_eps * max(float(ws[-1]), 1.0)
+    kernel = vs[:, ws <= support_thr]
+    if kernel.shape[1] > 0:
+        leak = float(np.real(np.trace(dagger(kernel) @ a @ kernel)))
+        if leak > tol.abs_eps:
+            return float("inf")
+    p = wr[wr > 0.0]
+    term_rho = float(np.sum(p * np.log2(p)))
+    keep = ws > support_thr
+    weights = np.real(np.einsum("ij,jk,ki->i", dagger(vs[:, keep]), a, vs[:, keep]))
+    term_sigma = float(np.sum(weights * np.log2(ws[keep])))
+    return term_rho - term_sigma
+
+
+def majorizes(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff every partial sum of descending-sorted p dominates that of q."""
+    a = np.asarray(p, dtype=float)
+    b = np.asarray(q, dtype=float)
+    if a.ndim != 1 or b.ndim != 1 or a.size != b.size:
+        raise ValueError("distributions must be 1-d arrays of equal length")
+    for v in (a, b):
+        if np.any(v < -ROUNDOFF_SUM):
+            raise ValueError("distribution entries must be nonnegative")
+        if abs(float(np.sum(v)) - 1.0) > tol.abs_eps / 10:
+            raise ValueError("distribution must sum to 1 within tol.abs_eps / 10")
+    ca = np.cumsum(np.sort(a)[::-1])
+    cb = np.cumsum(np.sort(b)[::-1])
+    return bool(np.all(ca >= cb - tol.abs_eps))

@@ -36,7 +36,7 @@ from cohkit import (
     sgi_optimal_probability,
 )
 from cohkit.channels import KrausMap
-from cohkit.linalg import frobenius, partial_trace_second, tensor, trace_norm
+from cohkit.linalg import frobenius, partial_trace_second, tensor
 
 from conftest import (
     pure_fidelity,
@@ -56,7 +56,7 @@ from exhibits import (
     pio_pattern_gap,
     pio_witness_channel,
 )
-from oracles import monte_carlo_protocol, search_cr, search_fi_map
+from oracles import monte_carlo_protocol, search_cr, search_fi_map, trace_norm
 
 
 def _verdict(name: str, ok: bool) -> None:

@@ -10,7 +10,6 @@ from cohkit import (
     CompletenessClass,
     DensityMatrix,
     KrausMap,
-    Permutation,
     PureState,
     SchurMatrix,
     apply,
@@ -28,13 +27,11 @@ from cohkit import (
     identity_channel,
     minimal_representation,
     mixed_unitary_decompose,
-    permutation_unitary,
     plus_state,
     schur_map,
     sfi_probability,
     sgi_mixed_to_pure,
     sgi_optimal_probability,
-    tensor_channels,
     transform_representation,
 )
 from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, tensor
@@ -456,39 +453,6 @@ def test_no_path_builds_a_choi_matrix(monkeypatch):
     assert 0 < max(orders) < d * d
 
 
-def test_permutation_unitary_and_transpositions():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 4, 5):
-        for _ in range(10):
-            p = Permutation(tuple(int(x) for x in rng.permutation(d)))
-            u = permutation_unitary(p)
-            assert np.max(np.abs(u @ dagger(u) - np.eye(d))) < 1e-12
-            prod = np.eye(d)
-            for a, b in p.transpositions():
-                t = np.eye(d)
-                t[[a, b]] = t[[b, a]]
-                prod = prod @ t
-            assert np.max(np.abs(prod - u)) < 1e-12
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
-
-
 def test_diagonal_unitary():
     u = diagonal_unitary([0.0, np.pi])
     assert np.max(np.abs(u - np.diag([1.0, -1.0]))) < 1e-12
-
-
-def test_tensor_channels():
-    rng = np.random.default_rng(8)
-    a = rand_cptp(rng, 2, 2)
-    b = rand_cptp(rng, 2, 3)
-    joint = tensor_channels(a, b)
-    rho = rand_density(rng, 2)
-    sig = rand_density(rng, 2)
-    out_joint, _ = apply(joint, tensor(rho.matrix, sig.matrix))
-    out_a, _ = apply(a, rho)
-    out_b, _ = apply(b, sig)
-    assert np.max(np.abs(out_joint - tensor(out_a, out_b))) < 1e-10

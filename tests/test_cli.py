@@ -226,6 +226,26 @@ def test_exit_parse_on_missing_or_malformed(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b'{"kind": "state_vector", "data": [["\xff", 0], [1, 0]]}',
+        b'{"kind": "state_vector", "data": [[' + b"1" * 4301 + b", 0], [1, 0]]}",
+        b"[" * 200_000,
+    ],
+    ids=["not_utf8", "long_int", "deep_nesting"],
+)
+def test_exit_parse_on_undecodable_document(tmp_path, capsys, text):
+    # bytes that are not UTF-8, an integer past int's digit limit and nesting past the recursion
+    # limit are malformed JSON like bad syntax: a parse error (2), not an invalid input (3) or a crash
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
+    code, out, err = _run(capsys, ["prob", "sgi", str(bad), plus])
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith(f"malformed JSON in {bad}: ")
+
+
 def test_exit_parse_on_non_numeric_amplitude(tmp_path, capsys):
     bad = _write(tmp_path / "bad.json", {"kind": "state_vector", "data": [["a", 0], [1, 0]]})
     plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))

@@ -14,7 +14,6 @@ from cohkit import (
     complete_sgi,
     extract_schur_matrix,
     fi_deterministic_pure,
-    fi_erase,
     fi_max_mixed_reachable,
     gi_deterministic,
     gi_deterministic_pure,
@@ -602,18 +601,6 @@ def test_sfi_probability_no_dimension_cap():
     out, prob = apply(b.map, psi.density())
     assert abs(prob - b.lower_bound) < 1e-10
     assert pure_fidelity(phi, out / prob) > 1.0 - 1e-9
-
-
-def test_fi_erase():
-    m = fi_erase(1, 3)
-    rng = np.random.default_rng(12)
-    rho = rand_density(rng, 3)
-    out, prob = apply(m, rho)
-    assert abs(prob - 1.0) < 1e-12
-    expected = np.zeros((3, 3), dtype=complex)
-    expected[1, 1] = 1.0
-    assert np.max(np.abs(out - expected)) < 1e-12
-    assert classify_channel(m).fi
 
 
 def test_fi_max_mixed_reachable():

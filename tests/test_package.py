@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cohkit
-from cohkit import channels, classify, convert, oracle, states
+from cohkit import channels, classify, convert, linalg, oracle, states
 from cohkit import (
     DensityMatrix,
     Hamiltonian,
@@ -53,6 +53,27 @@ def test_oracles_and_exhibits_are_test_code():
     ]
     assert [name for name in moved if hasattr(cohkit, name)] == []
     assert oracle.__all__ == ["SearchBudget", "FeasibilityResult", "psd_complete", "search_sgi_probability"]
+
+
+def test_unused_helpers_are_gone_and_references_are_test_code():
+    # helpers that answer none of the paper's questions are deleted; the entropies, the trace norm
+    # and majorization, which tests measure answers with, live in tests/oracles.py
+    deleted = [
+        "CoherenceSet",
+        "coherence_set",
+        "coherence_rank",
+        "dephase",
+        "continuity_bound",
+        "binary_entropy",
+        "Permutation",
+        "permutation_unitary",
+        "tensor_channels",
+        "fi_erase",
+    ]
+    modules = (cohkit, linalg) + LAYERS
+    assert [(m.__name__, name) for m in modules for name in deleted if hasattr(m, name)] == []
+    moved = ["relative_entropy", "von_neumann_entropy", "trace_norm", "majorizes"]
+    assert [name for name in moved if name in linalg.__all__ + states.__all__ + cohkit.__all__] == []
 
 
 def test_thresholds_live_in_linalg():

@@ -24,7 +24,6 @@ from cohkit import (
     gi_deterministic,
     gi_deterministic_pure,
     gi_extremality,
-    majorizes,
     sfi_probability,
     sgi_optimal_probability,
     transform_representation,
@@ -40,6 +39,7 @@ from conftest import (
     rand_sio_map,
     rand_unitary,
 )
+from oracles import majorizes
 
 TOLS = st.sampled_from([1e-12, 1e-9, 1e-6])
 SEEDS = st.integers(0, 2**32 - 1)
