@@ -2,9 +2,8 @@
 
 A map is stored as one read-only (n, d, d) tensor t[s, a, i] = K_s[a, i], the
 only Kraus format of the package; the representation is part of the object's
-identity (two KrausMaps can describe the same channel with different operators).
-Channel identity is equality of Choi matrices, within tol.abs_eps / 10 * dim in Frobenius
-norm, computed from the n x n Gram matrix tr(K_s^dag K_t) with no d^2 x d^2 array.
+identity (two KrausMaps can describe the same channel with different operators; compare
+channels through choi_matrix).
 
 Schur-type maps (entrywise multiplication by a fixed PSD matrix with
 diagonal in [0, 1]) get a dedicated wrapper, since they describe exactly the
@@ -34,11 +33,8 @@ __all__ = [
     "choi_matrix",
     "extract_schur_matrix",
     "schur_map",
-    "transform_representation",
     "minimal_representation",
     "diagonal_unitary",
-    "identity_channel",
-    "dephasing_channel",
 ]
 
 class CompletenessClass(Enum):
@@ -255,30 +251,6 @@ def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     return KrausMap(ops, tol)
 
 
-def transform_representation(m: KrausMap, v, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Re-mix the Kraus list by a partial isometry: L_i = sum_j V_ij K_j.
-
-    V must be a partial isometry whose action leaves the channel unchanged
-    (V^dag V restricted to the span of the Kraus operators is the identity);
-    the output is checked to have the same Choi matrix and a ValueError is
-    raised otherwise. C_L - C_K = Y M Y^dag for Y = [vec(K_s)] and M = V^T conj(V) - 1,
-    so ||C_L - C_K||_F^2 = tr(M G M G) with the n x n Gram matrix G = Y^dag Y.
-    """
-    vm = as_matrix(v)
-    n = len(m.kraus)
-    if vm.shape[1] != n:
-        raise ValueError(f"mixing matrix must have {n} columns, got {vm.shape[1]}")
-    sing = np.linalg.svd(vm, compute_uv=False)
-    if np.any(np.minimum(np.abs(sing), np.abs(sing - 1.0)) > tol.abs_eps * 10.0):
-        raise ValueError("mixing matrix is not a partial isometry (singular values not 0/1)")
-    out = KrausMap(np.tensordot(vm, m.kraus, axes=1), tol)
-    y = m.kraus.reshape(n, -1)
-    mg = (vm.T @ np.conj(vm) - np.eye(n)) @ (np.conj(y) @ y.T)
-    if np.sqrt(max(float(np.real(np.sum(mg * mg.T))), 0.0)) > tol.abs_eps / 10 * m.dim:
-        raise ValueError("partial isometry does not preserve the channel")
-    return out
-
-
 def minimal_representation(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     """Kraus representation with the minimum number of operators (Choi rank).
 
@@ -297,14 +269,3 @@ def diagonal_unitary(phases) -> np.ndarray:
         raise ValueError("phases must be a 1-d array")
     return np.diag(np.exp(1j * ph))
 
-
-def identity_channel(d: int) -> KrausMap:
-    return KrausMap([np.eye(d, dtype=complex)])
-
-
-def dephasing_channel(d: int) -> KrausMap:
-    """Full dephasing: keeps the diagonal, kills every off-diagonal entry."""
-    i = np.arange(d)
-    ops = np.zeros((d, d, d), dtype=complex)
-    ops[i, i, i] = 1.0
-    return KrausMap(ops)

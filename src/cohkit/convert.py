@@ -46,7 +46,6 @@ __all__ = [
     "reduce_joint",
     "fi_deterministic_pure",
     "sfi_probability",
-    "fi_max_mixed_reachable",
 ]
 
 
@@ -439,18 +438,10 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.abs_eps) == np.count_nonzero(tp))
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
-    support_t = np.flatnonzero(tsq > tol.abs_eps**2)
     # sigma[i]: the source label paired with target label i
     sigma = np.empty(d, dtype=int)
     sigma[np.argsort(-tsq, kind="stable")] = np.argsort(-psq, kind="stable")
-    worst = np.min(psq[sigma[support_t]] / tsq[support_t])
+    worst = np.min(psq[sigma[tp]] / tsq[tp])
     bound = float(min(max(worst, 0.0), 1.0))
     return SfiBound(lower_bound=bound, exact=exact, map=_one_branch(psi, phi, tp, sigma, tol) if exact else None)
 
-
-def fi_max_mixed_reachable(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether a fully incoherent channel can send rho to the maximally mixed state.
-
-    Full-rank targets force invertible operators (label permutations), so
-    this requires the populations to be uniform already, within tol.abs_eps."""
-    return tol.close(float(np.max(np.abs(rho.diagonal() - 1.0 / rho.dim))))

@@ -18,11 +18,8 @@ __all__ = [
     "dagger",
     "frobenius",
     "is_hermitian",
-    "schur_product",
     "hermitian_eigen",
     "is_psd",
-    "tensor",
-    "partial_trace_second",
 ]
 
 
@@ -32,7 +29,7 @@ class Tolerance:
 
     abs_eps bounds a deviation times the entries it runs over (`close`), rel_eps cuts a spectrum
     at its top (`rank_cut`), and both add up in the PSD rule (`psd`). Checks of a computed witness
-    allow abs_eps * 10; input normalizations and channel identity are held to abs_eps / 10.
+    allow abs_eps * 10; input normalizations are held to abs_eps / 10.
     """
 
     abs_eps: float = 1e-9
@@ -43,6 +40,7 @@ class Tolerance:
             value = float(getattr(self, name))
             if not np.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, value)  # the float that was checked, hashable and ordered
 
     def close(self, dev: float, size: float = 1) -> bool:
         """Absolute equality: dev <= abs_eps * size."""
@@ -103,15 +101,6 @@ def is_hermitian(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     return tol.close(frobenius(a - dagger(a)), a.shape[0])
 
 
-def schur_product(x, y) -> np.ndarray:
-    """Entrywise (Hadamard) product of two equal-shaped matrices."""
-    a = as_matrix(x)
-    b = as_matrix(y)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def hermitian_eigen(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian matrix.
 
@@ -129,15 +118,3 @@ def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff the minimum eigenvalue is >= -(abs_eps + rel_eps * max|eig|)."""
     return tol.psd(hermitian_eigen(m, tol)[0])
 
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product with subsystem index convention (i, k) -> i*d2 + k."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace_second(m, d1: int, d2: int) -> np.ndarray:
-    """Trace out the second factor of a (d1*d2) x (d1*d2) matrix."""
-    a = _require_square(as_matrix(m))
-    if d1 < 1 or d2 < 1 or a.shape[0] != d1 * d2:
-        raise ValueError(f"matrix of shape {a.shape} is not compatible with {d1}x{d2}")
-    return np.einsum("ikjk->ij", a.reshape(d1, d2, d1, d2))

@@ -29,8 +29,11 @@ class SearchBudget:
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
+        if not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
 
 @dataclass

@@ -3,6 +3,13 @@ import numpy as np
 from cohkit import DensityMatrix, KrausMap, PureState, SchurMatrix, schur_map
 
 
+def dephasing(d):
+    # full dephasing: keeps the diagonal, kills every off-diagonal entry
+    ops = np.zeros((d, d, d), dtype=complex)
+    ops[np.arange(d), np.arange(d), np.arange(d)] = 1.0
+    return KrausMap(ops)
+
+
 def rand_pure(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v))

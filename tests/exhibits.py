@@ -12,7 +12,7 @@ import numpy as np
 
 from cohkit.channels import KrausMap, apply
 from cohkit.convert import ConversionVerdict, fi_deterministic_pure, gi_deterministic
-from cohkit.linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger, partial_trace_second
+from cohkit.linalg import DEFAULT_TOL, ROUNDOFF_SUM, Tolerance, dagger
 from cohkit.states import DensityMatrix, PureState, plus_state
 
 
@@ -114,7 +114,7 @@ def fi_activation_demo(tol: Tolerance = DEFAULT_TOL) -> ActivationDemo:
     out, prob = apply(joint, source.density())
     if abs(prob - 1.0) > ROUNDOFF_SUM:
         raise AssertionError("activation map must be trace preserving on the product state")
-    reduced = DensityMatrix(partial_trace_second(out, 2, 2), tol)
+    reduced = DensityMatrix(np.einsum("ikjk->ij", out.reshape(2, 2, 2, 2)), tol)  # trace out the second qubit
     marginal = DensityMatrix(np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex), tol)
     verdicts = []
     for mapping in ((0, 1), (1, 0)):

@@ -19,13 +19,11 @@ from cohkit import (
     choi_matrix,
     classify_channel,
     completeness_class,
-    dephasing_channel,
     expose_hidden_coherence,
     extract_schur_matrix,
     fi_deterministic_pure,
     gi_extremality,
     gi_pure_parent,
-    identity_channel,
     is_incoherent_operator,
     mixed_unitary_decompose,
     plus_state,
@@ -36,9 +34,10 @@ from cohkit import (
     sgi_optimal_probability,
 )
 from cohkit.channels import KrausMap
-from cohkit.linalg import frobenius, partial_trace_second, tensor
+from cohkit.linalg import frobenius
 
 from conftest import (
+    dephasing,
     pure_fidelity,
     rand_cptp,
     rand_density,
@@ -138,8 +137,8 @@ def test_fixed_second_factor_reduction():
         sigma = rand_density(rng, d)
         rho = rand_density(rng, d)
         reduced = reduce_joint(joint, sigma)
-        out, _ = apply(schur_map(joint), tensor(rho.matrix, sigma.matrix))
-        marginal = partial_trace_second(out, d, d)
+        out, _ = apply(schur_map(joint), np.kron(rho.matrix, sigma.matrix))
+        marginal = np.einsum("ikjk->ij", out.reshape(d, d, d, d))
         ok = ok and np.max(np.abs(reduced.matrix * rho.matrix - marginal)) <= 1e-10
         ok = ok and np.max(np.abs(np.real(np.diag(reduced.matrix)) - 1.0)) <= 1e-10
         ok = ok and np.min(np.linalg.eigvalsh(reduced.matrix)) >= -1e-9
@@ -295,7 +294,7 @@ def test_operation_class_lattice():
     rng = np.random.default_rng(107)
     checks = []
     h2 = Hamiltonian((0.0, 1.0))
-    r = classify_channel(identity_channel(3), Hamiltonian((0.0, 1.0, 2.5)))
+    r = classify_channel(KrausMap([np.eye(3)]), Hamiltonian((0.0, 1.0, 2.5)))
     checks.append(r.io and r.gi and r.sgi and r.fi and r.sio and r.mio and r.dio and r.tio)
     for _ in range(20):
         d = int(rng.integers(2, 5))
@@ -318,7 +317,7 @@ def test_operation_class_lattice():
     for _ in range(5):
         r = classify_channel(schur_map(rand_sgi_schur(rng, 3)))
         checks.append(r.sgi and not r.gi)
-    r = classify_channel(dephasing_channel(3))
+    r = classify_channel(dephasing(3))
     checks.append(r.gi and np.max(np.abs(r.schur.matrix - np.eye(3))) <= 1e-12)
     theta = np.pi / 3.0
     checks.append(classify_channel(pio_witness_channel(theta)).gi)

@@ -16,15 +16,12 @@ from cohkit import (
     choi_matrix,
     classify_channel,
     completeness_class,
-    dephasing_channel,
     diagonal_unitary,
     extract_schur_matrix,
     fi_deterministic_pure,
-    fi_max_mixed_reachable,
     gi_deterministic,
     gi_deterministic_pure,
     gi_extremality,
-    identity_channel,
     minimal_representation,
     mixed_unitary_decompose,
     plus_state,
@@ -32,11 +29,11 @@ from cohkit import (
     sfi_probability,
     sgi_mixed_to_pure,
     sgi_optimal_probability,
-    transform_representation,
 )
-from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius, tensor
+from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius
 
 from conftest import (
+    dephasing,
     rand_cptp,
     rand_density,
     rand_fi_map,
@@ -243,7 +240,7 @@ def test_schur_matrix_is_read_only():
 def test_apply_dephasing():
     rng = np.random.default_rng(0)
     for d in (2, 3):
-        m = dephasing_channel(d)
+        m = dephasing(d)
         for _ in range(5):
             rho = rand_density(rng, d)
             out, prob = apply(m, rho)
@@ -279,7 +276,7 @@ def test_all_ones_schur_is_identity():
 
 
 def test_choi_matrix_identity_channel():
-    c = choi_matrix(identity_channel(2))
+    c = choi_matrix(KrausMap([np.eye(2)]))
     vec = np.array([1.0, 0.0, 0.0, 1.0])
     assert np.max(np.abs(c - np.outer(vec, vec))) < 1e-12
     assert abs(np.trace(c) - 2.0) < 1e-12
@@ -315,35 +312,6 @@ def test_minimal_representation():
         assert np.max(np.abs(choi_matrix(mini) - choi_matrix(redundant))) < 1e-12
 
 
-def test_transform_representation_unitary_mix():
-    rng = np.random.default_rng(4)
-    for _ in range(5):
-        m = rand_cptp(rng, 3, 2)
-        u = rand_unitary(rng, 2)
-        mixed = transform_representation(m, u)
-        assert np.max(np.abs(choi_matrix(mixed) - choi_matrix(m))) < 1e-9
-
-
-def test_transform_representation_isometric_pad():
-    rng = np.random.default_rng(5)
-    m = rand_cptp(rng, 2, 2)
-    g = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-    v, _ = np.linalg.qr(g)
-    padded = transform_representation(m, v)
-    assert len(padded.kraus) == 4
-    assert np.max(np.abs(choi_matrix(padded) - choi_matrix(m))) < 1e-9
-
-
-def test_transform_representation_rejects_non_isometry():
-    rng = np.random.default_rng(6)
-    m = rand_cptp(rng, 2, 2)
-    with pytest.raises(ValueError):
-        transform_representation(m, np.array([[1.0, 0.0], [0.0, 0.5]]))
-    # V = [[1, 0]] is a partial isometry, but it drops the second of two orthogonal operators
-    with pytest.raises(ValueError, match="does not preserve the channel"):
-        transform_representation(dephasing_channel(2), np.array([[1.0, 0.0]]))
-
-
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_minimal_representation_rank_cut(d):
     # a second operator whose weight is 1/2 or 2 times the rel_eps cut of the first is dropped or
@@ -356,29 +324,6 @@ def test_minimal_representation_rank_cut(d):
         ops = np.array([u, u @ z]) * np.sqrt(np.array([1.0, q]) / (1.0 + q))[:, None, None]
         m = KrausMap(np.tensordot(rand_unitary(rng, 2), ops, axes=1))
         assert len(minimal_representation(m).kraus) == _choi_rank(m) == count
-
-
-def test_transform_representation_decides_as_the_choi_difference():
-    # unitaries plus eps noise on seeded lists: the Gram formula accepts and rejects exactly where
-    # the Frobenius norm of the Choi difference crosses abs_eps / 10 * d
-    rng = np.random.default_rng(23)
-    decided = {True: 0, False: 0}
-    for _ in range(400):
-        d, n = int(rng.integers(2, 9)), int(rng.integers(1, 6))
-        m = rand_cptp(rng, d, n)
-        for eps in (0.0, 1e-12, 1e-10, 1e-8, 1e-6):
-            v = rand_unitary(rng, n) + eps * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            try:
-                transform_representation(m, v)
-                accepted = True
-            except ValueError as exc:
-                if "does not preserve the channel" not in str(exc):
-                    continue  # rejected as no partial isometry or as no valid map, before the channel check
-                accepted = False
-            out = KrausMap(np.tensordot(v, m.kraus, axes=1))
-            assert accepted == (frobenius(choi_matrix(out) - choi_matrix(m)) <= DEFAULT_TOL.abs_eps / 10 * d)
-            decided[accepted] += 1
-    assert decided[True] > 500 and decided[False] > 200, decided
 
 
 def _summary(x):
@@ -418,8 +363,8 @@ def test_no_path_builds_a_choi_matrix(monkeypatch):
         return _summary(
             [
                 minimal_representation(m),
-                minimal_representation(transform_representation(m, pad)),
-                transform_representation(m, u),
+                minimal_representation(KrausMap(np.tensordot(pad, m.kraus, axes=1))),
+                KrausMap(np.tensordot(u, m.kraus, axes=1)),
                 classify_channel(KrausMap(m.kraus)),
                 classify_channel(KrausMap(fi_map.kraus)),
                 classify_channel(schur_map(gi)),
@@ -436,7 +381,6 @@ def test_no_path_builds_a_choi_matrix(monkeypatch):
                 sgi_mixed_to_pure(rho),
                 fi_deterministic_pure(plus_state(3), rank2),
                 sfi_probability(chi, plus_state(3)),
-                fi_max_mixed_reachable(rho),
             ]
         )
 

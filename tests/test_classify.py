@@ -11,10 +11,8 @@ from cohkit import (
     SchurMatrix,
     choi_matrix,
     classify_channel,
-    dephasing_channel,
     expose_hidden_coherence,
     gi_extremality,
-    identity_channel,
     is_incoherent_operator,
     mixed_unitary_decompose,
     same_form,
@@ -24,6 +22,7 @@ from cohkit import classify
 from cohkit.linalg import Tolerance
 
 from conftest import (
+    dephasing,
     rand_cptp,
     rand_fi_map,
     rand_gi_map,
@@ -66,7 +65,7 @@ def test_same_form():
 
 
 def test_identity_channel_flags():
-    r = classify_channel(identity_channel(3), Hamiltonian((0.0, 1.0, 2.5)))
+    r = classify_channel(KrausMap([np.eye(3)]), Hamiltonian((0.0, 1.0, 2.5)))
     assert r.io and r.fi and r.gi and r.sgi and r.sio and r.mio and r.dio and r.tio
 
 
@@ -221,7 +220,7 @@ def test_sio_family_flags():
 
 
 def test_dephasing_channel_flags():
-    r = classify_channel(dephasing_channel(3))
+    r = classify_channel(dephasing(3))
     assert r.gi and r.io and r.fi
     assert r.schur is not None
     assert np.max(np.abs(r.schur.matrix - np.eye(3))) < 1e-9
@@ -234,7 +233,7 @@ def test_hamiltonian_validation():
     with pytest.raises(ValueError, match="finite range"):
         Hamiltonian((1e308, -1e308, 0.0))
     with pytest.raises(ValueError):
-        classify_channel(identity_channel(2), Hamiltonian((0.0, 1.0, 2.0)))
+        classify_channel(KrausMap([np.eye(2)]), Hamiltonian((0.0, 1.0, 2.0)))
 
 
 def test_expose_hidden_coherence_finds_witness():

@@ -14,7 +14,6 @@ from cohkit import (
     complete_sgi,
     extract_schur_matrix,
     fi_deterministic_pure,
-    fi_max_mixed_reachable,
     gi_deterministic,
     gi_deterministic_pure,
     gi_pure_parent,
@@ -25,7 +24,7 @@ from cohkit import (
     sgi_mixed_to_pure,
     sgi_optimal_probability,
 )
-from cohkit.linalg import DEFAULT_TOL, dagger, partial_trace_second, tensor
+from cohkit.linalg import DEFAULT_TOL, dagger
 
 from conftest import pure_fidelity, rand_density, rand_gi_schur, rand_pure
 from exhibits import build_fi_rank2_map, fi_activation_demo
@@ -430,8 +429,8 @@ def test_reduce_joint_matches_partial_trace():
         sigma = rand_density(rng, d)
         rho = rand_density(rng, d)
         reduced = reduce_joint(a, sigma)
-        out, _ = apply(schur_map(a), tensor(rho.matrix, sigma.matrix))
-        marginal = partial_trace_second(out, d, d)
+        out, _ = apply(schur_map(a), np.kron(rho.matrix, sigma.matrix))
+        marginal = np.einsum("ikjk->ij", out.reshape(d, d, d, d))
         assert np.max(np.abs(reduced.matrix * rho.matrix - marginal)) < 1e-10
         assert np.max(np.abs(np.real(np.diag(reduced.matrix)) - 1.0)) < 1e-10
 
@@ -601,12 +600,6 @@ def test_sfi_probability_no_dimension_cap():
     out, prob = apply(b.map, psi.density())
     assert abs(prob - b.lower_bound) < 1e-10
     assert pure_fidelity(phi, out / prob) > 1.0 - 1e-9
-
-
-def test_fi_max_mixed_reachable():
-    assert fi_max_mixed_reachable(DensityMatrix(np.eye(4) / 4))
-    assert fi_max_mixed_reachable(DensityMatrix(plus_state(3).density()))
-    assert not fi_max_mixed_reachable(DensityMatrix(np.diag([0.6, 0.4]).astype(complex)))
 
 
 def test_fi_activation_demo():

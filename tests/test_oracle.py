@@ -32,6 +32,10 @@ def test_search_budget_validation():
     assert b.max_iterations == 10000
     with pytest.raises(ValueError):
         SearchBudget(max_iterations=0)
+    # a fractional budget would reach psd_complete's range() as a float: rejected when it is made
+    with pytest.raises(ValueError, match="integer"):
+        SearchBudget(max_iterations=2.5)
+    assert type(SearchBudget(max_iterations=np.int64(7)).max_iterations) is int
 
 
 def test_psd_complete_fully_pinned():

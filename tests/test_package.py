@@ -56,8 +56,9 @@ def test_oracles_and_exhibits_are_test_code():
 
 
 def test_unused_helpers_are_gone_and_references_are_test_code():
-    # helpers that answer none of the paper's questions are deleted; the entropies, the trace norm
-    # and majorization, which tests measure answers with, live in tests/oracles.py
+    # helpers that answer none of the paper's questions, and numpy one-liners and fixtures that only
+    # tests called, are deleted; the entropies, the trace norm and majorization, which tests measure
+    # answers with, live in tests/oracles.py
     deleted = [
         "CoherenceSet",
         "coherence_set",
@@ -69,6 +70,13 @@ def test_unused_helpers_are_gone_and_references_are_test_code():
         "permutation_unitary",
         "tensor_channels",
         "fi_erase",
+        "schur_product",
+        "tensor",
+        "partial_trace_second",
+        "identity_channel",
+        "dephasing_channel",
+        "transform_representation",
+        "fi_max_mixed_reachable",
     ]
     modules = (cohkit, linalg) + LAYERS
     assert [(m.__name__, name) for m in modules for name in deleted if hasattr(m, name)] == []
