@@ -1,12 +1,19 @@
 """Command line front end: JSON documents in, one deterministic JSON report out.
 
-Document kinds:
+Each document is read once into the validated library object of its kind:
 
-- state_vector:  {"kind": "state_vector", "data": [[re, im], ...]}
-- density:       {"kind": "density", "re": [[..]], "im": [[..]]}
-- channel_kraus: {"kind": "channel_kraus", "operators": [{"re": [[..]], "im": [[..]]}, ...]}
-- channel_schur: {"kind": "channel_schur", "re": [[..]], "im": [[..]]}
-- hamiltonian:   {"kind": "hamiltonian", "energies": [..]}
+- state_vector (PureState):     {"kind": "state_vector", "data": [[re, im], ...]}
+- density (DensityMatrix):      {"kind": "density", "re": [[..]], "im": [[..]]}
+- channel_kraus (KrausMap):     {"kind": "channel_kraus", "operators": [{"re": [[..]], "im": [[..]]}, ...]}
+- channel_schur (SchurMatrix):  {"kind": "channel_schur", "re": [[..]], "im": [[..]]}
+- hamiltonian (Hamiltonian):    {"kind": "hamiltonian", "energies": [..]}
+
+A CHANNEL takes channel_kraus or channel_schur, H hamiltonian, JOINT
+channel_schur, the STATE of reduce and the states of convert gi density or
+state_vector, and the states of convert fi and prob state_vector. A
+state_vector is turned into its density for reduce, and for convert gi only
+where the other state is a density. The CLI adds no defaults of its own:
+without --budget each search runs on its library default.
 
 Exit codes: 0 result computed (the verdict's truth value is part of the
 report, never the exit code), 2 unreadable or malformed document or bad
@@ -101,7 +108,8 @@ def _number(x, where: str) -> float:
     raise DocumentError(f"{where}: expected a number, got {x!r}")
 
 
-def _parse_document(path: str) -> tuple[str, object]:
+def _parse_document(path: str, tol: Tolerance) -> tuple[str, object]:
+    """The document's kind and its validated library object."""
     doc = _load_json(path)
     kind = doc.get("kind")
     if kind == "state_vector":
@@ -113,9 +121,11 @@ def _parse_document(path: str) -> tuple[str, object]:
             if not isinstance(row, list) or len(row) != 2:
                 raise DocumentError(f"{path}: each amplitude must be an [re, im] pair")
             amps.append(_number(row[0], f"{path}.data") + 1j * _number(row[1], f"{path}.data"))
-        return kind, np.asarray(amps, dtype=complex)
-    if kind in ("density", "channel_schur"):
-        return kind, _complex_parts(doc, path)
+        return kind, PureState(np.asarray(amps, dtype=complex), tol)
+    if kind == "density":
+        return kind, DensityMatrix(_complex_parts(doc, path), tol)
+    if kind == "channel_schur":
+        return kind, SchurMatrix(_complex_parts(doc, path), tol)
     if kind == "channel_kraus":
         ops = doc.get("operators")
         if not isinstance(ops, list) or not ops:
@@ -125,38 +135,25 @@ def _parse_document(path: str) -> tuple[str, object]:
             if not isinstance(entry, dict):
                 raise DocumentError(f"{path}: operator {pos} must be an object with 're'/'im'")
             mats.append(_complex_parts(entry, f"{path}.operators[{pos}]"))
-        return kind, mats
+        return kind, KrausMap(mats, tol)
     if kind == "hamiltonian":
         energies = doc.get("energies")
         if not isinstance(energies, list) or not energies:
             raise DocumentError(f"{path}: hamiltonian needs a nonempty 'energies' list")
-        return kind, [_number(x, f"{path}.energies") for x in energies]
+        return kind, Hamiltonian(tuple(_number(x, f"{path}.energies") for x in energies))
     raise DocumentError(f"{path}: unknown document kind {kind!r}")
 
 
-# each document argument: the kinds it accepts and the constructor of each
-_READERS = {
-    "state_vector": {"state_vector": PureState},
-    "state": {
-        "state_vector": lambda amps, tol: DensityMatrix(PureState(amps, tol).density(), tol),
-        "density": DensityMatrix,
-    },
-    "channel": {
-        "channel_kraus": KrausMap,
-        "channel_schur": SchurMatrix,
-    },
-    "channel_schur": {"channel_schur": SchurMatrix},
-    "hamiltonian": {"hamiltonian": lambda energies, tol: Hamiltonian(tuple(energies))},
-}
+def _read(path: str, tol: Tolerance, *kinds: str):
+    """The validated object of the document at path, whose kind must be one of kinds."""
+    kind, obj = _parse_document(path, tol)
+    if kind not in kinds:
+        raise ValueError(f"{path}: expected a {' or '.join(kinds)} document, got {kind}")
+    return obj
 
 
-def _read(path: str, what: str, tol: Tolerance, parsed: tuple[str, object] | None = None):
-    """The `what` object of the document at path; `parsed` is its _parse_document result, if read."""
-    kind, payload = parsed or _parse_document(path)
-    build = _READERS[what].get(kind)
-    if build is None:
-        raise ValueError(f"{path}: expected a {what} document, got {kind}")
-    return build(payload, tol)
+def _density(state: PureState | DensityMatrix, tol: Tolerance) -> DensityMatrix:
+    return state if isinstance(state, DensityMatrix) else DensityMatrix(state.density(), tol)
 
 
 def _matrix_json(m: np.ndarray) -> dict:
@@ -186,9 +183,9 @@ def _verdict_json(v: ConversionVerdict, emit_map: bool) -> dict:
 # and main prints the report
 
 
-def _cmd_classify(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
-    channel = _read(args.channel, "channel", tol)
-    hamiltonian = _read(args.hamiltonian, "hamiltonian", tol) if args.hamiltonian else None
+def _cmd_classify(args, tol: Tolerance) -> tuple[str, list[str], dict, int]:
+    channel = _read(args.channel, tol, "channel_kraus", "channel_schur")
+    hamiltonian = _read(args.hamiltonian, tol, "hamiltonian") if args.hamiltonian else None
     report = classify_channel(channel, hamiltonian, tol)
     verdict = {flag: getattr(report, flag) for flag in ("io", "gi", "sgi", "fi", "sio", "mio", "dio", "tio")}
     verdict["schur"] = _matrix_json(report.schur.matrix) if report.schur is not None else None
@@ -196,29 +193,26 @@ def _cmd_classify(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list
     return "operation-class-membership", inputs, verdict, EXIT_OK
 
 
-def _cmd_convert(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
+def _cmd_convert(args, tol: Tolerance) -> tuple[str, list[str], dict, int]:
+    budget = None if args.budget is None else SearchBudget(args.budget)
     if args.mode == "gi":
-        # each document is parsed once: pure states take the closed form, anything else its density
-        docs = [(path, _parse_document(path)) for path in (args.source, args.target)]
-        pure = all(kind == "state_vector" for _, (kind, _) in docs)
-        src, dst = (_read(path, "state_vector" if pure else "state", tol, doc) for path, doc in docs)
-        if pure:
+        src, dst = (_read(path, tol, "state_vector", "density") for path in (args.source, args.target))
+        if isinstance(src, PureState) and isinstance(dst, PureState):
             verdict = gi_deterministic_pure(src, dst, tol)
             rule = "pure-conversion-equal-moduli"
         else:
-            verdict = gi_deterministic(src, dst, tol, budget)
+            verdict = gi_deterministic(_density(src, tol), _density(dst, tol), tol, budget)
             rule = "population-preserving-completion"
     else:
-        src = _read(args.source, "state_vector", tol)
-        verdict = fi_deterministic_pure(src, _read(args.target, "state_vector", tol), tol, budget)
+        src, dst = (_read(path, tol, "state_vector") for path in (args.source, args.target))
+        verdict = fi_deterministic_pure(src, dst, tol, budget)
         rule = "rank-monotone-conversion"
     code = EXIT_BUDGET if verdict.possible is None else EXIT_OK
     return rule, [args.source, args.target], _verdict_json(verdict, args.emit_map), code
 
 
-def _cmd_prob(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
-    src = _read(args.source, "state_vector", tol)
-    dst = _read(args.target, "state_vector", tol)
+def _cmd_prob(args, tol: Tolerance) -> tuple[str, list[str], dict, int]:
+    src, dst = (_read(path, tol, "state_vector") for path in (args.source, args.target))
     if args.mode == "sgi":
         verdict = sgi_optimal_probability(src, dst, tol)
         payload = {
@@ -233,8 +227,8 @@ def _cmd_prob(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str
     return rule, [args.source, args.target], payload, EXIT_OK
 
 
-def _cmd_extremal(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
-    channel = _read(args.channel, "channel", tol)
+def _cmd_extremal(args, tol: Tolerance) -> tuple[str, list[str], dict, int]:
+    channel = _read(args.channel, tol, "channel_kraus", "channel_schur")
     witness = gi_extremality(channel, tol)
     verdict: dict = {name: getattr(witness, name) for name in ("extremal", "rank_found", "rank_required")}
     code = EXIT_OK
@@ -255,9 +249,9 @@ def _cmd_extremal(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list
     return "independent-cross-term-vectors", [args.channel], verdict, code
 
 
-def _cmd_reduce(args, tol: Tolerance, budget: SearchBudget) -> tuple[str, list[str], dict, int]:
-    joint = _read(args.joint, "channel_schur", tol)
-    reduced = reduce_joint(joint, _read(args.state, "state", tol), tol)
+def _cmd_reduce(args, tol: Tolerance) -> tuple[str, list[str], dict, int]:
+    joint = _read(args.joint, tol, "channel_schur")
+    reduced = reduce_joint(joint, _density(_read(args.state, tol, "state_vector", "density"), tol), tol)
     doc = {**_matrix_json(reduced.matrix), "kind": "channel_schur"}
     if args.out:
         try:
@@ -296,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tol_help = "abs_eps and rel_eps of every comparison, state validation included (finite, > 0)"
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL.abs_eps, help=tol_help)
     parser.add_argument("--seed", type=_at_least(0), default=0, help="seed for randomized searches (>= 0)")
-    parser.add_argument("--budget", type=_at_least(1), default=10000, help="iteration budget for searches (>= 1)")
+    budget_help = "iteration budget of convert's searches (>= 1); default: each search's own"
+    parser.add_argument("--budget", type=_at_least(1), default=None, help=budget_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="membership flags for a channel")
@@ -338,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_PARSE
     tol = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
     try:
-        rule, inputs, verdict, code = args.func(args, tol, SearchBudget(max_iterations=args.budget))
+        rule, inputs, verdict, code = args.func(args, tol)
     except (DocumentError, ValueError, BudgetExhaustedError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         if isinstance(exc, DocumentError):

@@ -316,6 +316,8 @@ def _label_map(items: list[float], caps: list[float], limit: int, eps: float) ->
     # BudgetExhaustedError after limit placements. Bin completion: the largest
     # unplaced population opens a label, smaller ones complete it; one
     # candidate per distinct capacity or population is tried at each level.
+    # Depth-first over an explicit stack, one level per placement, so that
+    # thousands of labels do not reach the interpreter's recursion limit.
     assigned = [-1] * len(items)
     nodes = 0
 
@@ -323,20 +325,30 @@ def _label_map(items: list[float], caps: list[float], limit: int, eps: float) ->
         # short of its population, but every source population overfills it
         return eps < cap < items[-1] - eps
 
-    def place(b: int, start: int) -> bool:
-        nonlocal nodes
-        if b < 0:  # every label is unused or complete: open one
-            used = set(assigned) - {-1}
-            if assigned.count(-1) < len(caps) - len(used):
-                return False
-            if -1 not in assigned:
-                return True
-            k = assigned.index(-1)
-            moves = [(k, c, (caps[c], c in used)) for c in range(len(caps))]
-        else:
-            moves = [(i, b, items[i]) for i in range(start, len(items)) if assigned[i] < 0]
-        tried = set()
-        for i, c, key in moves:
+    def moves(b: int, start: int):
+        # the (population, label, key) moves of a level that completes label b, or opens one if
+        # b < 0, generated lazily (each level tries them from the state it was entered in); None
+        # when every population is placed and every label used
+        if b >= 0:
+            return ((i, b, items[i]) for i in range(start, len(items)) if assigned[i] < 0)
+        used = set(assigned) - {-1}
+        if assigned.count(-1) < len(caps) - len(used):
+            return iter(())
+        if -1 not in assigned:
+            return None
+        k = assigned.index(-1)
+        return ((k, c, (caps[c], c in used)) for c in range(len(caps)))
+
+    if any(dead(c) for c in caps):
+        return None
+    first = moves(-1, 0)
+    if first is None:
+        return assigned
+    # each level: its moves left, the keys it tried, and the placement that opened it
+    stack = [(first, set(), None)]
+    while stack:
+        level, tried, _ = stack[-1]
+        for i, c, key in level:
             if items[i] > caps[c] + eps or key in tried:
                 continue
             tried.add(key)
@@ -347,12 +359,17 @@ def _label_map(items: list[float], caps: list[float], limit: int, eps: float) ->
             if dead(cap - items[i]):
                 continue
             caps[c], assigned[i] = cap - items[i], c
-            if place(c if caps[c] > eps else -1, i + 1):
-                return True
-            caps[c], assigned[i] = cap, -1
-        return False
-
-    return None if any(dead(c) for c in caps) or not place(-1, 0) else assigned
+            child = moves(c if caps[c] > eps else -1, i + 1)
+            if child is None:
+                return assigned
+            stack.append((child, set(), (i, c, cap)))
+            break
+        else:  # no move left: take back the placement that opened this level
+            placed = stack.pop()[2]
+            if placed is not None:
+                i, c, cap = placed
+                caps[c], assigned[i] = cap, -1
+    return None
 
 
 def fi_deterministic_pure(

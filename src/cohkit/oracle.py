@@ -29,7 +29,8 @@ class SearchBudget:
     max_iterations: int = 10000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_iterations, (int, np.integer)):
+        # a bool is an int, but True is no budget of 1
+        if not isinstance(self.max_iterations, (int, np.integer)) or isinstance(self.max_iterations, bool):
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")

@@ -10,6 +10,18 @@ def dephasing(d):
     return KrausMap(ops)
 
 
+def frustrated_cycle(s):
+    # rho = (I + 0.4 C) / 4, C the adjacency matrix of the 4-cycle 0-1-2-3-0, and sigma = A o rho with
+    # edge multipliers (s, s, s, -s); rho_02 = rho_13 = 0 leaves A_02 and A_13 to a completion, which
+    # the odd sign makes infeasible for s near 1 and feasible at s = 0.6
+    c, a = np.zeros((4, 4)), np.eye(4)
+    for (i, j), x in zip(((0, 1), (1, 2), (2, 3), (3, 0)), (s, s, s, -s)):
+        c[i, j] = c[j, i] = 1.0
+        a[i, j] = a[j, i] = x
+    rho = (np.eye(4) + 0.4 * c) / 4.0
+    return rho, a * rho
+
+
 def rand_pure(rng, d):
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     return PureState(v / np.linalg.norm(v))

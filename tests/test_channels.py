@@ -221,6 +221,20 @@ def test_schur_matrix_validation():
     assert a.dim == 2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SchurMatrix(np.ones((2, 3)) / 2), "Schur matrix must be square"),
+        (lambda: apply(KrausMap([np.eye(2)]), np.eye(3) / 3), "does not match map dimension 2"),
+        (lambda: diagonal_unitary(np.zeros((2, 2))), "phases must be a 1-d array"),
+    ],
+    ids=["schur_not_square", "apply_shape", "diagonal_unitary_2d"],
+)
+def test_channels_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_schur_matrix_is_read_only():
     # the kept eigenpairs describe the matrix for the object's whole life: it holds its own
     # read-only copy, so neither the caller's array nor the object can change it

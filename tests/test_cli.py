@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from cohkit import classify, cli
+from cohkit import DensityMatrix, SearchBudget, classify, cli, gi_deterministic
 from cohkit.classify import BudgetExhaustedError
 from cohkit.cli import main
+
+from conftest import frustrated_cycle
 
 
 def _write(path, doc):
@@ -144,6 +146,44 @@ def test_convert_fi_undecided_exit(tmp_path, capsys):
     assert code == 0 and json.loads(out)["verdict"]["possible"] is True
 
 
+@pytest.mark.parametrize("flags", [[], ["--budget", "100"]])
+def test_convert_gi_undecided_exit(tmp_path, capsys, flags):
+    # no PSD completion exists, so the search gives up at any budget: exit 4 with the library's
+    # verdict, which runs on gi_deterministic's own budget when --budget is not given
+    rho, sigma = frustrated_cycle(0.9)
+    src = _write(tmp_path / "rho.json", _density_doc(rho))
+    dst = _write(tmp_path / "sigma.json", _density_doc(sigma))
+    code, out, err = _run(capsys, flags + ["convert", "gi", src, dst])
+    assert (code, err) == (4, "")
+    expected = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
+    assert json.loads(out)["verdict"] == cli._verdict_json(expected, emit_map=False)
+    assert expected.possible is None and expected.reason.value == "CompletionInfeasible"
+
+
+@pytest.mark.parametrize("flags, budget", [([], None), (["--budget", "100"], SearchBudget(100))])
+@pytest.mark.parametrize(
+    "decider, argv", [("gi_deterministic", ["gi", "rho", "sigma"]), ("fi_deterministic_pure", ["fi", "plus3", "rank2"])]
+)
+def test_convert_passes_the_budget_through(docs, capsys, monkeypatch, flags, budget, decider, argv):
+    # the CLI adds no search default of its own: without --budget each decider takes its own
+    seen = []
+    call = getattr(cli, decider)
+    monkeypatch.setattr(cli, decider, lambda src, dst, tol, b: seen.append(b) or call(src, dst, tol, b))
+    code, _, _ = _run(capsys, flags + ["convert"] + [docs.get(word, word) for word in argv])
+    assert code == 0 and seen == [budget]
+
+
+def test_convert_fi_on_1100_labels(tmp_path, capsys):
+    # a permutation pair whose label-map search runs one level per label
+    rng = np.random.default_rng(1100)
+    amps = np.sqrt(rng.dirichlet(np.ones(1100)))
+    src = _write(tmp_path / "src.json", _vector_doc(amps))
+    dst = _write(tmp_path / "dst.json", _vector_doc(amps[rng.permutation(1100)]))
+    code, out, err = _run(capsys, ["convert", "fi", src, dst])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["possible"] is True
+
+
 def test_convert_fi_impossible_exit(tmp_path, capsys):
     src = _write(tmp_path / "plus3.json", _vector_doc(np.sqrt([1 / 3, 1 / 3, 1 / 3])))
     dst = _write(tmp_path / "half.json", _vector_doc(np.sqrt([0.5, 0.5, 0.0])))
@@ -171,6 +211,25 @@ def test_prob_sfi_bound(tmp_path, capsys):
     verdict = json.loads(out)["verdict"]
     assert abs(verdict["lower_bound"] - 2 / 3) < 1e-10
     assert verdict["exact"] is False
+
+
+def test_extremal_decompose_not_mixed_unitary(tmp_path, capsys):
+    # the paper's extremal non-unitary channel at d = 4, a_k = 1/k and b_k = i^k sqrt(1 - 1/k^2)
+    k = np.arange(1, 5)
+    channel = _write(tmp_path / "k.json", _kraus_doc([np.diag(1 / k), np.diag(1j**k * np.sqrt(1 - 1 / k**2))]))
+    code, out, err = _run(capsys, ["extremal", channel, "--decompose"])
+    assert (code, err) == (0, "")
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["extremal"], verdict["decomposition"]) == (True, "not_mixed_unitary")
+
+
+def test_extremal_decompose_budget_exhausted(docs, capsys, monkeypatch):
+    # a decomposition that gives up is reported, with its detail, under exit 4
+    monkeypatch.setattr(cli, "mixed_unitary_decompose", _budget_exhausted)
+    code, out, err = _run(capsys, ["extremal", docs["mix"], "--decompose"])
+    assert (code, err) == (4, "")
+    verdict = json.loads(out)["verdict"]
+    assert (verdict["decomposition"], verdict["detail"]) == ("budget_exhausted", "search gave up")
 
 
 def test_extremal_decompose_mixture(tmp_path, capsys):
@@ -244,6 +303,41 @@ def test_exit_parse_on_undecodable_document(tmp_path, capsys, text):
     code, out, err = _run(capsys, ["prob", "sgi", str(bad), plus])
     assert code == 2 and out == ""
     assert json.loads(err)["error"].startswith(f"malformed JSON in {bad}: ")
+
+
+# a malformed document, the command that reads it as "bad", and a fragment of the error message
+MALFORMED = [
+    ([1, 2], ["classify", "bad"], "top-level value must be an object"),
+    ({"kind": "density", "re": [[1.0]]}, ["convert", "gi", "bad", "rho"], "missing 're' or 'im'"),
+    ({"kind": "density", "re": [1.0, 0.0], "im": [1.0, 0.0]}, ["convert", "gi", "bad", "rho"], "two-dimensional"),
+    ({"kind": "density", "re": [], "im": []}, ["convert", "gi", "bad", "rho"], "two-dimensional"),
+    ({"kind": "channel_schur", "re": [[1.0, 0.0], [0.0]], "im": [[0.0, 0.0], [0.0]]}, ["extremal", "bad"], "numeric"),
+    ({"kind": "channel_schur", "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0]]}, ["extremal", "bad"], "shapes differ"),
+    ({"kind": "state_vector", "data": []}, ["prob", "sgi", "bad", "plus"], "nonempty 'data' list"),
+    ({"kind": "state_vector", "data": "0.6"}, ["prob", "sgi", "bad", "plus"], "nonempty 'data' list"),
+    ({"kind": "state_vector", "data": [[1.0, 0.0, 0.0]]}, ["prob", "sgi", "bad", "plus"], "[re, im] pair"),
+    ({"kind": "channel_kraus", "operators": []}, ["classify", "bad"], "nonempty 'operators' list"),
+    ({"kind": "channel_kraus", "operators": {"re": [[1.0]]}}, ["classify", "bad"], "nonempty 'operators' list"),
+    ({"kind": "channel_kraus", "operators": [[[1.0]]]}, ["classify", "bad"], "operator 0 must be an object"),
+    ({"kind": "hamiltonian", "energies": []}, ["classify", "flip", "--hamiltonian", "bad"], "nonempty 'energies' list"),
+    ({"kind": "hamiltonian", "energies": 1.0}, ["classify", "flip", "--hamiltonian", "bad"], "nonempty 'energies' list"),
+]
+
+
+@pytest.mark.parametrize("doc, command, message", MALFORMED)
+def test_exit_parse_on_malformed_fields(docs, capsys, doc, command, message):
+    with open(docs["bad"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    code, out, err = _run(capsys, [docs.get(word, word) for word in command])
+    assert (code, out) == (2, "")
+    assert message in json.loads(err)["error"]
+
+
+def test_exit_parse_on_unwritable_out(docs, capsys):
+    out_path = docs["out"] + "/reduced.json"  # below a file that does not exist
+    code, out, err = _run(capsys, ["reduce", docs["joint"], docs["pops"], "--out", out_path])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"cannot write {out_path}: ")
 
 
 def test_exit_parse_on_non_numeric_amplitude(tmp_path, capsys):
@@ -323,6 +417,26 @@ def test_exit_invalid_on_bad_inputs(tmp_path, capsys):
     assert code == 3
     code, _, _ = _run(capsys, ["classify", rho])
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv, wrong, kind, accepted",
+    [
+        (["classify", "rho"], "rho", "density", "channel_kraus or channel_schur"),
+        (["classify", "flip", "--hamiltonian", "mix"], "mix", "channel_schur", "hamiltonian"),
+        (["convert", "gi", "flip", "rho"], "flip", "channel_kraus", "state_vector or density"),
+        (["convert", "fi", "plus", "rho"], "rho", "density", "state_vector"),
+        (["prob", "sfi", "ham", "plus"], "ham", "hamiltonian", "state_vector"),
+        (["extremal", "plus"], "plus", "state_vector", "channel_kraus or channel_schur"),
+        (["reduce", "flip", "pops"], "flip", "channel_kraus", "channel_schur"),
+        (["reduce", "joint", "mix"], "mix", "channel_schur", "state_vector or density"),
+    ],
+)
+def test_exit_invalid_on_wrong_kind(docs, capsys, argv, wrong, kind, accepted):
+    # a valid document of a kind the argument does not take: the error names the kinds it takes
+    code, out, err = _run(capsys, [docs.get(word, word) for word in argv])
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {"error": f"{docs[wrong]}: expected a {accepted} document, got {kind}"}
 
 
 @pytest.mark.parametrize(

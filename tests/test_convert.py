@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cohkit import (
     DensityMatrix,
+    KrausMap,
     PureState,
     Reason,
     SchurMatrix,
@@ -26,7 +27,7 @@ from cohkit import (
 )
 from cohkit.linalg import DEFAULT_TOL, dagger
 
-from conftest import pure_fidelity, rand_density, rand_gi_schur, rand_pure
+from conftest import frustrated_cycle, pure_fidelity, rand_density, rand_gi_schur, rand_pure
 from exhibits import build_fi_rank2_map, fi_activation_demo
 
 
@@ -291,6 +292,17 @@ def test_gi_deterministic_path_patterns_complete():
         assert np.linalg.norm(apply(verdict.map, rho)[0] - a * rho) <= 1e-7
 
 
+@pytest.mark.parametrize("s, possible, reason", [(0.9, None, Reason.COMPLETION_INFEASIBLE), (0.6, True, None)])
+def test_gi_deterministic_frustrated_cycle(s, possible, reason):
+    # at s = 0.9 no completion exists, so the search runs its whole default budget and the verdict
+    # stays undecided; at s = 0.6 one does
+    rho, sigma = frustrated_cycle(s)
+    verdict = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
+    assert (verdict.possible, verdict.reason) == (possible, reason)
+    if possible:
+        assert np.linalg.norm(apply(verdict.map, rho)[0] - sigma) <= 1e-7
+
+
 def test_sgi_probability_closed_forms():
     chi = PureState(np.array([np.sqrt(0.5), 0.5, 0.5]))
     psi = PureState(np.array([0.5, np.sqrt(5.0 / 8.0), np.sqrt(1.0 / 8.0)]))
@@ -439,6 +451,20 @@ def test_reduce_joint_validation():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
         reduce_joint(rand_gi_schur(rng, 6), rand_density(rng, 3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gi_deterministic_pure(plus_state(2), plus_state(3)), "dimension mismatch: 2 vs 3"),
+        (lambda: complete_sgi(KrausMap([np.array([[0.0, 1.0], [1.0, 0.0]])])), "entrywise multiplication"),
+        (lambda: reduce_joint(SchurMatrix(np.eye(4) / 2), DensityMatrix(np.eye(2) / 2)), "unit diagonal"),
+    ],
+    ids=["gi_pure_dims", "complete_sgi_not_schur", "reduce_joint_diagonal"],
+)
+def test_convert_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_fi_pure_equal_rank_permutation():

@@ -90,7 +90,7 @@ def _check_fi_witness(m, psi, phi):
     ops = np.stack(m.kraus)
     rows_hit = np.any(np.abs(ops) > 1e-9, axis=0)
     assert np.all(np.sum(rows_hit, axis=0) <= 1), "witness is not one-form"
-    gram = np.einsum("sai,saj->ij", np.conj(ops), ops)
+    gram = np.einsum("sai,saj->ij", np.conj(ops), ops, optimize=True)
     assert np.max(np.abs(gram - np.eye(psi.dim))) <= 1e-9, "witness is not trace preserving"
     # the label map read off the witness coarse-grains the populations, and
     # the witness reaches its fidelity, which is at least 1 - 1e-9 unless
@@ -237,6 +237,16 @@ def test_fi_decider_merges_pairs_at_d32():
     psi, phi = _state(psq, rng), _state(tsq, rng)
     v = fi_deterministic_pure(psi, phi)
     assert v.possible is True and len(v.map.kraus) == 2
+    _check_fi_witness(v.map, psi, phi)
+
+
+def test_fi_decider_relabels_1100_labels():
+    # one placement per label, each a level of the search: far past the interpreter's recursion limit
+    rng = np.random.default_rng(1100)
+    psq = rng.dirichlet(np.ones(1100))
+    psi, phi = _state(psq, rng), _state(psq[rng.permutation(1100)], rng)
+    v = fi_deterministic_pure(psi, phi)
+    assert v.possible is True and len(v.map.kraus) == 1
     _check_fi_witness(v.map, psi, phi)
 
 

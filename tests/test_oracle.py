@@ -35,6 +35,10 @@ def test_search_budget_validation():
     # a fractional budget would reach psd_complete's range() as a float: rejected when it is made
     with pytest.raises(ValueError, match="integer"):
         SearchBudget(max_iterations=2.5)
+    # a bool is an int in Python, but True is no budget of 1
+    for flag in (True, np.True_):
+        with pytest.raises(ValueError, match="integer"):
+            SearchBudget(max_iterations=flag)
     assert type(SearchBudget(max_iterations=np.int64(7)).max_iterations) is int
 
 
@@ -120,6 +124,19 @@ def test_psd_complete_validation():
     bad = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         psd_complete(bad, np.ones((2, 2), dtype=bool), SearchBudget())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: psd_complete(np.eye(2), np.ones((2, 3), dtype=bool)), "must be square with equal shape"),
+        (lambda: search_sgi_probability(plus_state(2), plus_state(3)), "states must share a dimension"),
+    ],
+    ids=["psd_complete_mask_shape", "search_sgi_dims"],
+)
+def test_oracle_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_search_sgi_matches_closed_form():

@@ -27,6 +27,21 @@ def test_density_matrix_validation():
     assert np.allclose(rho.diagonal(), [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DensityMatrix(np.ones((2, 3)) / 2), "density matrix must be square"),
+        (lambda: PureState(np.array([1.0, np.nan])), "amplitudes must be finite"),
+        (lambda: PureState(np.array([1.0, 1j * np.inf])), "amplitudes must be finite"),
+        (lambda: plus_state(0), "dimension must be >= 1"),
+    ],
+    ids=["density_not_square", "nan_amplitude", "infinite_amplitude", "plus_state_0"],
+)
+def test_states_reject_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_states_are_read_only():
     # a validated state keeps the value it was checked on: it holds its own read-only copy,
     # so neither the caller's array nor the object can change it
