@@ -4,8 +4,9 @@ Deterministic conversions under unit-diagonal Schur channels preserve the
 populations in the reference basis, so the deciders hinge on the diagonal of
 the source and target. Column j of every Kraus operator of a fully incoherent
 channel lands in one row f(j), so those channels relabel and merge
-populations: fi_deterministic_pure searches for such a label map, and
-sfi_probability pairs sorted populations in O(d log d).
+populations: fi_deterministic_pure searches for such a label map when the
+target's rank is lower, and at equal rank, like sfi_probability, pairs sorted
+populations in O(d log d).
 
 Verdicts are three-valued: possible is True, False, or None. None means only
 that a bounded search (PSD completion, label-map backtracking) ran out of
@@ -224,9 +225,9 @@ def _one_branch(psi: PureState, phi: PureState, tp: np.ndarray, sigma: np.ndarra
     d = psi.dim
     v = np.zeros(d, dtype=complex)
     v[tp] = phi.amplitudes[tp] / psi.amplitudes[sigma[tp]]
-    k = np.zeros((d, d), dtype=complex)
-    k[np.arange(d), sigma] = v / float(np.max(np.abs(v)))
-    return KrausMap([k], tol)
+    k = np.zeros((1, d, d), dtype=complex)
+    k[0, np.arange(d), sigma] = v / np.abs(v).max()
+    return KrausMap(k, tol)
 
 
 def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> ConversionVerdict:
@@ -237,12 +238,11 @@ def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEF
     one diagonal operator K_tt = phi_t / psi_t on that support, max |K| = 1.
     """
     _check_dims(psi.dim, phi.dim)
-    sp = np.abs(psi.amplitudes) > tol.abs_eps
-    tp = np.abs(phi.amplitudes) > tol.abs_eps
-    if np.any(tp & ~sp):
+    amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
+    tp = amp_t > tol.abs_eps
+    if (tp & (amp_s <= tol.abs_eps)).any():
         return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
-    ratios = np.abs(psi.amplitudes[tp]) ** 2 / np.abs(phi.amplitudes[tp]) ** 2
-    prob = float(min(np.min(ratios), 1.0))
+    prob = float(min((amp_s[tp] ** 2 / amp_t[tp] ** 2).min(), 1.0))
     return ConversionVerdict(True, prob, _one_branch(psi, phi, tp, np.arange(psi.dim), tol), None)
 
 
@@ -372,6 +372,23 @@ def _label_map(items: list[float], caps: list[float], limit: int, eps: float) ->
     return None
 
 
+def _sorted_pairing(psq: np.ndarray, tsq: np.ndarray) -> np.ndarray:
+    # sigma[i]: the source index paired with target index i, both populations taken in descending order
+    sigma = np.empty(tsq.size, dtype=int)
+    sigma[np.argsort(-tsq, kind="stable")] = np.argsort(-psq, kind="stable")
+    return sigma
+
+
+def _frame(u: np.ndarray) -> np.ndarray:
+    # a unitary with first column the unit vector u: -g H, H the Householder reflection through
+    # v = u + g e_0 (g = u_0 / |u_0|, 1 if u_0 = 0), which sends u to -g e_0; v^dag v = 2 (1 + |u_0|) >= 2
+    a = abs(u[0])
+    g = u[0] / a if a > 0.0 else 1.0
+    v = u.astype(complex)
+    v[0] += g
+    return -g * (np.eye(u.size) - v[:, None] * (v.conj() / (1.0 + a)))
+
+
 def fi_deterministic_pure(
     psi: PureState,
     phi: PureState,
@@ -382,47 +399,57 @@ def fi_deterministic_pure(
 
     Possible iff some label map f from the source support onto the target
     support coarse-grains the populations: |phi_r|^2 = sum over f(j) = r of
-    |psi_j|^2 within tol.abs_eps. f is found by backtracking, each placement counting
-    against budget.max_iterations: exponential in d at worst, at most 64
-    placements at d = 7 and 2,048 at d = 12 on random pairs. False carries a
-    reason; None means only that the budget ran out.
+    |psi_j|^2 within tol.abs_eps. At equal coherence rank f pairs the sorted
+    populations, O(d log d) with no search. Otherwise f is found by backtracking,
+    each placement counting against budget.max_iterations: exponential in d at
+    worst, at most 64 placements at d = 7 and 2,048 at d = 12 on random pairs.
+    False carries a reason; None means only that the budget ran out.
 
     The witness has as many branches as the largest fibre F -> r; F's columns
-    are those of phase(phi_r) Q^dag, Q unitary with first column
-    psi_F / |psi_F|. It must be one-form, trace preserving and of fidelity
-    1 - 10 tol.abs_eps (or what f promises, if less), else ArithmeticError.
+    are those of phase(phi_r) Q^dag, Q = -g (I - 2 v v^dag / v^dag v) the unitary
+    with first column u = psi_F / |psi_F|, v = u + g e_0, g = u_0 / |u_0|. It
+    must be one-form, trace preserving and of fidelity 1 - 10 tol.abs_eps (or
+    what f promises, if less), else ArithmeticError.
     """
     _check_dims(psi.dim, phi.dim)
+    d = psi.dim
     amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
-    src = np.flatnonzero(amp_s > tol.abs_eps)
-    tgt = np.flatnonzero(amp_t > tol.abs_eps)
+    in_s, in_t = amp_s > tol.abs_eps, amp_t > tol.abs_eps
+    src, tgt = in_s.nonzero()[0], in_t.nonzero()[0]
     if tgt.size > src.size:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
-    order = src[np.argsort(-amp_s[src], kind="stable")]
-    limit = (budget or oracle.SearchBudget()).max_iterations
-    try:
-        f = _label_map((amp_s[order] ** 2).tolist(), (amp_t[tgt] ** 2).tolist(), limit, tol.abs_eps)
-    except BudgetExhaustedError:
-        return ConversionVerdict(None, 0.0, None, None)
-    if f is None:
-        reason = Reason.NOT_UNITARILY_EQUIVALENT if tgt.size == src.size else Reason.DIAGONAL_MISMATCH
-        return ConversionVerdict(False, 0.0, None, reason)
-    labels = tgt[f]
-    d = psi.dim
-    ops = np.zeros((int(np.max(np.bincount(labels))), d, d), dtype=complex)
-    for r in tgt:
-        fibre = order[labels == r]
-        u = psi.amplitudes[fibre] / np.linalg.norm(psi.amplitudes[fibre])
-        frame = u[:, None]  # a unitary with first column u
-        if u.size > 1:
-            q, upper = np.linalg.qr(np.column_stack([u, np.eye(u.size)]))
-            frame = q * upper[0, 0]  # |r_00| = |u| = 1
+    psq, tsq = amp_s[src] ** 2, amp_t[tgt] ** 2
+    if tgt.size == src.size:
+        # one population per label: the sorted pairing under the two comparisons _label_map makes
+        pos, labels = _sorted_pairing(psq, tsq), tgt
+        if not ((psq[pos] <= tsq + tol.abs_eps).all() and (tsq - psq[pos] <= tol.abs_eps).all()):
+            return ConversionVerdict(False, 0.0, None, Reason.NOT_UNITARILY_EQUIVALENT)
+    else:
+        pos = np.argsort(-amp_s[src], kind="stable")
+        limit = (budget or oracle.SearchBudget()).max_iterations
+        try:
+            f = _label_map(psq[pos].tolist(), tsq.tolist(), limit, tol.abs_eps)
+        except BudgetExhaustedError:
+            return ConversionVerdict(None, 0.0, None, None)
+        if f is None:
+            return ConversionVerdict(False, 0.0, None, Reason.DIAGONAL_MISMATCH)
+        labels = tgt[f]
+    sources = src[pos]
+    sizes = np.bincount(labels, minlength=d)
+    weights = np.bincount(labels, weights=psq[pos], minlength=d)
+    ops = np.zeros((sizes.max(), d, d), dtype=complex)
+    one = sizes[labels] == 1
+    j, r = sources[one], labels[one]
+    ops[0, r, j] = phi.amplitudes[r] / amp_t[r] * np.conj(psi.amplitudes[j]) / amp_s[j]
+    for r in (sizes > 1).nonzero()[0]:
+        fibre = sources[labels == r]
+        frame = _frame(psi.amplitudes[fibre] / np.sqrt(weights[r]))
         ops[: fibre.size, r, fibre] = phi.amplitudes[r] / amp_t[r] * dagger(frame)
     # labels outside the source support go to unused rows, one each, as e_0
-    ops[0, np.delete(np.arange(d), tgt)[: d - src.size], np.delete(np.arange(d), src)] = 1.0
+    ops[0, (~in_t).nonzero()[0][: d - src.size], (~in_s).nonzero()[0]] = 1.0
     # populations below abs_eps may trade labels, so f itself may promise less
     # than 1 - 10 abs_eps: sum over r of |phi_r| |psi_F| squared
-    promised = float(amp_t @ np.sqrt(np.bincount(labels, weights=amp_s[order] ** 2, minlength=d))) ** 2
+    promised = float(amp_t @ np.sqrt(weights)) ** 2
     overlap = (ops @ psi.amplitudes) @ np.conj(phi.amplitudes)
     try:
         witness = KrausMap(ops, tol)  # its completeness class is the one check of sum K^dag K
@@ -450,14 +477,11 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     then returned, the branch of sgi_optimal_probability taken along sigma.
     """
     _check_dims(psi.dim, phi.dim)
-    d = psi.dim
     tp = np.abs(phi.amplitudes) > tol.abs_eps  # mask of phi's amplitudes above abs_eps
     exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.abs_eps) == np.count_nonzero(tp))
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
-    # sigma[i]: the source label paired with target label i
-    sigma = np.empty(d, dtype=int)
-    sigma[np.argsort(-tsq, kind="stable")] = np.argsort(-psq, kind="stable")
+    sigma = _sorted_pairing(psq, tsq)  # sigma[i]: the source label paired with target label i
     worst = np.min(psq[sigma[tp]] / tsq[tp])
     bound = float(min(max(worst, 0.0), 1.0))
     return SfiBound(lower_bound=bound, exact=exact, map=_one_branch(psi, phi, tp, sigma, tol) if exact else None)

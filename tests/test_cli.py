@@ -174,7 +174,7 @@ def test_convert_passes_the_budget_through(docs, capsys, monkeypatch, flags, bud
 
 
 def test_convert_fi_on_1100_labels(tmp_path, capsys):
-    # a permutation pair whose label-map search runs one level per label
+    # a permutation pair of 1,100 labels, decided by the sorted pairing
     rng = np.random.default_rng(1100)
     amps = np.sqrt(rng.dirichlet(np.ones(1100)))
     src = _write(tmp_path / "src.json", _vector_doc(amps))
@@ -321,6 +321,8 @@ MALFORMED = [
     ({"kind": "channel_kraus", "operators": [[[1.0]]]}, ["classify", "bad"], "operator 0 must be an object"),
     ({"kind": "hamiltonian", "energies": []}, ["classify", "flip", "--hamiltonian", "bad"], "nonempty 'energies' list"),
     ({"kind": "hamiltonian", "energies": 1.0}, ["classify", "flip", "--hamiltonian", "bad"], "nonempty 'energies' list"),
+    # an integer of 400 digits is valid JSON but beyond the float range
+    ({"kind": "state_vector", "data": [[10**400, 0], [1, 0]]}, ["prob", "sgi", "bad", "plus"], "expected a number"),
 ]
 
 

@@ -21,7 +21,8 @@ from cohkit import (
     sfi_probability,
 )
 
-from cohkit import channels
+from cohkit import channels, convert
+from cohkit.linalg import dagger
 
 from oracles import search_fi_map
 
@@ -241,13 +242,87 @@ def test_fi_decider_merges_pairs_at_d32():
 
 
 def test_fi_decider_relabels_1100_labels():
-    # one placement per label, each a level of the search: far past the interpreter's recursion limit
+    # equal rank: decided by the sorted pairing, with no search
     rng = np.random.default_rng(1100)
     psq = rng.dirichlet(np.ones(1100))
     psi, phi = _state(psq, rng), _state(psq[rng.permutation(1100)], rng)
     v = fi_deterministic_pure(psi, phi)
     assert v.possible is True and len(v.map.kraus) == 1
     _check_fi_witness(v.map, psi, phi)
+
+
+def test_fi_decider_merges_1100_labels_onto_1099():
+    # the two smallest populations share a label: the search places one population per level, 1,100
+    # levels deep, far past the interpreter's recursion limit
+    rng = np.random.default_rng(1100)
+    psq = np.sort(rng.dirichlet(np.ones(1100)))
+    tsq = np.append(psq[1:], 0.0)
+    tsq[0] += psq[0]
+    psi, phi = _state(psq, rng), _state(tsq[rng.permutation(1100)], rng)
+    v = fi_deterministic_pure(psi, phi)
+    assert v.possible is True and len(v.map.kraus) == 2
+    _check_fi_witness(v.map, psi, phi)
+
+
+def test_fi_decider_pairs_sorted_populations_at_equal_rank(monkeypatch):
+    # at equal rank the verdict is _label_map's, with populations tied and one of them moved by
+    # delta around the 1e-9 threshold, made up by one other or spread over all others; and
+    # _label_map itself is never called
+    rng = np.random.default_rng(28)
+    cases = []
+    for _ in range(200):
+        d = int(rng.integers(2, 11))
+        delta = rng.choice([0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9])
+        psq = rng.integers(1, 4, d) if rng.random() < 0.5 else rng.dirichlet(np.ones(d))
+        psq = psq / psq.sum()
+        i, j = rng.choice(d, 2, replace=False)
+        rest = np.arange(d) != i if rng.random() < 0.5 else np.arange(d) == j
+        tsq = psq[rng.permutation(d)] - delta * rest / np.count_nonzero(rest)
+        tsq[i] += delta
+        psi, phi = _state(psq, rng), _state(tsq, rng)
+        items = sorted((_pops(psi)[np.abs(psi.amplitudes) > DEFAULT_TOL.abs_eps]).tolist(), reverse=True)
+        caps = _pops(phi)[np.abs(phi.amplitudes) > DEFAULT_TOL.abs_eps].tolist()
+        cases.append((psi, phi, convert._label_map(items, caps, 10**6, DEFAULT_TOL.abs_eps) is not None))
+    assert {possible for *_, possible in cases} == {True, False}
+
+    def search(*args):
+        raise AssertionError("label-map search at equal rank")
+
+    monkeypatch.setattr(convert, "_label_map", search)
+    for psi, phi, possible in cases:
+        v = fi_deterministic_pure(psi, phi, budget=SearchBudget(max_iterations=1))
+        assert v.possible is possible
+        if possible:
+            assert len(v.map.kraus) == 1
+            _check_fi_witness(v.map, psi, phi)
+        else:
+            assert v.reason is Reason.NOT_UNITARILY_EQUIVALENT
+
+
+@st.composite
+def unit_vectors(draw):
+    # complex unit vectors of size 2..8 whose first entry is generic, 0, of modulus 1 or negative real
+    n = draw(st.integers(2, 8))
+    part = st.floats(-1.0, 1.0)
+    u = np.array([complex(draw(part), draw(part)) for _ in range(n)])
+    first = draw(st.sampled_from(["generic", "zero", "unit", "negative"]))
+    if first == "zero":
+        u[0] = 0.0
+    elif first == "unit":
+        u = np.zeros(n, dtype=complex)
+        u[0] = np.exp(1j * draw(st.floats(-np.pi, np.pi)))
+    elif first == "negative":
+        u[0] = -abs(u[0]) - 0.01
+    assume(np.linalg.norm(u) > 1e-3)
+    return u / np.linalg.norm(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_vectors())
+def test_fi_frame_is_unitary_with_first_column_u(u):
+    f = convert._frame(u)
+    assert np.max(np.abs(dagger(f) @ f - np.eye(u.size))) <= 1e-12
+    assert np.max(np.abs(f[:, 0] - u)) <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -302,11 +377,20 @@ def test_fi_decider_checks_completeness_once(monkeypatch):
 
 
 def test_fi_decider_reports_broken_witness(monkeypatch):
-    # a witness that fails verification is an error, never a verdict
-    qr = np.linalg.qr
-    monkeypatch.setattr(np.linalg, "qr", lambda a: (2.0 * qr(a)[0], qr(a)[1]))
+    # a witness that fails verification is an error, never a verdict: a fibre of three labels
+    # whose frame is scaled by 2
+    frame = convert._frame
+    monkeypatch.setattr(convert, "_frame", lambda u: 2.0 * frame(u))
     with pytest.raises(ArithmeticError):
         fi_deterministic_pure(plus_state(4), _pure([0.75, 0.25, 0.0, 0.0]))
+
+
+def test_fi_decider_reports_broken_singleton_witness(monkeypatch):
+    # four one-label fibres, each entry of the scatter scaled by 2 through its conj
+    conj = np.conj
+    monkeypatch.setattr(np, "conj", lambda z: 2.0 * conj(z))
+    with pytest.raises(ArithmeticError):
+        fi_deterministic_pure(plus_state(4), _pure([0.25] * 4))
 
 
 def test_fi_decider_rank_increase():

@@ -58,6 +58,8 @@ def test_hermitian_eigen_known_values():
 def test_hermitian_eigen_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigen(np.zeros((2, 3)))
 
 
 def test_is_psd_examples():
