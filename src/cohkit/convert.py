@@ -481,7 +481,7 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.abs_eps) == np.count_nonzero(tp))
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
-    sigma = _sorted_pairing(psq, tsq)  # sigma[i]: the source label paired with target label i
+    sigma = _sorted_pairing(psq, tsq)
     worst = np.min(psq[sigma[tp]] / tsq[tp])
     bound = float(min(max(worst, 0.0), 1.0))
     return SfiBound(lower_bound=bound, exact=exact, map=_one_branch(psi, phi, tp, sigma, tol) if exact else None)
