@@ -359,7 +359,32 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     return _gi_extremality(m, tol)[1]
 
 
-def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
+def _null_direction(x: np.ndarray, rng, tol: Tolerance) -> tuple[np.ndarray, np.ndarray] | None:
+    # the ascending eigenpairs (eh, q) of a Gaussian Hermitian H (k x k) with diag(x H x^dag) = 0, a null
+    # direction of the face {x Y x^dag : Y >= 0} of x (d x k), or None, with nothing drawn, where the face
+    # has none
+    k = x.shape[1]
+    # row i of the real map from the k^2 coordinates of H (diagonal, then the real and imaginary
+    # parts above it) to diag(x H x^dag)_i, from p[i, a, b] = x_ia conj(x_ib)
+    p = x[:, :, None] * np.conj(x)[:, None, :]
+    kk = np.arange(k)
+    i, j = np.nonzero(kk[:, None] < kk)  # np.triu_indices(k, 1), without its fixed cost
+    m = np.concatenate((p.real[:, kk, kk], 2.0 * p.real[:, i, j], -2.0 * p.imag[:, i, j]), axis=1)
+    # a complex SVD, the LAPACK routine that A's factor already loaded: a real one would
+    # page in another routine's code, about 0.5 MB of peak RSS
+    _, sing, vh = np.linalg.svd(m.astype(complex), full_matrices=False)
+    row = vh[: int(np.sum(sing > tol.rank_cut(float(sing[0]))))]  # the row space of m
+    if len(row) == k * k:
+        return None
+    c = rng.normal(size=k * k)
+    c -= (np.conj(row).T @ (row @ c)).real  # a Gaussian vector of the null space of m
+    h = np.zeros((k, k), dtype=complex)
+    h[i, j] = c[k : k + len(i)] + 1j * c[k + len(i) :]
+    h = h + dagger(h) + np.diag(c[:k])
+    return np.linalg.eigh(h)
+
+
+def _descent_seed(x: np.ndarray, step: tuple[np.ndarray, np.ndarray] | None, rng, tol: Tolerance) -> np.ndarray:
     """A point of the range of x (d x r, full column rank) whose moduli are those of x's rows.
 
     With B an orthonormal basis of that range and x = B C, the points of
@@ -367,39 +392,43 @@ def _descent_seed(x: np.ndarray, rng, tol: Tolerance) -> np.ndarray:
     starts at Y = I and keeps the factor x of the current point, whose face of S is
     {x Y x^dag : Y >= 0}: each step moves Y along a random Hermitian H with
     diag(x H x^dag) = 0 up to the PSD boundary, Y = I + tau H with tau = -1 / min eig H,
-    and refactors x, whose rank drops. It stops at rank 1 or where the face has no null
+    and refactors x, whose rank drops. step is the first H's eigenpairs as
+    _null_direction(x, rng, tol) gave them (None: the face has no null direction); every
+    later step draws its own. It stops at rank 1 or where the face has no null
     direction left, and returns x q, q the top eigenvector of x^dag x: the top
     eigenvector of the final Z times the root of its eigenvalue, B applied. At rank 1
     that point is unimodular when diag(x x^dag) = 1.
     """
-    while x.shape[1] > 1:
-        k = x.shape[1]
-        # row i of the real map from the k^2 coordinates of H (diagonal, then the real and
-        # imaginary parts above it) to diag(x H x^dag)_i, from p[i, a, b] = x_ia conj(x_ib)
-        p = x[:, :, None] * np.conj(x)[:, None, :]
-        kk = np.arange(k)
-        i, j = np.nonzero(kk[:, None] < kk)  # np.triu_indices(k, 1), without its fixed cost
-        m = np.concatenate((p.real[:, kk, kk], 2.0 * p.real[:, i, j], -2.0 * p.imag[:, i, j]), axis=1)
-        # a complex SVD, the LAPACK routine that A's factor already loaded: a real one would
-        # page in another routine's code, about 0.5 MB of peak RSS
-        _, sing, vh = np.linalg.svd(m.astype(complex), full_matrices=False)
-        row = vh[: int(np.sum(sing > tol.rank_cut(float(sing[0]))))]  # the row space of m
-        if len(row) == k * k:
-            break
-        c = rng.normal(size=k * k)
-        c -= (np.conj(row).T @ (row @ c)).real  # a Gaussian vector of the null space of m
-        h = np.zeros((k, k), dtype=complex)
-        h[i, j] = c[k : k + len(i)] + 1j * c[k + len(i) :]
-        h = h + dagger(h) + np.diag(c[:k])
-        eh, q = np.linalg.eigh(h)
+    while step is not None:
+        eh, q = step
         if -eh[0] <= tol.rank_cut(float(np.max(np.abs(eh)))):
             break  # no boundary ahead: x is rank deficient within round-off
         lam = 1.0 - eh / eh[0]  # the eigenvalues of I + tau H; lam[0] = 0, the boundary
         keep = lam > tol.rank_cut(float(lam[-1]))
         x = x @ (q[:, keep] * np.sqrt(lam[keep]))
+        step = _null_direction(x, rng, tol) if x.shape[1] > 1 else None
     if x.shape[1] == 1:
         return x[:, 0]
     return x @ np.linalg.eigh(dagger(x) @ x)[1][:, -1]
+
+
+def _simplex_split(x: np.ndarray, q: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray] | None:
+    # x x^dag as a whole mixture of diagonal unitaries, from the eigenvectors q (ascending) of a null
+    # direction H of x's face: y = x q has sum_k y_k y_k^dag = x x^dag exactly, q being unitary, and a
+    # column of constant modulus c_k is c_k u_k, u_k unimodular. Where the face is a simplex (x x^dag a
+    # generic mixture of r unitaries, r (r - 1) + 1 <= d; any rank-2 face), H is diagonal in the basis
+    # of its vertices and its eigenvectors are those vertices. Returns (weights, y), columns in
+    # descending order of H's eigenvalues and weights |y_k|^2 over their sum, or None unless every
+    # column is c_k u_k, c_k^2 = mean |y_k|^2, within abs_eps times its own weight c_k^2, so that the
+    # terms rebuild x x^dag within abs_eps in all: for m = |y_k|,
+    # ||y_k y_k^dag - c_k^2 u_k u_k^dag||_F^2 = 2 |m|^2 sum_i (m_i - mean m)^2, and |m|^2 = d c_k^2
+    y = x @ q[:, ::-1]
+    m = np.abs(y)
+    power = (m * m).sum(axis=0)
+    spread = ((m - m.mean(axis=0)) ** 2).sum(axis=0)
+    if not tol.close(float(np.sqrt(2.0 * spread / power).max()), 1.0 / len(y)):
+        return None
+    return power / power.sum(), y
 
 
 def _phased_factor(w: np.ndarray, v: np.ndarray, rank: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
@@ -413,18 +442,22 @@ def _phased_factor(w: np.ndarray, v: np.ndarray, rank: int, tol: Tolerance) -> t
     return basis, basis * np.sqrt(w[v.shape[1] - rank :])
 
 
-def _unimodular_in_range(w: np.ndarray, v: np.ndarray, rng, tol: Tolerance) -> np.ndarray | None:
-    # w, v: the eigenpairs of a remainder with unit diagonal within its cut, v of shape d x rank.
-    # Alternating projection between the range and the torus, from descent seeds that start at the
-    # phased factor of the remainder, so that the seeds depend on the remainder alone
-    d = v.shape[0]
-    basis, x = _phased_factor(w, v, v.shape[1], tol)
+def _unimodular_in_range(basis: np.ndarray, x: np.ndarray, rng, tol: Tolerance, first=None) -> np.ndarray | None:
+    # basis, x: _phased_factor of a remainder of rank >= 2 with unit diagonal within its cut.
+    # Alternating projection between the range and the torus, from descent seeds that start at x,
+    # so that the seeds depend on the remainder alone. first, when given, is (state, step): the
+    # rng's state before x's first null direction was drawn and that direction, for the first seed
+    d = basis.shape[0]
     proj = basis @ dagger(basis)
     best_u = None
     best_res = np.inf
     for _ in range(64):
-        state = rng.bit_generator.state
-        z = _descent_seed(x, rng, tol)
+        if first is None:
+            state = rng.bit_generator.state
+            step = _null_direction(x, rng, tol)
+        else:
+            (state, step), first = first, None
+        z = _descent_seed(x, step, rng, tol)
         u = np.exp(1j * np.angle(np.where(np.abs(z) > ROUNDOFF_PHASE, z, 1.0)))
         for _ in range(2000):
             pu = proj @ u
@@ -467,12 +500,23 @@ def mixed_unitary_decompose(
     round-off. A gi channel's diagonal may be 1 only within abs_eps * d; the
     terms then rebuild S A S, which has A's rank and a unit diagonal (S_ii = 1
     where A_ii = 0, which gi allows only when abs_eps * d >= 1; each such entry
-    is set to 1 and adds one to the rank). Peeling extracts
-    one unimodular rank-1 component per step with the largest weight that
+    is set to 1 and adds one to the rank). Before each peel of a remainder of
+    rank k >= 2 a random null direction H of its face is drawn (one SVD of the
+    d x k^2 constraint matrix and one k x k eigh). With x the remainder's phased
+    factor and Q H's eigenvectors, y = x Q has sum_k y_k y_k^dag = x x^dag
+    exactly; when every column of y has constant modulus, each column's term
+    within abs_eps times its weight of y_k y_k^dag in Frobenius norm, the
+    remainder is those k terms, in descending order of H's
+    eigenvalues, and the mixture ends. That holds at rank 2 whenever a null
+    direction exists, and for a generic mixture of r unitaries with
+    r (r - 1) + 1 <= dim, whose face is a simplex: it decomposes in one step.
+    Otherwise peeling extracts
+    one unimodular rank-1 component with the largest weight that
     keeps the remainder PSD, so the remainder's rank drops every step. At
     every rank r >= 2 each restart of the search for that component is seeded
     by a descent over r x r matrices (one eigh of order at most r per step) to
-    a rank-1 point, a unimodular vector in the range; a descent step exists
+    a rank-1 point, a unimodular vector in the range; the first restart's
+    descent starts from the same H. A descent step exists
     while r^2 > dim, so for dim <= 3 the peel ends within dim terms. The terms
     depend on A alone wherever A's kept eigenvalues are distinct.
 
@@ -486,8 +530,9 @@ def mixed_unitary_decompose(
     eigh of order d. Each remainder is carried as its kept eigenpairs (w, V), V of shape
     d x k with k <= rank(A), and never formed: peeling u leaves
     (diag(w) - t c c^dag) / (1 - t) in V's coordinates, c = V^dag u, so a step
-    costs O(d k^2) plus one k x k eigh, besides the search's d x d projector.
-    No Choi matrix.
+    costs O(d k^2) plus one k x k eigh, besides the search's d x d projector; a
+    split costs the null direction's SVD, O(d k^4), and its k x k eigh, and forms
+    no d x d matrix. No Choi matrix.
 
     Raises BudgetExhaustedError when no peelable direction is found within
     the iteration budget (possible for dim >= 4); that outcome is not a
@@ -516,7 +561,15 @@ def mixed_unitary_decompose(
         if len(w) <= 1:
             terms.append((remaining, _term(v[:, -1])))
             break
-        u = _unimodular_in_range(w, v, rng, tol)
+        basis, x = _phased_factor(w, v, len(w), tol)
+        state = rng.bit_generator.state
+        step = _null_direction(x, rng, tol)
+        split = None if step is None else _simplex_split(x, step[1], tol)
+        if split is not None:
+            shares, y = split
+            terms += [(remaining * share, _term(col)) for share, col in zip(shares, y.T)]
+            break
+        u = _unimodular_in_range(basis, x, rng, tol, (state, step))
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
         comps = dagger(v) @ u

@@ -265,7 +265,8 @@ def dense_peel(a: np.ndarray, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> li
         keep = w > tol.rank_cut(float(w[-1]))
         if np.sum(keep) <= 1:
             return terms + [(remaining, v[:, -1] / np.abs(v[:, -1]))]
-        u = classify._unimodular_in_range(w[keep], v[:, keep], rng, tol)
+        basis, x = classify._phased_factor(w[keep], v[:, keep], int(np.sum(keep)), tol)
+        u = classify._unimodular_in_range(basis, x, rng, tol)
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
         t = 1.0 / float(np.sum(np.abs(dagger(v[:, keep]) @ u) ** 2 / w[keep]))

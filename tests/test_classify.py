@@ -1,7 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohkit import (
     DEFAULT_TOL,
@@ -395,20 +398,80 @@ def test_mixed_unitary_decompose_rejects_non_gi():
         mixed_unitary_decompose(KrausMap([SX]))
 
 
+def _terms(rng, d, r):
+    # r random diagonal unitaries (rows of u) and their Dirichlet weights
+    u = np.exp(2j * np.pi * rng.random((r, d)))
+    return rng.dirichlet(np.ones(r)), u
+
+
 def _mixture(rng, d, r):
     # a mixture of r random diagonal unitaries with Dirichlet weights, of exactly unit diagonal
-    u = np.exp(2j * np.pi * rng.random((r, d)))
-    a = np.einsum("k,ki,kj->ij", rng.dirichlet(np.ones(r)), u, np.conj(u))
+    weights, u = _terms(rng, d, r)
+    a = np.einsum("k,ki,kj->ij", weights, u, np.conj(u))
     np.fill_diagonal(a, 1.0)
     return a
 
 
-def test_factor_peel_matches_dense_peel():
+def _searched_ranks(m):
+    # mixed_unitary_decompose(m) with a spy on the search: the outcome (terms, or the exception raised)
+    # and, per search, the remainder's rank and whether its face has a null direction
+    searched = []
+    unimodular = classify._unimodular_in_range
+
+    def spy(basis, x, rng, tol, first=None):
+        searched.append((x.shape[1], classify._null_direction(x, np.random.default_rng(0), tol) is not None))
+        return unimodular(basis, x, rng, tol, first)
+
+    with mock.patch.object(classify, "_unimodular_in_range", spy):
+        try:
+            return mixed_unitary_decompose(m), searched
+        except BudgetExhaustedError as exc:
+            return exc, searched
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 64), st.integers(0, 2**32 - 1), st.data())
+def test_simplex_mixture_splits_into_its_generating_terms(d, seed, data):
+    # r diagonal unitaries with r (r - 1) + 1 <= d have independent cross terms u_k conj(u_l), so the
+    # face of their mixture is a simplex: the peel returns exactly the r generating terms, and no
+    # remainder of rank 2 with a null direction reaches the search
+    r = data.draw(st.integers(2, max(k for k in range(2, 9) if k * (k - 1) + 1 <= d)))
+    weights, u = _terms(np.random.default_rng(seed), d, r)
+    a = np.einsum("k,ki,kj->ij", weights, u, np.conj(u))
+    np.fill_diagonal(a, 1.0)
+    terms, searched = _searched_ranks(SchurMatrix(a))
+    assert (2, True) not in searched
+    assert isinstance(terms, list) and len(terms) == r
+    found = np.exp(1j * np.array([phases for _, phases in terms]))
+    match = np.argmax(np.abs(np.conj(found) @ u.T), axis=1)  # the generating term of each found one
+    assert sorted(match) == list(range(r))
+    assert np.abs(np.array([w for w, _ in terms]) - weights[match]).max() <= 1e-9
+    for v, ref in zip(found, u[match]):
+        assert np.abs(np.outer(v, np.conj(v)) - np.outer(ref, np.conj(ref))).max() <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 8), st.integers(0, 2**32 - 1), st.data())
+def test_search_meets_no_rank_2_remainder_with_a_null_direction(d, seed, data):
+    # mixtures whose face is no simplex, r (r - 1) + 1 > d, are peeled by the search until a remainder
+    # splits; a rank-2 remainder with a null direction always splits, whatever came before it
+    r = data.draw(st.integers(min(k for k in range(2, 9) if k * (k - 1) + 1 > d), 5))
+    _, searched = _searched_ranks(SchurMatrix(_mixture(np.random.default_rng(seed), d, r)))
+    assert searched and (2, True) not in searched
+
+
+def test_factor_peel_matches_dense_peel(monkeypatch):
     # the peel carries each remainder as its kept eigenpairs; peeling whole d x d remainders from the
-    # same seed gives the same outcome, the same weights and the same terms u u^dag
+    # same seed gives the same outcome, the same weights and the same terms u u^dag. The dense peel
+    # takes one term per search. The package's terms up to a one-step split of a simplex remainder
+    # come in the same order; the split's own come in descending order of the null direction's
+    # eigenvalues, the dense peel's order only at rank 2, so they are matched by weight
     rng = np.random.default_rng(23)
     shapes = [(int(rng.integers(4, 9)), int(rng.integers(2, 5))) for _ in range(12)] + [(32, r) for r in (2, 3, 5)]
-    decomposed = 0
+    splits = []
+    simplex_split = classify._simplex_split
+    monkeypatch.setattr(classify, "_simplex_split", lambda *args: splits.append(simplex_split(*args)) or splits[-1])
+    decomposed = searched = 0
     for d, r in shapes:
         a = _mixture(rng, d, r)
         try:
@@ -417,15 +480,20 @@ def test_factor_peel_matches_dense_peel():
             with pytest.raises(BudgetExhaustedError):
                 mixed_unitary_decompose(SchurMatrix(a))
             continue
+        splits.clear()
         terms = mixed_unitary_decompose(SchurMatrix(a))
         assert len(terms) == len(ref)
-        for (weight, phases), (ref_weight, ref_u) in zip(terms, ref):
+        split = [len(found[0]) for found in splits if found is not None]
+        head = len(terms) - sum(split)
+        tail = sorted(terms[head:], key=lambda term: term[0]), sorted(ref[head:], key=lambda term: term[0])
+        for (weight, phases), (ref_weight, ref_u) in zip(terms[:head] + tail[0], ref[:head] + tail[1]):
             u = np.exp(1j * phases)
             assert phases[0] == 0.0
             assert abs(weight - ref_weight) <= 1e-10
             assert np.abs(np.outer(u, np.conj(u)) - np.outer(ref_u, np.conj(ref_u))).max() <= 1e-10
         decomposed += 1
-    assert decomposed >= len(shapes) // 2
+        searched += head > 0
+    assert decomposed >= len(shapes) // 2 and searched >= 1
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
@@ -444,6 +512,22 @@ def test_factor_peel_at_d256_takes_no_eigh_above_the_rank(monkeypatch, r):
     assert np.linalg.norm((u.T * weights) @ np.conj(u) - sm.matrix) <= DEFAULT_TOL.abs_eps * 10
 
 
+def test_simplex_remainder_at_d256_splits_from_one_svd_and_one_eigh(monkeypatch):
+    # a mixture of 4 unitaries at d = 256 (13 <= d) is split in one step: after A's eigenpairs, the
+    # rank test's SVD of the 16 x 256 cross terms, one SVD of the 256 x 16 constraint matrix and one
+    # 4 x 4 eigh of the null direction, and no search, which forms the d x d projector
+    d, r = 256, 4
+    sm = SchurMatrix(_mixture(np.random.default_rng(256 + r), d, r))
+    calls = []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: calls.append(("eigh", m.shape)) or eigh(m, *args))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: calls.append(("svd", m.shape)) or svd(m, *args, **kw))
+    monkeypatch.setattr(classify, "_unimodular_in_range", lambda *args: pytest.fail("the search ran"))
+    terms = mixed_unitary_decompose(sm)
+    assert calls == [("svd", (r * r, d)), ("svd", (d, r * r)), ("eigh", (r, r))]
+    assert len(terms) == r
+
+
 def test_search_runs_one_descent_when_it_takes_no_step(monkeypatch):
     # a rank-2 remainder at d = 8: the descent's first face, in 2^2 <= 8 coordinates, has no null
     # direction, so the descent draws nothing and returns one seed; a random 2-dimensional range
@@ -453,7 +537,8 @@ def test_search_runs_one_descent_when_it_takes_no_step(monkeypatch):
     seeds = []
     descent = classify._descent_seed
     monkeypatch.setattr(classify, "_descent_seed", lambda *args: seeds.append(1) or descent(*args))
-    assert classify._unimodular_in_range(w[-2:], v[:, -2:], np.random.default_rng(0), DEFAULT_TOL) is None
+    basis, x = classify._phased_factor(w, v, 2, DEFAULT_TOL)
+    assert classify._unimodular_in_range(basis, x, np.random.default_rng(0), DEFAULT_TOL) is None
     assert len(seeds) == 1
 
 
@@ -465,16 +550,19 @@ def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
     # 1 - 3e-8, 0.6 * 3e-8 and 0.4 * 3e-8 at d = 12 is peeled first, with 1 - t = 3e-8, which scales
     # the k x k eigh's round-off into a spurious direction above rel_eps. The last genuine term then
     # peels late, with remaining < lambda_1 / d and 1 - t far from both ends of
-    # (rel_eps, rel_eps * lambda_1 / (d * remaining)), and the guard ends the mixture
+    # (rel_eps, rel_eps * lambda_1 / (d * remaining)), and the guard ends the mixture. The unitaries
+    # 1, g and g^2 make the cross terms u_1 conj(u_2) = u_2 conj(u_3) coincide, so A's face is no
+    # simplex and A is not split in one step: every term is peeled by the search
     d, s = 12, 3e-8
-    rng = np.random.default_rng(4)
-    v = np.sqrt([1.0 - s, 0.6 * s, 0.4 * s])[None, :] * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(d, 3)))
+    g = np.exp(1j * np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, size=d))
+    v = np.sqrt([1.0 - s, 0.6 * s, 0.4 * s])[None, :] * np.stack((np.ones(d), g, g * g), axis=1)
     lam = float(np.linalg.eigvalsh(v @ np.conj(v).T)[-1])
     found = []
 
-    def spy(w, vecs, rng, tol):
-        u = unimodular(w, vecs, rng, tol)
-        found.append(1.0 / float(np.sum(np.abs(np.conj(vecs).T @ u) ** 2 / w)))
+    def spy(basis, x, rng, tol, first=None):
+        u = unimodular(basis, x, rng, tol, first)
+        w = (np.abs(x) ** 2).sum(axis=0)  # x = basis sqrt(w), basis orthonormal
+        found.append(1.0 / float(np.sum(np.abs(np.conj(basis).T @ u) ** 2 / w)))
         return u
 
     unimodular = classify._unimodular_in_range

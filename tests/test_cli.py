@@ -641,16 +641,17 @@ def test_error_report_shape(docs, capsys, monkeypatch, argv, code):
 def test_channel_schur_decompose_takes_one_eigh_of_a(tmp_path, capsys, monkeypatch):
     # a channel_schur document is read as a SchurMatrix and is the channel: classification,
     # extremality and the first peel all read the eigenpairs of its PSD check, so an order-32
-    # eigh runs once before the first peel (the remainders take theirs afterwards), and the only
-    # SVD is one cross-term rank test of the n^2 x d products, kept on A and read again by the
-    # decomposition; none is of a Kraus factor
+    # eigh runs once before the first peel, and the SVDs are one cross-term rank test of the n^2 x d
+    # products, kept on A and read again by the decomposition, and the first null direction's of the
+    # d x r^2 constraint matrix; none is of a Kraus factor. The rank-2 mixture is split in one step
+    # from that direction's 2 x 2 eigh, with no search
     rng = np.random.default_rng(32)
     u = np.exp(2j * np.pi * rng.random((2, 32)))
     a = 0.6 * np.outer(u[0], np.conj(u[0])) + 0.4 * np.outer(u[1], np.conj(u[1]))
     np.fill_diagonal(a, 1.0)
     doc = _write(tmp_path / "mix32.json", _schur_doc(a))
-    calls, at_first_peel = [], []
-    eigh, svd, unimodular = np.linalg.eigh, np.linalg.svd, classify._unimodular_in_range
+    calls, at_first_split = [], []
+    eigh, svd, simplex_split = np.linalg.eigh, np.linalg.svd, classify._simplex_split
 
     def counted(name, f):
         def call(m, *args, **kwargs):
@@ -659,15 +660,20 @@ def test_channel_schur_decompose_takes_one_eigh_of_a(tmp_path, capsys, monkeypat
 
         return call
 
-    def first_peel(*args):
-        at_first_peel.append(list(calls))
-        return unimodular(*args)
+    def first_split(*args):
+        at_first_split.append(list(calls))
+        return simplex_split(*args)
+
+    def no_search(*args):
+        raise AssertionError("the search ran")
 
     monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
-    monkeypatch.setattr(classify, "_unimodular_in_range", first_peel)
+    monkeypatch.setattr(classify, "_simplex_split", first_split)
+    monkeypatch.setattr(classify, "_unimodular_in_range", no_search)
     code, out, _ = _run(capsys, ["extremal", doc, "--decompose"])
     assert code == 0
     verdict = json.loads(out)["verdict"]
     assert verdict["extremal"] is False and len(verdict["decomposition"]) == 2
-    assert at_first_peel[0] == [("eigh", (32, 32)), ("svd", (4, 32))]
+    assert at_first_split[0] == [("eigh", (32, 32)), ("svd", (4, 32)), ("svd", (32, 4)), ("eigh", (2, 2))]
+    assert calls == at_first_split[0]

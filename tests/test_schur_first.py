@@ -827,8 +827,10 @@ def test_schur_matrix_answers_as_its_diagonal_list(sm, with_hamiltonian):
         rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
         (_, x), (_, ref_x) = (classify._phased_factor(*e, len(kept), DEFAULT_TOL) for e in (sm.eigen, ref.schur.eigen))
         for _ in range(4):
-            z = classify._descent_seed(x, rng, DEFAULT_TOL)
-            ref_z = classify._descent_seed(ref_x, ref_rng, DEFAULT_TOL)
+            z = classify._descent_seed(x, classify._null_direction(x, rng, DEFAULT_TOL), rng, DEFAULT_TOL)
+            ref_z = classify._descent_seed(
+                ref_x, classify._null_direction(ref_x, ref_rng, DEFAULT_TOL), ref_rng, DEFAULT_TOL
+            )
             assert np.abs(np.outer(z, np.conj(z)) - np.outer(ref_z, np.conj(ref_z))).max() <= bound
         return
     terms, ref_terms = _outcome(mixed_unitary_decompose, sm), _outcome(mixed_unitary_decompose, km)
