@@ -416,11 +416,11 @@ def _simplex_split(x: np.ndarray, q: np.ndarray, tol: Tolerance) -> tuple[np.nda
     # x x^dag as a whole mixture of diagonal unitaries, from the eigenvectors q (ascending) of a null
     # direction H of x's face: y = x q has sum_k y_k y_k^dag = x x^dag exactly, q being unitary, and a
     # column of constant modulus c_k is c_k u_k, u_k unimodular. Where the face is a simplex (x x^dag a
-    # generic mixture of r unitaries, r (r - 1) + 1 <= d; any rank-2 face), H is diagonal in the basis
-    # of its vertices and its eigenvectors are those vertices. Returns (weights, y), columns in
-    # descending order of H's eigenvalues and weights |y_k|^2 over their sum, or None unless every
-    # column is c_k u_k, c_k^2 = mean |y_k|^2, within abs_eps times its own weight c_k^2, so that the
-    # terms rebuild x x^dag within abs_eps in all: for m = |y_k|,
+    # generic mixture of r unitaries, r (r - 1) + 1 <= d, or of unit diagonal and rank 2), H is
+    # diagonal in the basis of its vertices and its eigenvectors are those vertices. Returns
+    # (weights, y), columns in descending order of H's eigenvalues and weights |y_k|^2 over their sum,
+    # or None unless every column is c_k u_k, c_k^2 = mean |y_k|^2, within abs_eps times its own
+    # weight c_k^2, so that the terms rebuild x x^dag within abs_eps in all: for m = |y_k|,
     # ||y_k y_k^dag - c_k^2 u_k u_k^dag||_F^2 = 2 |m|^2 sum_i (m_i - mean m)^2, and |m|^2 = d c_k^2
     y = x @ q[:, ::-1]
     m = np.abs(y)
@@ -507,9 +507,12 @@ def mixed_unitary_decompose(
     exactly; when every column of y has constant modulus, each column's term
     within abs_eps times its weight of y_k y_k^dag in Frobenius norm, the
     remainder is those k terms, in descending order of H's
-    eigenvalues, and the mixture ends. That holds at rank 2 whenever a null
-    direction exists, and for a generic mixture of r unitaries with
-    r (r - 1) + 1 <= dim, whose face is a simplex: it decomposes in one step.
+    eigenvalues, and the mixture ends. For a remainder of unit diagonal to
+    round-off that holds at rank 2 whenever a null direction exists, and for a
+    generic mixture of r unitaries with r (r - 1) + 1 <= dim, whose face is a
+    simplex: A itself then decomposes in one step. A remainder left by a
+    search whose vector was off the range by its residual may miss it, and is
+    searched as before.
     Otherwise peeling extracts
     one unimodular rank-1 component with the largest weight that
     keeps the remainder PSD, so the remainder's rank drops every step. At

@@ -16,6 +16,7 @@ bound rules one out; it is never a claim of impossibility.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -381,9 +382,10 @@ def _sorted_pairing(psq: np.ndarray, tsq: np.ndarray) -> np.ndarray:
 
 def _frame(u: np.ndarray) -> np.ndarray:
     # a unitary with first column the unit vector u: -g H, H the Householder reflection through
-    # v = u + g e_0 (g = u_0 / |u_0|, 1 if u_0 = 0), which sends u to -g e_0; v^dag v = 2 (1 + |u_0|) >= 2
+    # v = u + g e_0 (g = u_0 / |u_0|, 1 if u_0 = 0), which sends u to -g e_0; v^dag v = 2 (1 + |u_0|) >= 2.
+    # A subnormal |u_0| also takes g = 1, since dividing by it overflows; the frame then errs by |u_0|
     a = abs(u[0])
-    g = u[0] / a if a > 0.0 else 1.0
+    g = u[0] / a if a >= sys.float_info.min else 1.0
     v = u.astype(complex)
     v[0] += g
     return -g * (np.eye(u.size) - v[:, None] * (v.conj() / (1.0 + a)))

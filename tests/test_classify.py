@@ -412,23 +412,6 @@ def _mixture(rng, d, r):
     return a
 
 
-def _searched_ranks(m):
-    # mixed_unitary_decompose(m) with a spy on the search: the outcome (terms, or the exception raised)
-    # and, per search, the remainder's rank and whether its face has a null direction
-    searched = []
-    unimodular = classify._unimodular_in_range
-
-    def spy(basis, x, rng, tol, first=None):
-        searched.append((x.shape[1], classify._null_direction(x, np.random.default_rng(0), tol) is not None))
-        return unimodular(basis, x, rng, tol, first)
-
-    with mock.patch.object(classify, "_unimodular_in_range", spy):
-        try:
-            return mixed_unitary_decompose(m), searched
-        except BudgetExhaustedError as exc:
-            return exc, searched
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 64), st.integers(0, 2**32 - 1), st.data())
 def test_simplex_mixture_splits_into_its_generating_terms(d, seed, data):
@@ -439,25 +422,23 @@ def test_simplex_mixture_splits_into_its_generating_terms(d, seed, data):
     weights, u = _terms(np.random.default_rng(seed), d, r)
     a = np.einsum("k,ki,kj->ij", weights, u, np.conj(u))
     np.fill_diagonal(a, 1.0)
-    terms, searched = _searched_ranks(SchurMatrix(a))
+    searched = []
+    unimodular = classify._unimodular_in_range
+
+    def spy(basis, x, rng, tol, first=None):
+        searched.append((x.shape[1], classify._null_direction(x, np.random.default_rng(0), tol) is not None))
+        return unimodular(basis, x, rng, tol, first)
+
+    with mock.patch.object(classify, "_unimodular_in_range", spy):
+        terms = mixed_unitary_decompose(SchurMatrix(a))
     assert (2, True) not in searched
-    assert isinstance(terms, list) and len(terms) == r
+    assert len(terms) == r
     found = np.exp(1j * np.array([phases for _, phases in terms]))
     match = np.argmax(np.abs(np.conj(found) @ u.T), axis=1)  # the generating term of each found one
     assert sorted(match) == list(range(r))
     assert np.abs(np.array([w for w, _ in terms]) - weights[match]).max() <= 1e-9
     for v, ref in zip(found, u[match]):
         assert np.abs(np.outer(v, np.conj(v)) - np.outer(ref, np.conj(ref))).max() <= 1e-9
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(4, 8), st.integers(0, 2**32 - 1), st.data())
-def test_search_meets_no_rank_2_remainder_with_a_null_direction(d, seed, data):
-    # mixtures whose face is no simplex, r (r - 1) + 1 > d, are peeled by the search until a remainder
-    # splits; a rank-2 remainder with a null direction always splits, whatever came before it
-    r = data.draw(st.integers(min(k for k in range(2, 9) if k * (k - 1) + 1 > d), 5))
-    _, searched = _searched_ranks(SchurMatrix(_mixture(np.random.default_rng(seed), d, r)))
-    assert searched and (2, True) not in searched
 
 
 def test_factor_peel_matches_dense_peel(monkeypatch):
