@@ -161,7 +161,7 @@ class SchurMatrix:
         if not self.tol.psd(w):
             raise ValueError("Schur matrix must be Hermitian PSD within tolerance")
         diag = np.real(np.diag(a))
-        if (diag < -self.tol.abs_eps).any() or (diag > 1.0 + self.tol.abs_eps).any():
+        if (diag < -self.tol.eps).any() or (diag > 1.0 + self.tol.eps).any():
             raise ValueError("Schur matrix diagonal must lie in [0, 1] within tolerance")
         for x in (a, w, v):
             x.flags.writeable = False
@@ -192,13 +192,13 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     """Recover A with map(X) = A * X entrywise, or None when the map is not of that form.
 
     A = sum_s x_s x_s^dag over the Kraus diagonals x_s. The off-pattern residual
-    (the norm of the basis-image entries A * X cannot produce, at most abs_eps * d)
+    (the norm of the basis-image entries A * X cannot produce, at most eps * d)
     is sqrt(2 tr(Gx Gy) + ||Gy||_F^2), Gx and Gy the n x n Gram matrices of the
     diagonal and off-diagonal parts of the operators: O(n^2 d^2) on the first call,
     no d^4 tensor. A list whose off-diagonal entries are all exactly zero has
     residual 0 and skips it, paying O(n d^2) for that test. The residual is at least
     ||Gy||_F >= (Gy)_ss >= |y_sk|^2 for every off-diagonal entry y_sk, so a list
-    with one such entry above abs_eps * d in squared modulus is answered None at
+    with one such entry above eps * d in squared modulus is answered None at
     O(n d^2), before either Gram product.
     A's eigenpairs come from one SVD of the d x n matrix of diagonals, O(d^2 n) on
     the first call; A is never eigendecomposed. The answer is kept on m per
@@ -215,7 +215,7 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
 
 def _on_pattern(t: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
     # whether the off-pattern residual of the (n, d, d) Kraus tensor t with diagonals x is within
-    # abs_eps * d; it is 0 when no word off the diagonal is nonzero, the two float64 halves of each
+    # eps * d; it is 0 when no word off the diagonal is nonzero, the two float64 halves of each
     # entry read as integers
     n, d = x.shape
     words = t.view(np.int64).reshape(n, d * d, 2)

@@ -99,18 +99,18 @@ class ExtremalityWitness:
 
 
 def is_incoherent_operator(k, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff each column holds at most one entry with modulus above abs_eps."""
+    """True iff each column holds at most one entry with modulus above eps."""
     a = as_matrix(k)
-    return bool(np.all(np.sum(np.abs(a) > tol.abs_eps, axis=0) <= 1))
+    return bool(np.all(np.sum(np.abs(a) > tol.eps, axis=0) <= 1))
 
 
 def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff, per column, all operators' nonzero entries share one row; kraus as in completeness_class."""
-    return _one_form(np.abs(_kraus_tensor(kraus)) > tol.abs_eps)
+    return _one_form(np.abs(_kraus_tensor(kraus)) > tol.eps)
 
 
 def _one_form(hit: np.ndarray) -> bool:
-    # hit[s, a, i] = |K_s[a, i]| > abs_eps; per column, at most one row hit across operators
+    # hit[s, a, i] = |K_s[a, i]| > eps; per column, at most one row hit across operators
     return bool((hit.any(axis=0).sum(axis=0) <= 1).all())
 
 
@@ -131,7 +131,7 @@ def _support_grams(t: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _one_per_column(t: np.ndarray) -> bool:
-    # every column of every operator holds at most one nonzero entry (exact, no abs_eps)
+    # every column of every operator holds at most one nonzero entry (exact, no eps)
     return bool((np.count_nonzero(t, axis=1) <= 1).all())
 
 
@@ -140,7 +140,7 @@ def _image_norms(t: np.ndarray, live: np.ndarray, one_per_column: bool) -> tuple
     # live in column i (live[a, i]: K_s[a, i] != 0 for some s); those rows and row i, which holds the
     # target 1, are kept. Returns the Frobenius norms of each image's off-diagonal part and of
     # images[i] - |i><i|, summed from non-negative squares only: a difference of squares cancels at
-    # abs_eps * d. With one nonzero per operator column (_one_per_column) each image is
+    # eps * d. With one nonzero per operator column (_one_per_column) each image is
     # sum_a P[a, i] |a><a|, P = sum_s |K_s|^2, exactly diagonal: off is 0, and no Gram is formed
     d = t.shape[1]
     if one_per_column:
@@ -157,7 +157,7 @@ def _image_norms(t: np.ndarray, live: np.ndarray, one_per_column: bool) -> tuple
 
 def _schur_form(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix | None, np.ndarray | None]:
     # (A, None) for a Schur channel: a SchurMatrix is its own A, and an exactly diagonal list (no
-    # nonzero entry off the diagonal of any operator; exact, no abs_eps) has extract_schur_matrix's A,
+    # nonzero entry off the diagonal of any operator; exact, no eps) has extract_schur_matrix's A,
     # kept on the list per tol, None when that A fails SchurMatrix's checks. (None, live) for any
     # other list, live[a, i]: K_s[a, i] != 0 for some s
     if isinstance(m, SchurMatrix):
@@ -169,7 +169,7 @@ def _schur_form(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix 
 
 
 def _unit_diagonal(schur: SchurMatrix | None, tol: Tolerance) -> bool:
-    # gi of a Schur channel: A passes SchurMatrix's checks and every |A_ii - 1| is within abs_eps * d
+    # gi of a Schur channel: A passes SchurMatrix's checks and every |A_ii - 1| is within eps * d
     return schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
 
 
@@ -194,7 +194,7 @@ def classify_channel(
     sio, mio and dio then hold, and so does tio for any Hamiltonian, since diagonal
     unitaries commute with entrywise multiplication. The answer comes from A alone:
     sgi is whether A passes SchurMatrix's checks and gi whether every |A_ii - 1| is
-    within abs_eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
+    within eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
     diagonal test and, on the first call, O(d^2 n) for A and its eigenpairs, which the
     list keeps per Tolerance and shares with every later call (extract_schur_matrix).
     Any other list is classified on its Kraus tensor: io, sio and fi from one mask, sgi
@@ -202,7 +202,7 @@ def classify_channel(
     off-diagonal entry already rules A out), the basis-projector images and dio's
     diagonals over the live support at O(n d w^2), w the widest
     column support; an exactly incoherent list (at most one nonzero entry in every
-    operator column, no abs_eps) forms no Gram for its images, O(n d^2), and dio's
+    operator column, no eps) forms no Gram for its images, O(n d^2), and dio's
     only when an operator holds two nonzero entries in one row. tio comes from one
     thin QR of the L x 2n matrix [B | DB], B the n operators' L live entries and D
     their energy gaps, at O(L n^2): no L x L array, d^2 x d^2 for a dense list, is
@@ -227,7 +227,7 @@ def _classify_tensor(
     d = m.dim
     t = m.kraus
     mod = np.abs(t)
-    hit = mod > tol.abs_eps
+    hit = mod > tol.eps
 
     # one mask gives io, sio and fi: hits per column (K incoherent), per row (K^dag incoherent) and
     # rows hit per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
@@ -268,7 +268,7 @@ def _classify_tensor(
         delta = (e[None, :] - e[:, None]).reshape(-1)[flat]
         r = np.linalg.qr(np.hstack((b, delta[:, None] * b)), mode="r")
         y = r[:, n:] @ r[:, :n].conj().T
-        tio = frobenius(y - y.conj().T) <= tol.abs_eps * d * d
+        tio = frobenius(y - y.conj().T) <= tol.eps * d * d
 
     return ClassificationReport(io=io, gi=gi, sgi=sgi, fi=fi, sio=sio, mio=mio, dio=dio, tio=tio, schur=schur)
 
@@ -283,7 +283,7 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     representation already has one shared form (nothing hidden to expose).
     """
     ops = m.kraus
-    hit = np.abs(ops) > tol.abs_eps  # hit[s, a, i]
+    hit = np.abs(ops) > tol.eps  # hit[s, a, i]
     if np.any(np.sum(hit, axis=1) > 1):
         raise ValueError("representation is not incoherent")
     # pair[j, s1, s2]: s1 and s2 both hit column j, in different rows; the first pair in
@@ -419,8 +419,8 @@ def _simplex_split(x: np.ndarray, q: np.ndarray, tol: Tolerance) -> tuple[np.nda
     # generic mixture of r unitaries, r (r - 1) + 1 <= d, or of unit diagonal and rank 2), H is
     # diagonal in the basis of its vertices and its eigenvectors are those vertices. Returns
     # (weights, y), columns in descending order of H's eigenvalues and weights |y_k|^2 over their sum,
-    # or None unless every column is c_k u_k, c_k^2 = mean |y_k|^2, within abs_eps times its own
-    # weight c_k^2, so that the terms rebuild x x^dag within abs_eps in all: for m = |y_k|,
+    # or None unless every column is c_k u_k, c_k^2 = mean |y_k|^2, within eps times its own
+    # weight c_k^2, so that the terms rebuild x x^dag within eps in all: for m = |y_k|,
     # ||y_k y_k^dag - c_k^2 u_k u_k^dag||_F^2 = 2 |m|^2 sum_i (m_i - mean m)^2, and |m|^2 = d c_k^2
     y = x @ q[:, ::-1]
     m = np.abs(y)
@@ -433,30 +433,27 @@ def _simplex_split(x: np.ndarray, q: np.ndarray, tol: Tolerance) -> tuple[np.nda
 
 def _phased_factor(w: np.ndarray, v: np.ndarray, rank: int, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     # w, v: ascending eigenpairs, rank of them above the cut. The kept eigenvectors, each phased so
-    # that its first entry within rel_eps of its largest modulus is real, and x = basis sqrt(w), so
+    # that its first entry within eps of its largest modulus is real, and x = basis sqrt(w), so
     # that x x^dag is the matrix within the cut and x depends on it alone, not on how w, v were found
     basis = v[:, v.shape[1] - rank :]
     mod = np.abs(basis)
-    lead = basis[np.argmax(mod >= mod.max(axis=0) * (1.0 - tol.rel_eps), axis=0), np.arange(rank)]
+    lead = basis[np.argmax(mod >= mod.max(axis=0) * (1.0 - tol.eps), axis=0), np.arange(rank)]
     basis = basis * (np.conj(lead) / np.abs(lead))
     return basis, basis * np.sqrt(w[v.shape[1] - rank :])
 
 
-def _unimodular_in_range(basis: np.ndarray, x: np.ndarray, rng, tol: Tolerance, first=None) -> np.ndarray | None:
+def _unimodular_in_range(basis: np.ndarray, x: np.ndarray, step, rng, tol: Tolerance) -> np.ndarray | None:
     # basis, x: _phased_factor of a remainder of rank >= 2 with unit diagonal within its cut.
     # Alternating projection between the range and the torus, from descent seeds that start at x,
-    # so that the seeds depend on the remainder alone. first, when given, is (state, step): the
-    # rng's state before x's first null direction was drawn and that direction, for the first seed
+    # so that the seeds depend on the remainder alone. step is _null_direction(x, rng, tol), the
+    # first seed's; each later restart draws its own
     d = basis.shape[0]
     proj = basis @ dagger(basis)
     best_u = None
     best_res = np.inf
-    for _ in range(64):
-        if first is None:
-            state = rng.bit_generator.state
+    for restart in range(64):
+        if restart:
             step = _null_direction(x, rng, tol)
-        else:
-            (state, step), first = first, None
         z = _descent_seed(x, step, rng, tol)
         u = np.exp(1j * np.angle(np.where(np.abs(z) > ROUNDOFF_PHASE, z, 1.0)))
         for _ in range(2000):
@@ -467,15 +464,15 @@ def _unimodular_in_range(basis: np.ndarray, x: np.ndarray, rng, tol: Tolerance, 
                 break
             u = u_new
         res = float(np.linalg.norm(u - proj @ u))
-        if res <= tol.abs_eps / 10 * np.sqrt(d):
+        if res <= tol.eps / 10 * np.sqrt(d):
             return u
         if res < best_res:
             best_res = res
             best_u = u
-        if rng.bit_generator.state == state:
-            break  # the descent drew nothing (its first face had no null direction): restarts repeat it
+        if step is None:
+            break  # x's face has no null direction, so the descent drew nothing: restarts repeat it
     # a slightly off-range direction only perturbs the remainder at res**2
-    if best_res <= tol.abs_eps * 10 * np.sqrt(d):
+    if best_res <= tol.eps * 10 * np.sqrt(d):
         return best_u
     return None
 
@@ -497,15 +494,15 @@ def mixed_unitary_decompose(
     is provably not a mixture (extremal with more than one Kraus operator).
     Each phase vector has phases[0] = 0, since u and e^{i theta} u give the
     same term. S A S is the channel's Schur matrix A when A's diagonal is 1 to
-    round-off. A gi channel's diagonal may be 1 only within abs_eps * d; the
+    round-off. A gi channel's diagonal may be 1 only within eps * d; the
     terms then rebuild S A S, which has A's rank and a unit diagonal (S_ii = 1
-    where A_ii = 0, which gi allows only when abs_eps * d >= 1; each such entry
+    where A_ii = 0, which gi allows only when eps * d >= 1; each such entry
     is set to 1 and adds one to the rank). Before each peel of a remainder of
     rank k >= 2 a random null direction H of its face is drawn (one SVD of the
     d x k^2 constraint matrix and one k x k eigh). With x the remainder's phased
     factor and Q H's eigenvectors, y = x Q has sum_k y_k y_k^dag = x x^dag
     exactly; when every column of y has constant modulus, each column's term
-    within abs_eps times its weight of y_k y_k^dag in Frobenius norm, the
+    within eps times its weight of y_k y_k^dag in Frobenius norm, the
     remainder is those k terms, in descending order of H's
     eigenvalues, and the mixture ends. For a remainder of unit diagonal to
     round-off that holds at rank 2 whenever a null direction exists, and for a
@@ -565,14 +562,13 @@ def mixed_unitary_decompose(
             terms.append((remaining, _term(v[:, -1])))
             break
         basis, x = _phased_factor(w, v, len(w), tol)
-        state = rng.bit_generator.state
         step = _null_direction(x, rng, tol)
         split = None if step is None else _simplex_split(x, step[1], tol)
         if split is not None:
             shares, y = split
             terms += [(remaining * share, _term(col)) for share, col in zip(shares, y.T)]
             break
-        u = _unimodular_in_range(basis, x, rng, tol, (state, step))
+        u = _unimodular_in_range(basis, x, step, rng, tol)
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
         comps = dagger(v) @ u
@@ -593,6 +589,6 @@ def mixed_unitary_decompose(
         raise BudgetExhaustedError("the remainder did not reach rank 1 within dim peeling steps")
     weights = np.array([weight for weight, _ in terms])
     u = np.exp(1j * np.array([phases for _, phases in terms]))
-    if frobenius((u.T * weights) @ np.conj(u) - a0) > tol.abs_eps * 10:
+    if frobenius((u.T * weights) @ np.conj(u) - a0) > tol.eps * 10:
         raise BudgetExhaustedError("decomposition failed to reconstruct the Schur matrix")
     return terms

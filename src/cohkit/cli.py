@@ -13,7 +13,10 @@ channel_schur, the STATE of reduce and the states of convert gi density or
 state_vector, and the states of convert fi and prob state_vector. A
 state_vector is turned into its density for reduce, and for convert gi only
 where the other state is a density. The CLI adds no defaults of its own:
-without --budget each search runs on its library default.
+without --budget each search runs on its library default, and --tol sets the
+eps of the one Tolerance that every comparison reads (default 1e-9). The
+report's "tolerance" gives that eps under both of its keys, so that reports
+keep their layout.
 
 Exit codes: 0 result computed (the verdict's truth value is part of the
 report, never the exit code), 2 unreadable or malformed document or bad
@@ -287,8 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cohkit",
         description="Classify incoherence-compatible channels and decide basis-coherence conversions.",
     )
-    tol_help = "abs_eps and rel_eps of every comparison, state validation included (finite, > 0)"
-    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL.abs_eps, help=tol_help)
+    tol_help = "eps of every comparison, state validation included (finite, > 0)"
+    parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL.eps, help=tol_help)
     parser.add_argument("--seed", type=_at_least(0), default=0, help="seed for randomized searches (>= 0)")
     budget_help = "iteration budget of convert's searches (>= 1); default: each search's own"
     parser.add_argument("--budget", type=_at_least(1), default=None, help=budget_help)
@@ -331,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_PARSE
-    tol = Tolerance(abs_eps=args.tol, rel_eps=args.tol)
+    tol = Tolerance(args.tol)
     try:
         rule, inputs, verdict, code = args.func(args, tol)
     except (DocumentError, ValueError, BudgetExhaustedError) as exc:
@@ -344,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         "inputs": inputs,
         "rule": rule,
         "seed": args.seed,
-        "tolerance": {"abs_eps": tol.abs_eps, "rel_eps": tol.rel_eps},
+        "tolerance": {"abs_eps": tol.eps, "rel_eps": tol.eps},
         "verdict": verdict,
     }
     print(json.dumps(report, indent=2, sort_keys=True))

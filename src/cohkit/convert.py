@@ -101,7 +101,7 @@ def gi_deterministic_pure(psi: PureState, phi: PureState, tol: Tolerance = DEFAU
     dev = float(np.max(np.abs(np.abs(psi.amplitudes) ** 2 - np.abs(phi.amplitudes) ** 2)))
     if not tol.close(dev):
         return ConversionVerdict(False, 0.0, None, Reason.NOT_UNITARILY_EQUIVALENT)
-    support = np.abs(psi.amplitudes) > tol.abs_eps
+    support = np.abs(psi.amplitudes) > tol.eps
     phases = np.where(support, np.angle(phi.amplitudes) - np.angle(psi.amplitudes), 0.0)
     witness = KrausMap([diagonal_unitary(phases)], tol)
     return ConversionVerdict(True, 1.0, witness, None)
@@ -119,17 +119,17 @@ def gi_pure_parent(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> tuple[Pu
     """Pure state with the same diagonal as rho, plus a Schur channel mapping it to rho.
 
     The channel's Schur matrix is the identity with rho_ij / sqrt(p_i p_j)
-    wherever both populations exceed tol.abs_eps."""
+    wherever both populations exceed tol.eps."""
     diag = np.clip(rho.diagonal(), 0.0, None)
     total = float(np.sum(diag))
     psi = PureState(np.sqrt(diag / total).astype(complex), tol)
-    support = diag > tol.abs_eps
+    support = diag > tol.eps
     a = _masked_ratio(rho.matrix, np.sqrt(np.outer(diag, diag)), np.outer(support, support))
     return psi, schur_map(SchurMatrix(a, tol), tol)
 
 
 def _purity(rho: DensityMatrix, tol: Tolerance) -> tuple[bool, np.ndarray]:
-    # from rho's stored eigenpairs, no eigh: is the top eigenvalue 1 within abs_eps, and its eigenvector
+    # from rho's stored eigenpairs, no eigh: is the top eigenvalue 1 within eps, and its eigenvector
     # times its root
     w, v = _eigen(rho, tol)
     top = float(w[-1])
@@ -138,8 +138,8 @@ def _purity(rho: DensityMatrix, tol: Tolerance) -> tuple[bool, np.ndarray]:
 
 def _pure_source_witness(psi: np.ndarray, s: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
     # gi_deterministic's three candidates in turn, the clip's eigh only where the first two fail: the
-    # first that SchurMatrix accepts and that maps psi psi^dag to s within 10 abs_eps
-    support = (np.abs(psi) > tol.abs_eps) & (s.diagonal().real > 0.0)
+    # first that SchurMatrix accepts and that maps psi psi^dag to s within 10 eps
+    support = (np.abs(psi) > tol.eps) & (s.diagonal().real > 0.0)
     pinned = np.outer(support, support)
     scale = np.sqrt(np.where(support, s.diagonal().real, 1.0)) * np.exp(1j * np.angle(psi))
     corr = _masked_ratio(s, np.outer(scale, np.conj(scale)), pinned)
@@ -156,7 +156,7 @@ def _pure_source_witness(psi: np.ndarray, s: np.ndarray, tol: Tolerance) -> Schu
             schur = SchurMatrix(a, tol)
         except ValueError:
             continue
-        if frobenius(a * np.outer(psi, np.conj(psi)) - s) <= tol.abs_eps * 10:
+        if frobenius(a * np.outer(psi, np.conj(psi)) - s) <= tol.eps * 10:
             return schur
     return None
 
@@ -169,18 +169,18 @@ def gi_deterministic(
 ) -> ConversionVerdict:
     """Deterministic conversion rho -> sigma under unit-diagonal Schur channels.
 
-    The diagonals must agree entrywise within tol.abs_eps; both states are
+    The diagonals must agree entrywise within tol.eps; both states are
     read through their Hermitian parts (m + m^dag)/2. A pure source psi (top
-    eigenvalue 1 within tol.abs_eps) converts in exact arithmetic. The
+    eigenvalue 1 within tol.eps) converts in exact arithmetic. The
     witness's A, the identity off psi's support, is the first of three to
-    map psi psi^dag to sigma within 10 tol.abs_eps: sigma's correlation
+    map psi psi^dag to sigma within 10 tol.eps: sigma's correlation
     matrix with psi's phases taken off (free of the 1 / |psi_i| round-off of
     a ratio), the ratio sigma_ij / (psi_i conj(psi_j)) (for sigma_ii equal to
-    |psi_i|^2 only within abs_eps), and the correlation matrix clipped to
+    |psi_i|^2 only within eps), and the correlation matrix clipped to
     PSD. If none does, the answer is False where sum_ij max(|sigma_ij| -
-    |psi_i||psi_j|, 0)^2 > (10 tol.abs_eps)^2, a bound no unit-diagonal A
+    |psi_i||psi_j|, 0)^2 > (10 tol.eps)^2, a bound no unit-diagonal A
     beats, and None otherwise. A mixed source cannot reach a pure target.
-    Otherwise A_ij = sigma_ij / rho_ij is pinned where |rho_ij| > tol.abs_eps,
+    Otherwise A_ij = sigma_ij / rho_ij is pinned where |rho_ij| > tol.eps,
     and a coherence of sigma above it elsewhere is a SupportViolation;
     oracle.psd_complete (default budget 5,000 iterations) fills the rest and
     stops on the PSD rule of SchurMatrix, so its completion is the witness's
@@ -191,7 +191,7 @@ def gi_deterministic(
     _check_dims(rho.dim, sigma.dim)
     if not tol.close(float(np.max(np.abs(rho.diagonal() - sigma.diagonal())))):
         return ConversionVerdict(False, 0.0, None, Reason.DIAGONAL_MISMATCH)
-    # DensityMatrix bounds m - m^dag only by abs_eps * d: Hermitian parts give Hermitian ratios
+    # DensityMatrix bounds m - m^dag only by eps * d: Hermitian parts give Hermitian ratios
     s = (sigma.matrix + dagger(sigma.matrix)) / 2.0
     rho_pure, psi = _purity(rho, tol)
     if rho_pure:
@@ -200,13 +200,13 @@ def gi_deterministic(
             return ConversionVerdict(True, 1.0, schur_map(schur, tol), None)
         # |A_ij| <= 1 for every unit-diagonal A, so no witness maps psi psi^dag closer to sigma than this
         gap = np.maximum(np.abs(s) - np.outer(np.abs(psi), np.abs(psi)), 0.0)
-        possible = False if frobenius(gap) > tol.abs_eps * 10 else None
+        possible = False if frobenius(gap) > tol.eps * 10 else None
         return ConversionVerdict(possible, 0.0, None, Reason.COMPLETION_INFEASIBLE)
     if _purity(sigma, tol)[0]:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
     r = (rho.matrix + dagger(rho.matrix)) / 2.0
-    pinned = (np.abs(r) > tol.abs_eps) | np.eye(rho.dim, dtype=bool)
-    if np.any(~pinned & (np.abs(s) > tol.abs_eps)):
+    pinned = (np.abs(r) > tol.eps) | np.eye(rho.dim, dtype=bool)
+    if np.any(~pinned & (np.abs(s) > tol.eps)):
         return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
     a = _masked_ratio(s, r, pinned)
     if not pinned.all():
@@ -240,8 +240,8 @@ def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEF
     """
     _check_dims(psi.dim, phi.dim)
     amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
-    tp = amp_t > tol.abs_eps
-    if (tp & (amp_s <= tol.abs_eps)).any():
+    tp = amp_t > tol.eps
+    if (tp & (amp_s <= tol.eps)).any():
         return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
     prob = float(min((amp_s[tp] ** 2 / amp_t[tp] ** 2).min(), 1.0))
     return ConversionVerdict(True, prob, _one_branch(psi, phi, tp, np.arange(psi.dim), tol), None)
@@ -269,21 +269,21 @@ def sgi_mixed_to_pure(
     """Stochastic extraction of a coherent pure state from a mixed state.
 
     Succeeds iff projecting onto some pair of labels i < j leaves a rank-1
-    block (tol.rank_cut) with |rho_ij| > tol.abs_eps. One batched eigh covers
+    block (tol.rank_cut) with |rho_ij| > tol.eps. One batched eigh covers
     all d(d-1)/2 blocks; the first such pair in row order is returned, its
     projector the witness and the block's trace the branch probability.
     """
     if _purity(rho, tol)[0]:
         raise ValueError("source state is already pure")
     off = rho.matrix - np.diag(np.diag(rho.matrix))
-    if frobenius(off) <= tol.abs_eps:
+    if frobenius(off) <= tol.eps:
         raise ValueError("source state is incoherent")
     d = rho.dim
     pairs = np.column_stack(np.triu_indices(d, 1))
     blocks = rho.matrix[pairs[:, :, None], pairs[:, None, :]]
-    # rho passed its Hermiticity check at abs_eps * d; a block is not checked again at abs_eps * 2
+    # rho passed its Hermiticity check at eps * d; a block is not checked again at eps * 2
     w = np.linalg.eigh((blocks + dagger(blocks)) / 2.0)[0]
-    hits = np.flatnonzero((np.abs(blocks[:, 0, 1]) > tol.abs_eps) & (w[:, 0] <= tol.rank_cut(w[:, -1])))
+    hits = np.flatnonzero((np.abs(blocks[:, 0, 1]) > tol.eps) & (w[:, 0] <= tol.rank_cut(w[:, -1])))
     if hits.size == 0:
         return ConversionVerdict(False, 0.0, None, Reason.NO_PURE_PROJECTION), None
     i, j = pairs[hits[0]].tolist()
@@ -302,7 +302,7 @@ def reduce_joint(a_joint: SchurMatrix, sigma: DensityMatrix, tol: Tolerance = DE
     d = sigma.dim
     if a_joint.dim != d * d:
         raise ValueError("joint matrix dimension must be the square of the state dimension")
-    if float(np.max(np.abs(np.real(np.diag(a_joint.matrix)) - 1.0))) > tol.abs_eps * d * d:
+    if float(np.max(np.abs(np.real(np.diag(a_joint.matrix)) - 1.0))) > tol.eps * d * d:
         raise ValueError("joint matrix must have unit diagonal")
     a4 = a_joint.matrix.reshape(d, d, d, d)
     reduced = np.einsum("ikjk,k->ij", a4, sigma.diagonal().astype(complex))
@@ -401,7 +401,7 @@ def fi_deterministic_pure(
 
     Possible iff some label map f from the source support onto the target
     support coarse-grains the populations: |phi_r|^2 = sum over f(j) = r of
-    |psi_j|^2 within tol.abs_eps. At equal coherence rank f pairs the sorted
+    |psi_j|^2 within tol.eps. At equal coherence rank f pairs the sorted
     populations, O(d log d) with no search. Otherwise f is found by backtracking,
     each placement counting against budget.max_iterations: exponential in d at
     worst, at most 64 placements at d = 7 and 2,048 at d = 12 on random pairs.
@@ -410,13 +410,13 @@ def fi_deterministic_pure(
     The witness has as many branches as the largest fibre F -> r; F's columns
     are those of phase(phi_r) Q^dag, Q = -g (I - 2 v v^dag / v^dag v) the unitary
     with first column u = psi_F / |psi_F|, v = u + g e_0, g = u_0 / |u_0|. It
-    must be one-form, trace preserving and of fidelity 1 - 10 tol.abs_eps (or
+    must be one-form, trace preserving and of fidelity 1 - 10 tol.eps (or
     what f promises, if less), else ArithmeticError.
     """
     _check_dims(psi.dim, phi.dim)
     d = psi.dim
     amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
-    in_s, in_t = amp_s > tol.abs_eps, amp_t > tol.abs_eps
+    in_s, in_t = amp_s > tol.eps, amp_t > tol.eps
     src, tgt = in_s.nonzero()[0], in_t.nonzero()[0]
     if tgt.size > src.size:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
@@ -424,13 +424,13 @@ def fi_deterministic_pure(
     if tgt.size == src.size:
         # one population per label: the sorted pairing under the two comparisons _label_map makes
         pos, labels = _sorted_pairing(psq, tsq), tgt
-        if not ((psq[pos] <= tsq + tol.abs_eps).all() and (tsq - psq[pos] <= tol.abs_eps).all()):
+        if not ((psq[pos] <= tsq + tol.eps).all() and (tsq - psq[pos] <= tol.eps).all()):
             return ConversionVerdict(False, 0.0, None, Reason.NOT_UNITARILY_EQUIVALENT)
     else:
         pos = np.argsort(-amp_s[src], kind="stable")
         limit = (budget or oracle.SearchBudget()).max_iterations
         try:
-            f = _label_map(psq[pos].tolist(), tsq.tolist(), limit, tol.abs_eps)
+            f = _label_map(psq[pos].tolist(), tsq.tolist(), limit, tol.eps)
         except BudgetExhaustedError:
             return ConversionVerdict(None, 0.0, None, None)
         if f is None:
@@ -449,8 +449,8 @@ def fi_deterministic_pure(
         ops[: fibre.size, r, fibre] = phi.amplitudes[r] / amp_t[r] * dagger(frame)
     # labels outside the source support go to unused rows, one each, as e_0
     ops[0, (~in_t).nonzero()[0][: d - src.size], (~in_s).nonzero()[0]] = 1.0
-    # populations below abs_eps may trade labels, so f itself may promise less
-    # than 1 - 10 abs_eps: sum over r of |phi_r| |psi_F| squared
+    # populations below eps may trade labels, so f itself may promise less
+    # than 1 - 10 eps: sum over r of |phi_r| |psi_F| squared
     promised = float(amp_t @ np.sqrt(weights)) ** 2
     overlap = (ops @ psi.amplitudes) @ np.conj(phi.amplitudes)
     try:
@@ -461,7 +461,7 @@ def fi_deterministic_pure(
         witness is None
         or not same_form(witness, tol)
         or witness.completeness is not CompletenessClass.TRACE_PRESERVING
-        or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - tol.abs_eps * 10, promised - tol.abs_eps / 10)
+        or float(np.sum(np.abs(overlap) ** 2)) < min(1.0 - tol.eps * 10, promised - tol.eps / 10)
     ):
         raise ArithmeticError("rounding broke the fully incoherent witness")
     return ConversionVerdict(True, 1.0, witness, None)
@@ -479,8 +479,8 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     then returned, the branch of sgi_optimal_probability taken along sigma.
     """
     _check_dims(psi.dim, phi.dim)
-    tp = np.abs(phi.amplitudes) > tol.abs_eps  # mask of phi's amplitudes above abs_eps
-    exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.abs_eps) == np.count_nonzero(tp))
+    tp = np.abs(phi.amplitudes) > tol.eps  # mask of phi's amplitudes above eps
+    exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.eps) == np.count_nonzero(tp))
     psq = np.abs(psi.amplitudes) ** 2
     tsq = np.abs(phi.amplitudes) ** 2
     sigma = _sorted_pairing(psq, tsq)

@@ -25,38 +25,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute and relative thresholds: every tolerance of the package is read from here.
+    """The package's one threshold eps: every tolerance of the package is read from here.
 
-    abs_eps bounds a deviation times the entries it runs over (`close`), rel_eps cuts a spectrum
-    at its top (`rank_cut`), and both add up in the PSD rule (`psd`). Checks of a computed witness
-    allow abs_eps * 10; input normalizations are held to abs_eps / 10.
+    eps bounds a deviation times the entries it runs over (`close`), cuts a spectrum at eps times
+    its top (`rank_cut`), and bounds a value of magnitude scale at eps * (1 + scale) above its limit
+    (`upper`, and through it `psd`). Checks of a computed witness allow eps * 10; input
+    normalizations are held to eps / 10.
     """
 
-    abs_eps: float = 1e-9
-    rel_eps: float = 1e-9
+    eps: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("abs_eps", "rel_eps"):
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            object.__setattr__(self, name, value)  # the float that was checked, hashable and ordered
+        value = float(self.eps)
+        if not np.isfinite(value) or value < 0.0:
+            raise ValueError(f"eps must be finite and >= 0, got {value!r}")
+        object.__setattr__(self, "eps", value)  # the float that was checked, hashable and ordered
 
     def close(self, dev: float, size: float = 1) -> bool:
-        """Absolute equality: dev <= abs_eps * size."""
-        return dev <= self.abs_eps * size
+        """Absolute equality: dev <= eps * size."""
+        return dev <= self.eps * size
 
     def upper(self, limit: float, scale: float) -> float:
-        """limit + abs_eps + rel_eps * scale: the largest value of magnitude scale that counts as <= limit."""
-        return limit + self.abs_eps + self.rel_eps * scale
+        """limit + eps * (1 + scale): the largest value of magnitude scale that counts as <= limit."""
+        return limit + self.eps * (1.0 + scale)
 
     def psd(self, w: np.ndarray) -> bool:
-        """The PSD rule on ascending eigenvalues w: w[0] >= -(abs_eps + rel_eps * max|w|)."""
+        """The PSD rule on ascending eigenvalues w: w[0] >= -eps * (1 + max|w|)."""
         return bool(-w[0] <= self.upper(0.0, float(np.abs(w).max())))
 
     def rank_cut(self, top: float | np.ndarray) -> float | np.ndarray:
-        """Eigen- or singular values above rel_eps * max(top, 0) count toward a rank; elementwise on an array."""
-        return self.rel_eps * np.maximum(top, 0.0)
+        """Eigen- or singular values above eps * max(top, 0) count toward a rank; elementwise on an array."""
+        return self.eps * np.maximum(top, 0.0)
 
 
 DEFAULT_TOL = Tolerance()
@@ -105,7 +104,7 @@ def hermitian_eigen(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     """Eigenvalues (ascending, real) and eigenvector columns of a Hermitian matrix.
 
     The input is symmetrized as (m + m^dag)/2 before the solve; inputs whose
-    anti-Hermitian part exceeds abs_eps * dim in Frobenius norm are rejected.
+    anti-Hermitian part exceeds eps * dim in Frobenius norm are rejected.
     """
     a = _require_square(as_matrix(m))
     if not tol.close(frobenius(a - dagger(a)), a.shape[0]):
@@ -115,6 +114,6 @@ def hermitian_eigen(m, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
 
 
 def is_psd(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the minimum eigenvalue is >= -(abs_eps + rel_eps * max|eig|)."""
+    """True iff the minimum eigenvalue is >= -eps * (1 + max|eig|)."""
     return tol.psd(hermitian_eigen(m, tol)[0])
 

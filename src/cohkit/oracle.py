@@ -111,8 +111,8 @@ def search_sgi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFA
     """
     if psi.dim != phi.dim:
         raise ValueError("states must share a dimension")
-    sp = np.abs(psi.amplitudes) > tol.abs_eps
-    tp = np.abs(phi.amplitudes) > tol.abs_eps
+    sp = np.abs(psi.amplitudes) > tol.eps
+    tp = np.abs(phi.amplitudes) > tol.eps
     if np.any(tp & ~sp):
         return 0.0
     phi_s, psi_s = phi.amplitudes[sp], psi.amplitudes[sp]

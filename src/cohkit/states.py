@@ -31,7 +31,7 @@ class PureState:
         if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
             raise ValueError("amplitudes must be finite")
         if not self.tol.close(abs(float(np.sum(np.abs(a) ** 2)) - 1.0), a.size):
-            raise ValueError("amplitudes must have unit squared norm within tol.abs_eps * dim")
+            raise ValueError("amplitudes must have unit squared norm within tol.eps * dim")
         a.flags.writeable = False
         object.__setattr__(self, "amplitudes", a)
 
@@ -65,7 +65,7 @@ class DensityMatrix:
         if not self.tol.psd(w):
             raise ValueError("density matrix must be Hermitian PSD within tolerance")
         if not self.tol.close(abs(float(np.real(np.trace(m))) - 1.0), m.shape[0]):
-            raise ValueError("density matrix must have unit trace within tol.abs_eps * dim")
+            raise ValueError("density matrix must have unit trace within tol.eps * dim")
         for x in (m, w, v):
             x.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -106,6 +106,6 @@ def rel_entropy_coherence(rho: DensityMatrix, tol: Tolerance = DEFAULT_TOL) -> f
     w = np.clip(w, 0.0, None)
     diag = np.clip(rho.diagonal(), 0.0, None)
     value = _shannon(diag) - _shannon(w)
-    if value < -tol.abs_eps / 10:
+    if value < -tol.eps / 10:
         raise ValueError("entropy difference was negative beyond numerical noise")
     return max(value, 0.0)

@@ -78,7 +78,7 @@ def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
 
     Branch i is [[a_i, 0, c_i], [0, b_i, 0], [0, 0, 0]]. Trace preservation
     pins sum |a_i|^2 = sum |b_i|^2 = sum |c_i|^2 = 1 and a . conj(c) = 0,
-    all enforced within tol.abs_eps / 10.
+    all enforced within tol.eps / 10.
     """
     av = np.asarray(a, dtype=complex)
     bv = np.asarray(b, dtype=complex)
@@ -86,9 +86,9 @@ def build_fi_rank2_map(a, b, c, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     if av.shape != (2,) or bv.shape != (2,) or cv.shape != (2,):
         raise ValueError("parameters must be pairs (two branches)")
     for name, vec in (("a", av), ("b", bv), ("c", cv)):
-        if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > tol.abs_eps / 10:
+        if abs(float(np.sum(np.abs(vec) ** 2)) - 1.0) > tol.eps / 10:
             raise ValueError(f"column normalization violated for {name}")
-    if abs(complex(np.sum(av * np.conj(cv)))) > tol.abs_eps / 10:
+    if abs(complex(np.sum(av * np.conj(cv)))) > tol.eps / 10:
         raise ValueError("cross-column orthogonality a . conj(c) = 0 violated")
     ops = []
     for i in range(2):

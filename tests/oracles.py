@@ -139,15 +139,15 @@ def search_fi_map(
     keeps those whose population sums match the target populations, and
     solves each surviving assignment with a random branch vector. A witness
     is verified: fully incoherent, trace preserving, output fidelity at
-    least 1 - 10 tol.abs_eps. Returns None when the budget is exhausted.
+    least 1 - 10 tol.eps. Returns None when the budget is exhausted.
     """
     if psi.dim != phi.dim:
         raise ValueError("states must share a dimension")
     d = psi.dim
     if d > 4:
         raise ValueError("assignment enumeration is limited to dimension <= 4")
-    src = np.flatnonzero(np.abs(psi.amplitudes) > tol.abs_eps).tolist()
-    tgt = np.flatnonzero(np.abs(phi.amplitudes) > tol.abs_eps).tolist()
+    src = np.flatnonzero(np.abs(psi.amplitudes) > tol.eps).tolist()
+    tgt = np.flatnonzero(np.abs(phi.amplitudes) > tol.eps).tolist()
     if len(tgt) < 2 or len(tgt) >= len(src):
         raise ValueError("search requires 2 <= target rank < source rank")
     psq = np.abs(psi.amplitudes) ** 2
@@ -185,7 +185,7 @@ def search_fi_map(
                 j = fiber[0]
                 v = t / psi.amplitudes[j]
                 nv = float(np.linalg.norm(v))
-                if abs(nv - 1.0) > tol.abs_eps * 10:
+                if abs(nv - 1.0) > tol.eps * 10:
                     ok = False
                     break
                 v = v / nv
@@ -194,7 +194,7 @@ def search_fi_map(
                 j1, j2 = fiber
                 p = np.array([psi.amplitudes[j1], psi.amplitudes[j2]])
                 np_ = float(np.linalg.norm(p))
-                if abs(np_ - abs(phi.amplitudes[r])) > tol.abs_eps * 10:
+                if abs(np_ - abs(phi.amplitudes[r])) > tol.eps * 10:
                     ok = False
                     break
                 gamma = rng.uniform(0.0, 2.0 * np.pi)
@@ -240,7 +240,7 @@ def search_fi_map(
             continue
         out, prob = apply(candidate, psi.density())
         fid = float(np.real(np.conj(phi.amplitudes) @ out @ phi.amplitudes))
-        if prob < 1.0 - tol.abs_eps or fid < 1.0 - tol.abs_eps * 10:
+        if prob < 1.0 - tol.eps or fid < 1.0 - tol.eps * 10:
             continue
         return candidate
     return None
@@ -266,7 +266,7 @@ def dense_peel(a: np.ndarray, seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> li
         if np.sum(keep) <= 1:
             return terms + [(remaining, v[:, -1] / np.abs(v[:, -1]))]
         basis, x = classify._phased_factor(w[keep], v[:, keep], int(np.sum(keep)), tol)
-        u = classify._unimodular_in_range(basis, x, rng, tol)
+        u = classify._unimodular_in_range(basis, x, classify._null_direction(x, rng, tol), rng, tol)
         if u is None:
             raise BudgetExhaustedError("no unimodular direction found in the range of the remainder")
         t = 1.0 / float(np.sum(np.abs(dagger(v[:, keep]) @ u) ** 2 / w[keep]))
@@ -286,7 +286,7 @@ def direct_tio_norm(m: KrausMap, h: Hamiltonian) -> float:
 
     u = (a, i) and v run over the L entries live in some operator, delta_(a,i) = E_i - E_a,
     and K is the n x L matrix of the operators' live entries: an L x L array, d^2 x d^2 for a
-    dense list. classify_channel holds tio iff this is at most abs_eps * d^2.
+    dense list. classify_channel holds tio iff this is at most eps * d^2.
     """
     d = m.dim
     flat = np.flatnonzero(m.kraus.any(axis=0))
@@ -322,17 +322,17 @@ def relative_entropy(rho, sigma, tol: Tolerance = DEFAULT_TOL) -> float:
     """Quantum relative entropy S(rho || sigma) in bits.
 
     Returns +inf when the support of rho is not contained in the support of
-    sigma (weight above tol.abs_eps outside sigma's support).
+    sigma (weight above tol.eps outside sigma's support).
     """
     wr = _state_spectrum(hermitian_eigen(rho, tol)[0], tol)
     ws, vs = hermitian_eigen(sigma, tol)
     _state_spectrum(ws, tol)
     a = as_matrix(rho)
-    support_thr = tol.abs_eps * max(float(ws[-1]), 1.0)
+    support_thr = tol.eps * max(float(ws[-1]), 1.0)
     kernel = vs[:, ws <= support_thr]
     if kernel.shape[1] > 0:
         leak = float(np.real(np.trace(dagger(kernel) @ a @ kernel)))
-        if leak > tol.abs_eps:
+        if leak > tol.eps:
             return float("inf")
     p = wr[wr > 0.0]
     term_rho = float(np.sum(p * np.log2(p)))
@@ -351,8 +351,8 @@ def majorizes(p, q, tol: Tolerance = DEFAULT_TOL) -> bool:
     for v in (a, b):
         if np.any(v < -ROUNDOFF_SUM):
             raise ValueError("distribution entries must be nonnegative")
-        if abs(float(np.sum(v)) - 1.0) > tol.abs_eps / 10:
-            raise ValueError("distribution must sum to 1 within tol.abs_eps / 10")
+        if abs(float(np.sum(v)) - 1.0) > tol.eps / 10:
+            raise ValueError("distribution must sum to 1 within tol.eps / 10")
     ca = np.cumsum(np.sort(a)[::-1])
     cb = np.cumsum(np.sort(b)[::-1])
-    return bool(np.all(ca >= cb - tol.abs_eps))
+    return bool(np.all(ca >= cb - tol.eps))

@@ -54,7 +54,7 @@ def test_kraus_map_keeps_its_completeness_class():
     # completeness is the class its constructor computed under the map's tol, kept out of repr
     rng = np.random.default_rng(5)
     maps = [KrausMap([np.eye(2)]), KrausMap([0.5 * np.eye(2)]), KrausMap(rand_cptp(rng, 3, 2))]
-    maps.append(KrausMap([0.5 * rand_unitary(rng, 3)], Tolerance(1e-6, 1e-6)))
+    maps.append(KrausMap([0.5 * rand_unitary(rng, 3)], Tolerance(1e-6)))
     for m in maps:
         assert m.completeness is completeness_class(m, m.tol)
         assert "completeness" not in repr(m)
@@ -75,7 +75,7 @@ def test_completeness_class_diagonal_route_matches_eigh(offset):
     # Values sit 1e-12 either side of the trace-preservation and the invalid thresholds.
     d = 4
     u = rand_unitary(np.random.default_rng(3), d)
-    top = (1.0 + 1e-9) / (1.0 - 1e-9)  # w = 1 + abs_eps + rel_eps * w
+    top = (1.0 + 1e-9) / (1.0 - 1e-9)  # w = 1 + eps * (1 + w)
     below = offset < 0
     cases = [
         ([1.0 - (4e-9 + offset), 1.0, 1.0, 1.0], "trace_preserving" if below else "trace_non_increasing"),
@@ -94,7 +94,7 @@ def test_completeness_class_diagonal_route_matches_eigh(offset):
 def _dense_completeness(t, tol=DEFAULT_TOL):
     # the class from the dense product sum_s K_s^dag K_s and its eigh, and that product
     s = sum(dagger(k) @ k for k in t)
-    if frobenius(s - np.eye(len(s))) <= tol.abs_eps * len(s):
+    if frobenius(s - np.eye(len(s))) <= tol.eps * len(s):
         return CompletenessClass.TRACE_PRESERVING, s
     w = np.linalg.eigvalsh((s + dagger(s)) / 2.0)
     if w[-1] <= tol.upper(1.0, float(np.max(np.abs(w)))):
@@ -297,7 +297,7 @@ def test_choi_matrix_identity_channel():
 
 
 def _choi_rank(m):
-    # the count the d^2 x d^2 Choi solve gives: eigenvalues above rel_eps times the largest
+    # the count the d^2 x d^2 Choi solve gives: eigenvalues above eps times the largest
     w = np.linalg.eigvalsh(choi_matrix(m))
     return int(np.sum(w > DEFAULT_TOL.rank_cut(w[-1])))
 
@@ -328,13 +328,13 @@ def test_minimal_representation():
 
 @pytest.mark.parametrize("d", [2, 4, 8, 16])
 def test_minimal_representation_rank_cut(d):
-    # a second operator whose weight is 1/2 or 2 times the rel_eps cut of the first is dropped or
+    # a second operator whose weight is 1/2 or 2 times the eps cut of the first is dropped or
     # kept; the list is mixed by a unitary first, so the Gram matrix is not diagonal
     rng = np.random.default_rng(d)
     u = rand_unitary(rng, d)
     z = np.diag(np.resize([1.0, -1.0], d))  # tr(z) = 0: the two operators are orthogonal
     for factor, count in ((0.5, 1), (2.0, 2)):
-        q = factor * DEFAULT_TOL.rel_eps
+        q = factor * DEFAULT_TOL.eps
         ops = np.array([u, u @ z]) * np.sqrt(np.array([1.0, q]) / (1.0 + q))[:, None, None]
         m = KrausMap(np.tensordot(rand_unitary(rng, 2), ops, axes=1))
         assert len(minimal_representation(m).kraus) == _choi_rank(m) == count

@@ -51,11 +51,11 @@ def test_is_incoherent_operator():
 
 
 def test_io_needs_diagonal_pieces_beyond_the_mask():
-    # the column (2, 0.9 abs_eps) holds one entry above abs_eps, but the off-diagonal norm
-    # of its basis image, 2 * sqrt(2) * 0.9e-9 = 2.5e-9, exceeds abs_eps * d = 2e-9; such an
+    # the column (2, 0.9 eps) holds one entry above eps, but the off-diagonal norm
+    # of its basis image, 2 * sqrt(2) * 0.9e-9 = 2.5e-9, exceeds eps * d = 2e-9; such an
     # entry needs a construction tolerance that admits sum K^dag K = 4
     k = np.array([[2.0, 0.0], [0.9e-9, 0.0]])
-    report = classify_channel(KrausMap([k], Tolerance(10.0, 10.0)))
+    report = classify_channel(KrausMap([k], Tolerance(10.0)))
     assert is_incoherent_operator(k) and report.sio and not report.io
     assert classify_channel(KrausMap([k / 2.0])).io
 
@@ -99,7 +99,7 @@ def test_depolarizing_flags():
 
 def test_tio_threshold_follows_tolerance():
     # a rotation by 1e-8 between levels 0 and 1 fails to commute with time translations by a
-    # commutator norm c; tio holds iff c <= abs_eps * d^2
+    # commutator norm c; tio holds iff c <= eps * d^2
     u = np.eye(3, dtype=complex)
     u[:2, :2] = [[np.cos(1e-8), -1j * np.sin(1e-8)], [-1j * np.sin(1e-8), np.cos(1e-8)]]
     h = Hamiltonian((0.0, 1.0, 2.5))
@@ -109,8 +109,8 @@ def test_tio_threshold_follows_tolerance():
     assert 1e-9 * 9 < c < 1e-6
     m = KrausMap([u])
     assert classify_channel(m, h).tio is False
-    assert classify_channel(m, h, tol=Tolerance(2.0 * c / 9, 1e-9)).tio is True
-    assert classify_channel(m, h, tol=Tolerance(0.5 * c / 9, 1e-9)).tio is False
+    assert classify_channel(m, h, tol=Tolerance(2.0 * c / 9)).tio is True
+    assert classify_channel(m, h, tol=Tolerance(c / 18)).tio is False
 
 
 def _ladder_list(rng, d, n, live):
@@ -129,7 +129,7 @@ def _ladder_list(rng, d, n, live):
 
 def _near_tio_threshold(rng, d, n, live, tol=DEFAULT_TOL):
     """A ladder-covariant list on the entries in live plus noise there, scaled so that the direct
-    commutator norm is c * abs_eps * d^2 with c in [1/2, 2]; the list, its ladder Hamiltonian and c."""
+    commutator norm is c * eps * d^2 with c in [1/2, 2]; the list, its ladder Hamiltonian and c."""
     h = Hamiltonian(tuple(rng.uniform(0.5, 3.0) * np.arange(d) + rng.uniform(-5.0, 5.0)))
     ops = _ladder_list(rng, d, n, live)
     noise = (rng.normal(size=ops.shape) + 1j * rng.normal(size=ops.shape)) * live
@@ -144,7 +144,7 @@ def _near_tio_threshold(rng, d, n, live, tol=DEFAULT_TOL):
     # which keeps sum K^dag K below 1
     p = np.log2(norm(2.0 * s) / norm(s)) if norm(s) > 0.0 else 0.0
     if p > 0.5:
-        s = min(s * (c * tol.abs_eps * d * d / norm(s)) ** (1.0 / p), 1e-3)
+        s = min(s * (c * tol.eps * d * d / norm(s)) ** (1.0 / p), 1e-3)
     return KrausMap(ops + s * noise), h, c
 
 
@@ -164,7 +164,7 @@ def test_tio_matches_the_direct_commutator_near_its_threshold():
         m, h, c = _near_tio_threshold(rng, d, n, live)
         ref = direct_tio_norm(m, h)
         tio = classify_channel(m, h).tio
-        assert tio == (ref <= DEFAULT_TOL.abs_eps * d * d), (case, d, n, c, ref)
+        assert tio == (ref <= DEFAULT_TOL.eps * d * d), (case, d, n, c, ref)
         verdicts.append((tio, np.count_nonzero(m.kraus.any(axis=0)) < 2 * n))
     assert {v for v, _ in verdicts} == {True, False}
     assert {v for v, small in verdicts if small} == {True, False}
@@ -294,7 +294,7 @@ def test_gi_extremality_rejects_non_gi():
 
 
 def test_gi_extremality_reads_gi_and_a_without_classifying(monkeypatch):
-    # Kraus lists that are diagonal up to off-diagonal entries of at most abs_eps: gi and A come from
+    # Kraus lists that are diagonal up to off-diagonal entries of at most eps: gi and A come from
     # extract_schur_matrix and the basis-image norms alone, as classify_channel gives them, and the
     # rest of the tensor classification is not run
     rng = np.random.default_rng(19)
@@ -308,7 +308,7 @@ def test_gi_extremality_reads_gi_and_a_without_classifying(monkeypatch):
             at = rng.random(ops.shape) < 0.1
             at[:, np.arange(d), np.arange(d)] = False
             at[0, 0, d - 1] = True  # at least one entry off the diagonal
-            scale = DEFAULT_TOL.abs_eps * rng.choice([1e-3, 0.5, 1.0])
+            scale = DEFAULT_TOL.eps * rng.choice([1e-3, 0.5, 1.0])
             ops[at] = scale * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, int(at.sum())))
             cases.append(KrausMap(ops))
     cases.append(KrausMap([SX]))  # not a Schur channel
@@ -357,9 +357,9 @@ def test_mixed_unitary_decompose_reconstructs():
 
 
 def test_mixed_unitary_decompose_near_unit_diagonal():
-    # a gi channel's diagonal is 1 only within abs_eps * d: forcing each remainder's diagonal to 1 would
+    # a gi channel's diagonal is 1 only within eps * d: forcing each remainder's diagonal to 1 would
     # raise its rank, so S A S, S = diag(A)^(-1/2), is peeled instead, in at most rank(A) terms
-    eps = DEFAULT_TOL.abs_eps
+    eps = DEFAULT_TOL.eps
     rng = np.random.default_rng(5)
     for d in (3, 6, 32):
         for r in (2, 3):
@@ -373,8 +373,8 @@ def test_mixed_unitary_decompose_near_unit_diagonal():
                     assert terms is not None and len(terms) <= np.linalg.matrix_rank(a, tol=eps)
                     rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
                     assert np.linalg.norm(rebuilt - s[:, None] * a * s[None, :]) <= eps * 10
-    # gi allows A_ii = 0 only when abs_eps * d >= 1; S_ii stays 1 there and the unit diagonal is rebuilt
-    loose = Tolerance(abs_eps=0.5, rel_eps=0.5)
+    # gi allows A_ii = 0 only when eps * d >= 1; S_ii stays 1 there and the unit diagonal is rebuilt
+    loose = Tolerance(0.5)
     terms = mixed_unitary_decompose(SchurMatrix(np.diag([1.0, 0.0]), loose), tol=loose)
     rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
     assert np.linalg.norm(rebuilt - np.eye(2)) <= 1e-12
@@ -425,9 +425,9 @@ def test_simplex_mixture_splits_into_its_generating_terms(d, seed, data):
     searched = []
     unimodular = classify._unimodular_in_range
 
-    def spy(basis, x, rng, tol, first=None):
-        searched.append((x.shape[1], classify._null_direction(x, np.random.default_rng(0), tol) is not None))
-        return unimodular(basis, x, rng, tol, first)
+    def spy(basis, x, step, rng, tol):
+        searched.append((x.shape[1], step is not None))
+        return unimodular(basis, x, step, rng, tol)
 
     with mock.patch.object(classify, "_unimodular_in_range", spy):
         terms = mixed_unitary_decompose(SchurMatrix(a))
@@ -490,7 +490,7 @@ def test_factor_peel_at_d256_takes_no_eigh_above_the_rank(monkeypatch, r):
     assert len(terms) <= r and all(phases[0] == 0.0 for _, phases in terms)
     u = np.exp(1j * np.array([phases for _, phases in terms]))
     weights = np.array([weight for weight, _ in terms])
-    assert np.linalg.norm((u.T * weights) @ np.conj(u) - sm.matrix) <= DEFAULT_TOL.abs_eps * 10
+    assert np.linalg.norm((u.T * weights) @ np.conj(u) - sm.matrix) <= DEFAULT_TOL.eps * 10
 
 
 def test_simplex_remainder_at_d256_splits_from_one_svd_and_one_eigh(monkeypatch):
@@ -519,19 +519,21 @@ def test_search_runs_one_descent_when_it_takes_no_step(monkeypatch):
     descent = classify._descent_seed
     monkeypatch.setattr(classify, "_descent_seed", lambda *args: seeds.append(1) or descent(*args))
     basis, x = classify._phased_factor(w, v, 2, DEFAULT_TOL)
-    assert classify._unimodular_in_range(basis, x, np.random.default_rng(0), DEFAULT_TOL) is None
+    rng = np.random.default_rng(0)
+    step = classify._null_direction(x, rng, DEFAULT_TOL)
+    assert step is None and classify._unimodular_in_range(basis, x, step, rng, DEFAULT_TOL) is None
     assert len(seeds) == 1
 
 
 def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
-    # a peel that leaves less than A's rank cut, remaining * (1 - t) * d <= rel_eps * lambda_1(A), takes
+    # a peel that leaves less than A's rank cut, remaining * (1 - t) * d <= eps * lambda_1(A), takes
     # the rest of the weight and ends the mixture instead of dividing the remainder by 1 - t. In exact
     # arithmetic no peel gets there: a rank-one downdate interlaces, so every nonzero eigenvalue of a
     # remainder stays above A's smallest kept one. Round-off does: here the dominant term of
     # 1 - 3e-8, 0.6 * 3e-8 and 0.4 * 3e-8 at d = 12 is peeled first, with 1 - t = 3e-8, which scales
-    # the k x k eigh's round-off into a spurious direction above rel_eps. The last genuine term then
+    # the k x k eigh's round-off into a spurious direction above eps. The last genuine term then
     # peels late, with remaining < lambda_1 / d and 1 - t far from both ends of
-    # (rel_eps, rel_eps * lambda_1 / (d * remaining)), and the guard ends the mixture. The unitaries
+    # (eps, eps * lambda_1 / (d * remaining)), and the guard ends the mixture. The unitaries
     # 1, g and g^2 make the cross terms u_1 conj(u_2) = u_2 conj(u_3) coincide, so A's face is no
     # simplex and A is not split in one step: every term is peeled by the search
     d, s = 12, 3e-8
@@ -540,8 +542,8 @@ def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
     lam = float(np.linalg.eigvalsh(v @ np.conj(v).T)[-1])
     found = []
 
-    def spy(basis, x, rng, tol, first=None):
-        u = unimodular(basis, x, rng, tol, first)
+    def spy(basis, x, step, rng, tol):
+        u = unimodular(basis, x, step, rng, tol)
         w = (np.abs(x) ** 2).sum(axis=0)  # x = basis sqrt(w), basis orthonormal
         found.append(1.0 / float(np.sum(np.abs(np.conj(basis).T @ u) ** 2 / w)))
         return u
@@ -549,7 +551,7 @@ def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
     unimodular = classify._unimodular_in_range
     monkeypatch.setattr(classify, "_unimodular_in_range", spy)
     terms = mixed_unitary_decompose(KrausMap([np.diag(x) for x in v.T]), seed=0)
-    remaining, eps = float(np.prod([1.0 - t for t in found[:-1]])), DEFAULT_TOL.rel_eps
+    remaining, eps = float(np.prod([1.0 - t for t in found[:-1]])), DEFAULT_TOL.eps
     assert remaining < lam / d and 10 * eps < 1.0 - found[-1] < eps * lam / (d * remaining) / 10
     assert len(terms) == len(found)  # the last peel took the rest: no rank-1 remainder followed it
     rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from cohkit import DensityMatrix, SearchBudget, classify, cli, gi_deterministic
+from cohkit import DensityMatrix, KrausMap, SearchBudget, Tolerance, classify, cli, gi_deterministic, gi_extremality
 from cohkit.classify import BudgetExhaustedError
 from cohkit.cli import main
 
@@ -567,13 +567,25 @@ def test_tol_sets_the_fi_coarse_graining(tmp_path, capsys):
 
 def test_tol_sets_the_extremality_rank_cut(tmp_path, capsys):
     # A's second eigenvalue is about 7.5e-9 of its largest, 4: kept at the default
-    # rel_eps, cut at 1e-6
+    # eps, cut at 1e-6
     n = np.sqrt([1.0, 1.0 + 1e-8, 1.0, 1.0])
     channel = _write(tmp_path / "k.json", _kraus_doc([np.diag(np.ones(4) / n), np.diag([0.0, 1e-4, 0.0, 0.0] / n)]))
     for tol, rank in ((["--tol", "1e-6"], 1), ([], 4)):
         code, out, _ = _run(capsys, tol + ["extremal", channel])
         assert code == 0
         assert json.loads(out)["verdict"]["rank_required"] == rank
+
+
+def test_library_tolerance_sets_the_rank_cut_the_cli_does(tmp_path, capsys):
+    # Tolerance(1e-6) is what --tol 1e-6 builds: on the document above, gi_extremality under it
+    # keeps the rank the CLI reports
+    n = np.sqrt([1.0, 1.0 + 1e-8, 1.0, 1.0])
+    ops = [np.diag(np.ones(4) / n), np.diag([0.0, 1e-4, 0.0, 0.0] / n)]
+    channel = _write(tmp_path / "k.json", _kraus_doc(ops))
+    for eps, rank in ((1e-6, 1), (1e-9, 4)):
+        code, out, _ = _run(capsys, ["--tol", repr(eps), "extremal", channel])
+        assert code == 0 and json.loads(out)["verdict"]["rank_required"] == rank
+        assert gi_extremality(KrausMap(ops, Tolerance(eps)), Tolerance(eps)).rank_required == rank
 
 
 CONVERSION = {"possible", "probability", "reason"}

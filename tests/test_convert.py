@@ -106,13 +106,13 @@ def test_gi_deterministic_pure_to_mixed():
 @st.composite
 def faint_pure_pairs(draw):
     """(psi, sigma = C * psi psi^dag): C unit-diagonal of random rank r <= d <= 8, and
-    psi with 1..d-1 amplitudes of modulus 10^u, u in [log10(2 abs_eps), -7], so just above abs_eps."""
+    psi with 1..d-1 amplitudes of modulus 10^u, u in [log10(2 eps), -7], so just above eps."""
     d = draw(st.integers(2, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     c = rand_gi_schur(rng, d, draw(st.integers(1, d))).matrix
     faint = rng.choice(d, size=draw(st.integers(1, d - 1)), replace=False)
     mod = rng.uniform(0.1, 1.0, size=d)
-    mod[faint] = 10.0 ** rng.uniform(np.log10(2.0 * DEFAULT_TOL.abs_eps), -7.0, size=faint.size)
+    mod[faint] = 10.0 ** rng.uniform(np.log10(2.0 * DEFAULT_TOL.eps), -7.0, size=faint.size)
     bright = np.setdiff1d(np.arange(d), faint)
     mod[bright] *= np.sqrt(1.0 - np.sum(mod[faint] ** 2)) / np.linalg.norm(mod[bright])
     psi = mod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=d))
@@ -124,14 +124,14 @@ def faint_pure_pairs(draw):
 def test_gi_deterministic_pure_source_is_decided_by_populations(pair):
     # psi -> C * psi psi^dag is always reachable: the witness is the correlation matrix of sigma with
     # psi's phases taken off, not the ratio sigma_ij / (psi_i conj(psi_j)), whose round-off grows as
-    # 1 / |psi_i| when an amplitude lies just above abs_eps
+    # 1 / |psi_i| when an amplitude lies just above eps
     psi, sigma = pair
     rho = np.outer(psi, np.conj(psi))
     v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
     assert v.possible is True and v.reason is None
     out, prob = apply(v.map, rho)
     assert abs(prob - 1.0) <= 1e-10
-    assert np.linalg.norm(out - sigma) <= 10 * DEFAULT_TOL.abs_eps
+    assert np.linalg.norm(out - sigma) <= 10 * DEFAULT_TOL.eps
 
 
 @pytest.mark.parametrize(
@@ -150,7 +150,7 @@ def test_gi_deterministic_pure_source_at_the_psd_edge(sigma):
     rho, sigma = np.outer(psi, psi), np.array(sigma)
     v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
     assert v.possible is True
-    assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= DEFAULT_TOL.abs_eps
+    assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= DEFAULT_TOL.eps
 
 
 _FAINT = np.array([np.sqrt(1.0 - 1e-12), 1e-6])
@@ -161,9 +161,9 @@ _FAINT3 = np.array([np.sqrt(1.0 - 2e-12), 1e-6, 1e-6])
     "psi, sigma, possible",
     [
         # |sigma_01| exceeds |psi_0||psi_1| by 1.9e-5 while DensityMatrix admits sigma (least eigenvalue
-        # -4e-10): no unit-diagonal A comes within 10 abs_eps, a proven False
+        # -4e-10): no unit-diagonal A comes within 10 eps, a proven False
         (_FAINT, [[1.0 - 1e-12, 2e-5], [2e-5, 1e-12]], False),
-        # sigma_11 = 1e-9 against |psi_1|^2 = 1e-12, equal within abs_eps: the forced A_01 = 1 reaches
+        # sigma_11 = 1e-9 against |psi_1|^2 = 1e-12, equal within eps: the forced A_01 = 1 reaches
         # sigma, while sigma's correlation entry 1e-6 / sqrt(1e-9) misses it by 1e-6
         (_FAINT, [[1.0 - 1e-9, 1e-6], [1e-6, 1e-9]], True),
         # C * psi psi^dag with C = [[1, 1, 1], [1, 1, -1], [1, -1, 1]], whose eigenvalue -1 leaves sigma
@@ -178,7 +178,7 @@ def test_gi_deterministic_pure_source_past_its_witnesses(psi, sigma, possible):
     v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
     assert v.possible is possible
     if possible:
-        assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= 10 * DEFAULT_TOL.abs_eps
+        assert np.linalg.norm(apply(v.map, rho)[0] - sigma) <= 10 * DEFAULT_TOL.eps
     else:
         assert v.map is None and v.reason is Reason.COMPLETION_INFEASIBLE
 
@@ -221,14 +221,14 @@ def _near_hermitian(r01, r02, r20):
 @pytest.mark.parametrize(
     "rho, sigma",
     [
-        # |rho_02| and |rho_20| straddle abs_eps: the raw entries give an asymmetric mask
+        # |rho_02| and |rho_20| straddle eps: the raw entries give an asymmetric mask
         (_near_hermitian(0.1, 1.5e-9, 0.5e-9), _near_hermitian(0.05, 0.0, 0.0)),
         # a pinned coherence off by 1e-9: the raw ratios sigma_ij / rho_ij are not conjugate
         (_near_hermitian(0.1, 1e-6 + 1e-9, 1e-6), _near_hermitian(0.05, 0.5e-6, 0.5e-6)),
     ],
 )
 def test_gi_deterministic_mixed_reads_hermitian_parts(rho, sigma):
-    # DensityMatrix admits an anti-Hermitian part up to abs_eps * d; the verdict is that of the Hermitian parts
+    # DensityMatrix admits an anti-Hermitian part up to eps * d; the verdict is that of the Hermitian parts
     v = gi_deterministic(DensityMatrix(rho), DensityMatrix(sigma))
     assert v.possible is True
     out, prob = apply(v.map, rho)
@@ -380,8 +380,8 @@ def test_sgi_mixed_to_pure_rejects_pure_and_incoherent():
 
 
 def test_sgi_mixed_to_pure_takes_the_states_hermiticity():
-    # the anti-Hermitian gap of 4.2e-9 passes DensityMatrix at d = 8 (abs_eps * 8) but not a
-    # 2 x 2 check (abs_eps * 2); a validated state is not checked again block by block
+    # the anti-Hermitian gap of 4.2e-9 passes DensityMatrix at d = 8 (eps * 8) but not a
+    # 2 x 2 check (eps * 2); a validated state is not checked again block by block
     v = np.zeros(8, dtype=complex)
     v[:2] = np.sqrt(0.5)
     m = 0.5 * np.outer(v, v) + 0.5 * np.eye(8) / 8
@@ -416,8 +416,8 @@ def test_sgi_mixed_to_pure_returns_the_first_rank1_pair(m):
         for j in range(i + 1, d):
             block = rho.matrix[np.ix_([i, j], [i, j])]
             w = np.linalg.eigh((block + dagger(block)) / 2.0)[0]
-            rank1 = w[0] <= DEFAULT_TOL.rel_eps * max(w[1], 0.0)
-            if abs(block[0, 1]) > DEFAULT_TOL.abs_eps and rank1:
+            rank1 = w[0] <= DEFAULT_TOL.eps * max(w[1], 0.0)
+            if abs(block[0, 1]) > DEFAULT_TOL.eps and rank1:
                 hits.append((i, j))
     expected = hits[0] if hits else None
     verdict, pair = sgi_mixed_to_pure(rho)

@@ -26,7 +26,7 @@ from cohkit.linalg import dagger
 
 from oracles import search_fi_map
 
-SUPPORT_EPS = DEFAULT_TOL.abs_eps**2
+SUPPORT_EPS = DEFAULT_TOL.eps**2
 
 
 @st.composite
@@ -74,10 +74,10 @@ def _coarse_grains(psi, phi):
     # populations of the target support; matching sorted lists is optimal for
     # a max-deviation test. The supports are read as the decider reads them,
     # np.abs over the whole vector: Python's scalar abs can differ from it in
-    # the last bit, which decides an amplitude of modulus abs_eps
+    # the last bit, which decides an amplitude of modulus eps
     psq, tsq = _pops(psi), _pops(phi)
-    src = [int(j) for j in np.flatnonzero(np.abs(psi.amplitudes) > DEFAULT_TOL.abs_eps)]
-    want = sorted(float(x) for x in tsq[np.abs(phi.amplitudes) > DEFAULT_TOL.abs_eps])
+    src = [int(j) for j in np.flatnonzero(np.abs(psi.amplitudes) > DEFAULT_TOL.eps)]
+    want = sorted(float(x) for x in tsq[np.abs(phi.amplitudes) > DEFAULT_TOL.eps])
     for part in _set_partitions(src):
         if len(part) != len(want):
             continue
@@ -105,7 +105,7 @@ def _check_fi_witness(m, psi, phi):
 
 
 def _rank(state):
-    return int(np.count_nonzero(np.abs(state.amplitudes) > DEFAULT_TOL.abs_eps))
+    return int(np.count_nonzero(np.abs(state.amplitudes) > DEFAULT_TOL.eps))
 
 
 @settings(max_examples=300, deadline=None)
@@ -157,7 +157,7 @@ def test_fi_oracle_reads_the_support_like_the_decider():
     psq = np.array([0.0, 1e-18, 1.0, 0.0, 0.0, 0.0])
     psq /= psq.sum()
     psi, phi = _state(psq, rng), _state(np.bincount([0, 0, 1, 0, 0, 0], weights=psq, minlength=6), rng)
-    assert np.count_nonzero(np.abs(phi.amplitudes) > DEFAULT_TOL.abs_eps) == 2
+    assert np.count_nonzero(np.abs(phi.amplitudes) > DEFAULT_TOL.eps) == 2
     assert fi_deterministic_pure(psi, phi).possible is False is _coarse_grains(psi, phi)
 
 
@@ -280,9 +280,9 @@ def test_fi_decider_pairs_sorted_populations_at_equal_rank(monkeypatch):
         tsq = psq[rng.permutation(d)] - delta * rest / np.count_nonzero(rest)
         tsq[i] += delta
         psi, phi = _state(psq, rng), _state(tsq, rng)
-        items = sorted((_pops(psi)[np.abs(psi.amplitudes) > DEFAULT_TOL.abs_eps]).tolist(), reverse=True)
-        caps = _pops(phi)[np.abs(phi.amplitudes) > DEFAULT_TOL.abs_eps].tolist()
-        cases.append((psi, phi, convert._label_map(items, caps, 10**6, DEFAULT_TOL.abs_eps) is not None))
+        items = sorted((_pops(psi)[np.abs(psi.amplitudes) > DEFAULT_TOL.eps]).tolist(), reverse=True)
+        caps = _pops(phi)[np.abs(phi.amplitudes) > DEFAULT_TOL.eps].tolist()
+        cases.append((psi, phi, convert._label_map(items, caps, 10**6, DEFAULT_TOL.eps) is not None))
     assert {possible for *_, possible in cases} == {True, False}
 
     def search(*args):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from cohkit import KrausMap, PureState, classify_channel, plus_state
+from cohkit import KrausMap, PureState, classify_channel, extract_schur_matrix, plus_state
 from cohkit.linalg import (
     DEFAULT_TOL,
     Tolerance,
@@ -17,28 +19,56 @@ from oracles import relative_entropy, trace_norm, von_neumann_entropy
 
 
 def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(abs_eps=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(rel_eps=-1e-9)
-    t = Tolerance(abs_eps=1e-7, rel_eps=1e-8)
-    assert t.abs_eps == 1e-7 and t.rel_eps == 1e-8
-    assert Tolerance(abs_eps=0.0, rel_eps=0.0).abs_eps == 0.0
+    for bad in (-1e-9, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Tolerance(bad)
+    t = Tolerance(1e-7)
+    assert t.eps == 1e-7 and Tolerance(0.0).eps == 0.0
 
 
 def test_tolerance_keeps_the_checked_float_of_a_string():
     # the string passes float() in the check, and the float is what the thresholds compare with
-    t = Tolerance(abs_eps="1e-9")
-    assert type(t.abs_eps) is float and t == DEFAULT_TOL
+    t = Tolerance("1e-9")
+    assert type(t.eps) is float and t == DEFAULT_TOL
     assert np.array_equal(PureState(plus_state(3).amplitudes, t).amplitudes, plus_state(3).amplitudes)
 
 
 def test_tolerance_of_zero_dim_arrays_is_hashable():
     # the Schur answer a KrausMap keeps is keyed by its Tolerance, so the Tolerance must hash
-    t = Tolerance(abs_eps=np.array(1e-9), rel_eps=np.array(1e-9))
-    assert (type(t.abs_eps), type(t.rel_eps)) == (float, float) and hash(t) == hash(DEFAULT_TOL)
+    t = Tolerance(np.array(1e-9))
+    assert type(t.eps) is float and hash(t) == hash(DEFAULT_TOL)
     r = classify_channel(KrausMap([np.eye(2)]), tol=t)
     assert r.gi and r.fi
+
+
+def test_tolerance_takes_one_number():
+    assert [f.name for f in dataclasses.fields(Tolerance)] == ["eps"]
+    with pytest.raises(TypeError):
+        Tolerance(1e-9, 1e-9)
+    for name in ("abs_eps", "rel_eps"):
+        with pytest.raises(TypeError):
+            Tolerance(**{name: 1e-9})
+
+
+def test_one_eps_moves_every_rule():
+    # Tolerance(1e-6) moves each rule off the default's, at 1/2 and 2 times its own edge
+    t = Tolerance(1e-6)
+    assert t.close(0.5e-6 * 3, 3) and not t.close(2e-6 * 3, 3) and not DEFAULT_TOL.close(0.5e-6 * 3, 3)
+    assert t.upper(1.0, 3.0) == 1.0 + 1e-6 * 4.0 and DEFAULT_TOL.upper(1.0, 3.0) < 1.0 + 0.5e-6 * 4.0
+    for factor, expected in ((0.5, True), (2.0, False)):
+        w = np.array([-factor * 1e-6 * (1.0 + 2.0), 0.5, 2.0])  # the edge is -eps (1 + max|w|)
+        assert t.psd(w) is expected and DEFAULT_TOL.psd(w) is False
+    assert t.rank_cut(4.0) == 4e-6 and np.array_equal(t.rank_cut(np.array([2.0, -1.0])), [2e-6, 0.0])
+    sing = np.array([1.0, 2e-6, 0.5e-6])
+    assert np.sum(sing > t.rank_cut(sing[0])) == 2 and np.sum(sing > DEFAULT_TOL.rank_cut(sing[0])) == 3
+
+
+def test_default_tolerance_is_one_eps_of_1e_9():
+    # KrausMap and SchurMatrix keep their answers per Tolerance, so equal tolerances share one key
+    t = Tolerance(1e-9)
+    assert t == DEFAULT_TOL == Tolerance() and hash(t) == hash(DEFAULT_TOL) and Tolerance(1e-6) != DEFAULT_TOL
+    m = KrausMap([np.diag([1.0, 1j])])
+    assert extract_schur_matrix(m, t) is extract_schur_matrix(m, DEFAULT_TOL) is not None
 
 
 def test_as_matrix_rejects_bad_input():

@@ -99,9 +99,9 @@ def test_psd_complete_infeasible_two_by_two():
 @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_pinned_psd_rule_matches_psd_complete(tol, d):
-    # lambda_min at +-1/2 and +-2 times the PSD threshold abs_eps + rel_eps max|w|: only -2 fails
+    # lambda_min at +-1/2 and +-2 times the PSD threshold eps (1 + max|w|): only -2 fails
     rng = np.random.default_rng(d)
-    t = Tolerance(tol, tol)
+    t = Tolerance(tol)
     mask = np.ones((d, d), dtype=bool)
     for scale in (0.5, -0.5, 2.0, -2.0):
         for _ in range(5):
@@ -159,8 +159,8 @@ def _sgi_probability_loop(psi, phi, tol=DEFAULT_TOL):
     # reference: one scalar complex expression per entry of each probe's zero-padded d x d
     # multiplier matrix, decided by the public psd_complete with every entry pinned
     d = psi.dim
-    sp = np.abs(psi.amplitudes) > tol.abs_eps
-    tp = np.abs(phi.amplitudes) > tol.abs_eps
+    sp = np.abs(psi.amplitudes) > tol.eps
+    tp = np.abs(phi.amplitudes) > tol.eps
     if np.any(tp & ~sp):
         return 0.0
 
@@ -185,8 +185,8 @@ def _sgi_probability_loop(psi, phi, tol=DEFAULT_TOL):
 def _sgi_probability_per_probe(psi, phi, tol=DEFAULT_TOL):
     # reference: each probe forms k's multiplier matrix on the source support and decides it with
     # its own eigvalsh, the PSD rule of psd_complete's fully pinned branch
-    sp = np.abs(psi.amplitudes) > tol.abs_eps
-    tp = np.abs(phi.amplitudes) > tol.abs_eps
+    sp = np.abs(psi.amplitudes) > tol.eps
+    tp = np.abs(phi.amplitudes) > tol.eps
     if np.any(tp & ~sp):
         return 0.0
     phi_s, psi_s = phi.amplitudes[sp], psi.amplitudes[sp]
@@ -218,7 +218,7 @@ def _bisect(feasible):
 def _sgi_corpus(rng, d):
     # (psi, phi, expected or None) amplitude pairs: zero source amplitudes outside the target
     # support, zero target amplitudes inside the source support, a support violation, the
-    # phases-only target, and source amplitudes at 2 abs_eps
+    # phases-only target, and source amplitudes at 2 eps
     def unit(v):
         return v / np.linalg.norm(v)
 
@@ -234,7 +234,7 @@ def _sgi_corpus(rng, d):
         v *= np.sqrt(1.0 - tiny**2) / np.linalg.norm(v)
         return np.where(at, tiny * phases(), v)
 
-    tiny = 2.0 * DEFAULT_TOL.abs_eps
+    tiny = 2.0 * DEFAULT_TOL.eps
     full = np.ones(d, dtype=bool)
     for _ in range(6):
         src = rng.random(d) < 0.7
@@ -250,7 +250,7 @@ def _sgi_corpus(rng, d):
             continue  # no unit vector has a tiny entry
         at = np.arange(d) == rng.integers(d)
         small = with_tiny(at)
-        assert np.abs(PureState(small).amplitudes[at]) > DEFAULT_TOL.abs_eps
+        assert np.abs(PureState(small).amplitudes[at]) > DEFAULT_TOL.eps
         yield small, unit(rand(full)), None
         yield small, with_tiny(at), None
 
@@ -279,7 +279,7 @@ def test_search_sgi_takes_one_eigvalsh(monkeypatch):
             calls.clear()
             search_sgi_probability(PureState(psi_amps), PureState(phi_amps))
             # a support violation returns before any matrix is formed
-            eps = DEFAULT_TOL.abs_eps
+            eps = DEFAULT_TOL.eps
             violation = np.any((np.abs(phi_amps) > eps) & (np.abs(psi_amps) <= eps))
             assert len(calls) == (0 if violation else 1)
     calls.clear()

@@ -33,7 +33,7 @@ from cohkit.linalg import dagger, frobenius
 
 # construction tolerance loose enough to admit lists whose off-diagonal noise
 # breaks trace preservation at order 1e-8; classification uses DEFAULT_TOL
-LOOSE = Tolerance(1e-6, 1e-6)
+LOOSE = Tolerance(1e-6)
 
 
 def _ref_images(m):
@@ -55,7 +55,7 @@ def _ref_split(m):
 
 def _ref_extract(m, tol=DEFAULT_TOL):
     a, residual = _ref_split(m)
-    if residual > tol.abs_eps * m.dim:
+    if residual > tol.eps * m.dim:
         return None
     try:
         return SchurMatrix(a, tol)
@@ -65,11 +65,11 @@ def _ref_extract(m, tol=DEFAULT_TOL):
 
 def _ref_flags(m, h, tol=DEFAULT_TOL):
     d = m.dim
-    eps = tol.abs_eps * d
+    eps = tol.eps * d
     images = _ref_images(m)
     ii = np.arange(d)
     schur = _ref_extract(m, tol)
-    io = all(np.all(np.sum(np.abs(k) > tol.abs_eps, axis=0) <= 1) for k in m.kraus)
+    io = all(np.all(np.sum(np.abs(k) > tol.eps, axis=0) <= 1) for k in m.kraus)
     for k in m.kraus:
         for j in range(d):
             img = np.outer(k[:, j], np.conj(k[:, j]))
@@ -131,7 +131,7 @@ def _label_maps(rng, d, n, shared):
     # operators sending column j to row f_s(j) with a phase, some columns zeroed: incoherent,
     # of one form when f_s is shared, with incoherent adjoints when f_s is a permutation.
     # Dividing by the largest fibre keeps sum K^dag K <= 1; the random overall scale keeps
-    # norms built from the threshold entries off exact ties with abs_eps * d (one operator
+    # norms built from the threshold entries off exact ties with eps * d (one operator
     # with weight 1 and a fibre of 2 puts the Schur residual exactly on it)
     weights = rng.dirichlet(np.ones(n)) * rng.uniform(0.25, 1.0)
     labels = rng.permutation(d) if rng.random() < 0.5 else rng.integers(0, d, size=d)
@@ -148,10 +148,10 @@ def _fixed_edge(rng, d, delta, e2, spread, tol=DEFAULT_TOL):
     """Basis projector i moved at the gi threshold: map(|i><i|) = (1 - delta)|i><i| + |c><c|.
 
     c lives on `spread` other rows, |c|^2 = e2; delta and e2 are given in units of
-    abs_eps * d. At 0.5 and 0.8 each alone is within it, while the norm of the move,
+    eps * d. At 0.5 and 0.8 each alone is within it, while the norm of the move,
     sqrt(delta^2 + e2^2), and the part of it off the diagonal lie on either side of it."""
     i, *rows = rng.choice(d, size=spread + 1, replace=False)
-    delta, e2 = delta * tol.abs_eps * d, e2 * tol.abs_eps * d
+    delta, e2 = delta * tol.eps * d, e2 * tol.eps * d
     k0 = np.diag(np.exp(2j * np.pi * rng.random(d)))
     k0[i, i] *= np.sqrt(1.0 - delta)
     k1 = np.zeros((d, d), dtype=complex)
@@ -160,9 +160,9 @@ def _fixed_edge(rng, d, delta, e2, spread, tol=DEFAULT_TOL):
 
 
 def _at_threshold(rng, ops, factor, tol=DEFAULT_TOL):
-    """Add entries of modulus factor * abs_eps at random places, at the masks' threshold."""
+    """Add entries of modulus factor * eps at random places, at the masks' threshold."""
     d = ops[0].shape[0]
-    return [k + factor * tol.abs_eps * np.exp(2j * np.pi * rng.random((d, d))) * (rng.random((d, d)) < 0.3) for k in ops]
+    return [k + factor * tol.eps * np.exp(2j * np.pi * rng.random((d, d))) * (rng.random((d, d)) < 0.3) for k in ops]
 
 
 def _hamiltonian(rng, d):
@@ -170,7 +170,7 @@ def _hamiltonian(rng, d):
 
 
 def _noisy(rng, ops, factor, tol=DEFAULT_TOL):
-    """Add off-diagonal noise scaled so that the reference residual is factor * abs_eps * d."""
+    """Add off-diagonal noise scaled so that the reference residual is factor * eps * d."""
     d = ops[0].shape[0]
     off = ~np.eye(d, dtype=bool)
     noise = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * off for _ in ops]
@@ -181,7 +181,7 @@ def _noisy(rng, ops, factor, tol=DEFAULT_TOL):
     # residual(s)^2 = 2 s^2 tr(Gx Gy) + s^4 ||Gy||^2, solved for u = s^2
     a = float(np.real(np.sum(gx * gy.T)))
     b = float(np.sum(np.abs(gy) ** 2))
-    target = factor * tol.abs_eps * d
+    target = factor * tol.eps * d
     u = target**2 / (a + np.sqrt(a * a + b * target**2))
     return [k + np.sqrt(u) * e for k, e in zip(ops, noise)]
 
@@ -247,7 +247,7 @@ def test_extract_schur_matrix_matches_image_tensor(case):
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 @pytest.mark.parametrize("shared", [False, True])
 def test_one_off_diagonal_entry_at_the_extraction_threshold(factor, shared):
-    # one off-diagonal entry y with |y|^2 = factor * abs_eps * d. In an operator of its own the
+    # one off-diagonal entry y with |y|^2 = factor * eps * d. In an operator of its own the
     # residual is |y|^2 itself: A exists at 1/2, and at 2 the entry alone decides None. Beside a
     # diagonal (shared) the cross term tr(Gx Gy) puts the residual far above |y|^2, and the full
     # residual rule answers None at 1/2 as well
@@ -255,7 +255,7 @@ def test_one_off_diagonal_entry_at_the_extraction_threshold(factor, shared):
     rng = np.random.default_rng(10 * shared + int(2 * factor))
     ops = [np.sqrt(0.5) * k for k in _diagonal(rng, d, 2, 2)[0]]
     y = np.zeros((d, d), dtype=complex)
-    y[0, 1] = np.sqrt(factor * DEFAULT_TOL.abs_eps * d) * np.exp(2j * np.pi * rng.random())
+    y[0, 1] = np.sqrt(factor * DEFAULT_TOL.eps * d) * np.exp(2j * np.pi * rng.random())
     if shared:
         ops[0] = ops[0] + y
     else:
@@ -301,14 +301,14 @@ def test_residual_formula_across_noise_scales(d, seed, scale):
     off = ~np.eye(d, dtype=bool)
     ops = [k + scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) * off for k in ops]
     top = np.linalg.eigvalsh(sum(np.conj(k).T @ k for k in ops))[-1]
-    # halved so that A's diagonal stays clear of 1 + abs_eps: only the
+    # halved so that A's diagonal stays clear of 1 + eps: only the
     # residual can decide None below
     m = KrausMap([0.5 * k / np.sqrt(top) for k in ops])
     ref = _ref_split(m)[1]
     # thresholds just above and just below the reference residual: the new
     # residual must land on the same side of both
-    above = Tolerance(ref / d * (1.0 + 1e-10), 1e-9)
-    below = Tolerance(ref / d * (1.0 - 1e-10), 1e-9)
+    above = Tolerance(ref / d * (1.0 + 1e-10))
+    below = Tolerance(ref / d * (1.0 - 1e-10))
     assert extract_schur_matrix(m, above) is not None
     assert extract_schur_matrix(m, below) is None
 
@@ -319,7 +319,7 @@ def _ref_expose_pair(m, tol=DEFAULT_TOL):
     for j in range(m.dim):
         hits = []
         for s, k in enumerate(m.kraus):
-            nz = np.flatnonzero(np.abs(k[:, j]) > tol.abs_eps)
+            nz = np.flatnonzero(np.abs(k[:, j]) > tol.eps)
             if nz.size:
                 hits.append((s, int(nz[0])))
         for (s1, r1), (s2, r2) in ((a, b) for a in hits for b in hits):
@@ -409,7 +409,7 @@ def _ref_image_norms(m):
 def sparse_channels(draw, tol=DEFAULT_TOL):
     """Lists on random supports: entries on a random pattern (diagonal, or of a label map, or
     anywhere), whole rows and columns zeroed, operators that are all zero, and entries of exactly
-    +-abs_eps beside exact zeros."""
+    +-eps beside exact zeros."""
     d = draw(st.integers(1, 8))
     n = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -434,7 +434,7 @@ def sparse_channels(draw, tol=DEFAULT_TOL):
     if top > 0.9:
         ops = [k * np.sqrt(0.9 / top) for k in ops]
     for k, at in zip(ops, tiny):
-        k[at] = tol.abs_eps * rng.choice([1.0, -1.0, 1j, -1j], size=int(np.sum(at)))
+        k[at] = tol.eps * rng.choice([1.0, -1.0, 1j, -1j], size=int(np.sum(at)))
     return KrausMap(ops, LOOSE), _hamiltonian(rng, d)
 
 
@@ -505,8 +505,8 @@ def test_factor_eigenpairs_match_eigh(m):
     w, v = sm.eigen
     assert w.shape == (d,) and np.all(np.diff(w) >= 0.0)
     assert not (w.flags.writeable or v.flags.writeable or sm.matrix.flags.writeable)
-    assert frobenius(dagger(v) @ v - np.eye(d)) <= DEFAULT_TOL.abs_eps * d
-    assert frobenius((v * w) @ dagger(v) - a) <= DEFAULT_TOL.abs_eps * d
+    assert frobenius(dagger(v) @ v - np.eye(d)) <= DEFAULT_TOL.eps * d
+    assert frobenius((v * w) @ dagger(v) - a) <= DEFAULT_TOL.eps * d
     ref = SchurMatrix(a)
     assert len(schur_map(sm).kraus) == len(schur_map(ref).kraus)
     h = _hamiltonian(np.random.default_rng(d), d)
@@ -578,14 +578,14 @@ def test_diagonal_list_memory_at_d64():
 
 @st.composite
 def exactly_diagonal_lists(draw, tol=DEFAULT_TOL):
-    """diagonal_lists' lists, with A's diagonal moved to 1 + c * abs_eps * d on some entries,
+    """diagonal_lists' lists, with A's diagonal moved to 1 + c * eps * d on some entries,
     c in {-2, -0.5, 0.5, 2}: gi and sgi on either side of their thresholds."""
     t = draw(diagonal_lists()).kraus
     d = t.shape[1]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         c = rng.choice([-2.0, -0.5, 0.5, 2.0], size=d) * (rng.random(d) < 0.5)
-        t = t * np.sqrt(1.0 + c * tol.abs_eps * d)[None, None, :]
+        t = t * np.sqrt(1.0 + c * tol.eps * d)[None, None, :]
     return KrausMap(t, LOOSE)
 
 
@@ -655,7 +655,7 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
 @pytest.mark.parametrize("off_diagonal, image_norm_calls", [(0.0, 0), (1e-12, 1)])
 def test_image_kernel_runs_only_for_lists_off_the_diagonal(off_diagonal, image_norm_calls):
     # at d = 32 a diagonal list never reaches the Kraus-tensor kernel; one entry of 1e-12 off the
-    # diagonal, far inside abs_eps, sends the list down the tensor path, with the same flags
+    # diagonal, far inside eps, sends the list down the tensor path, with the same flags
     rng = np.random.default_rng(32)
     ops, _ = _diagonal(rng, 32, 3, 4)
     ops[1][4, 7] = off_diagonal
@@ -696,7 +696,7 @@ def _incoherent_list(rng, d, family):
 def test_incoherent_lists_read_their_images_from_the_support(family, gram_calls):
     # at d = 32 a list with one nonzero per operator column forms no image Gram; only a row of one
     # operator with two nonzeros (a fibre of the one-form list) runs dio's row Grams. An entry of
-    # 1e-12 in a second row of one operator column, far inside abs_eps, sends the list down the
+    # 1e-12 in a second row of one operator column, far inside eps, sends the list down the
     # Gram path, images and rows, with the same flags
     rng = np.random.default_rng(32)
     ops = _incoherent_list(rng, 32, family)
@@ -724,7 +724,7 @@ def exactly_incoherent_lists(draw, tol=DEFAULT_TOL):
     """Lists with one nonzero per operator column, sub-normalized: label maps (_label_maps), one
     random row per column of each operator, or _fixed_edge's pair with its move on one row (a
     diagonal operator and one entry off the diagonal, at the gi threshold's edge). Some columns are
-    then scaled by sqrt(1 + c * abs_eps * d), c in {-2, -0.5, 0.5, 2}: gi on either side of its
+    then scaled by sqrt(1 + c * eps * d), c in {-2, -0.5, 0.5, 2}: gi on either side of its
     threshold."""
     d = draw(st.integers(2, 8))
     n = draw(st.integers(1, 4))
@@ -741,7 +741,7 @@ def exactly_incoherent_lists(draw, tol=DEFAULT_TOL):
         t = np.array(_fixed_edge(rng, d, *rng.choice([0.5, 0.8], size=2), 1, tol))
     if draw(st.booleans()):
         c = rng.choice([-2.0, -0.5, 0.5, 2.0], size=d) * (rng.random(d) < 0.5)
-        t = t * np.sqrt(1.0 + c * tol.abs_eps * d)[None, None, :]
+        t = t * np.sqrt(1.0 + c * tol.eps * d)[None, None, :]
     return KrausMap(t, LOOSE), _hamiltonian(rng, d)
 
 
@@ -847,12 +847,12 @@ def test_schur_matrix_answers_as_its_diagonal_list(sm, with_hamiltonian):
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_gi_reads_the_diagonal_of_a(d, sign, c):
-    # gi is max |A_ii - 1| <= abs_eps * d for a SchurMatrix and a diagonal list alike. Above 1, A_ii
-    # beyond abs_eps fails SchurMatrix's diagonal check: the list is then neither sgi nor gi
+    # gi is max |A_ii - 1| <= eps * d for a SchurMatrix and a diagonal list alike. Above 1, A_ii
+    # beyond eps fails SchurMatrix's diagonal check: the list is then neither sgi nor gi
     rng = np.random.default_rng(d)
     v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    v[-1] *= np.sqrt(1.0 + sign * c * DEFAULT_TOL.abs_eps * d)  # A = V V^dag, A_(d-1)(d-1) moved
+    v[-1] *= np.sqrt(1.0 + sign * c * DEFAULT_TOL.eps * d)  # A = V V^dag, A_(d-1)(d-1) moved
     km = KrausMap([np.diag(x) for x in v.T], LOOSE)
     sgi = sign < 0 or c * d <= 1
     gi = sgi and c <= 1
@@ -935,7 +935,7 @@ def test_extremality_kept_per_schur_matrix_and_tolerance(monkeypatch, loose_firs
         witness.extremal = True
 
     # test_tolerance's threshold construction, A = (1 - e) u u^dag + e I at d = 3 with the ratio 1e-7
-    # between the two rel_eps: LOOSE keeps one eigenvalue (rank 1, extremal), DEFAULT_TOL all three
+    # between the two rank cuts: LOOSE keeps one eigenvalue (rank 1, extremal), DEFAULT_TOL all three
     # (nine cross terms in C^3, not extremal), in either order on one SchurMatrix
     d, ratio = 3, 1e-7
     e = ratio * d / (1.0 + ratio * (d - 1))

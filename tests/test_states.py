@@ -77,10 +77,10 @@ def test_density_matrix_keeps_its_eigenpairs():
 
 
 def test_density_matrix_eigen_read_under_a_tighter_tol():
-    # an anti-Hermitian gap of 2.8e-7 passes DensityMatrix at abs_eps = 1e-6 (bound 2e-6); a call
-    # at the default abs_eps (bound 2e-9) still rejects it, as hermitian_eigen did, and a call at
+    # an anti-Hermitian gap of 2.8e-7 passes DensityMatrix at eps = 1e-6 (bound 2e-6); a call
+    # at the default eps (bound 2e-9) still rejects it, as hermitian_eigen did, and a call at
     # the state's tol reads eigen
-    loose = Tolerance(1e-6, 1e-6)
+    loose = Tolerance(1e-6)
     m = np.array([[0.5, 0.25 + 2e-7j], [0.25, 0.5]])
     rho = DensityMatrix(m, loose)
     sigma = DensityMatrix(np.diag([0.5, 0.5]).astype(complex), loose)
@@ -121,17 +121,17 @@ def test_conversions_never_eigendecompose_a_given_state(monkeypatch):
 
 
 def test_density_matrix_trace_follows_tolerance():
-    # trace 1 + 4e-9: inside abs_eps * d = 2e-6, outside 2e-9
+    # trace 1 + 4e-9: inside eps * d = 2e-6, outside 2e-9
     m = np.diag([0.5 + 2e-9, 0.5 + 2e-9])
-    assert DensityMatrix(m, Tolerance(1e-6, 1e-6)).dim == 2
+    assert DensityMatrix(m, Tolerance(1e-6)).dim == 2
     with pytest.raises(ValueError):
         DensityMatrix(m, DEFAULT_TOL)
 
 
 def test_pure_state_norm_follows_tolerance():
-    # squared norm 1 + 1e-8: inside abs_eps * d = 2e-6, outside 2e-9
+    # squared norm 1 + 1e-8: inside eps * d = 2e-6, outside 2e-9
     amps = np.sqrt(np.array([0.5, 0.5]) * (1.0 + 1e-8))
-    assert PureState(amps, Tolerance(1e-6, 1e-6)).dim == 2
+    assert PureState(amps, Tolerance(1e-6)).dim == 2
     with pytest.raises(ValueError):
         PureState(amps)
 

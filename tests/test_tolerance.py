@@ -65,7 +65,7 @@ def _shift(pops, delta, i, j):
 @given(TOLS, SEEDS, st.integers(2, 5))
 def test_gi_pure_equal_moduli_at_threshold(tol, seed, d):
     rng = np.random.default_rng(seed)
-    t = Tolerance(tol, tol)
+    t = Tolerance(tol)
     p = _pops(rng, d)
     i, j = rng.choice(d, size=2, replace=False)
     psi = _pure(p, rng, t)
@@ -80,7 +80,7 @@ def test_gi_pure_equal_moduli_at_threshold(tol, seed, d):
 def test_gi_mixed_diagonal_at_threshold(tol, seed, d):
     # sigma = rho with two populations moved by delta: every multiplier is pinned to 1
     rng = np.random.default_rng(seed)
-    t = Tolerance(tol, tol)
+    t = Tolerance(tol)
     rho = 0.5 * rand_density(rng, d).matrix + 0.5 * np.eye(d) / d
     i, j = rng.choice(d, size=2, replace=False)
 
@@ -107,7 +107,7 @@ def test_fi_coarse_graining_at_threshold(tol, seed, d):
     # labels 0 and 1 merge into target label 0, label 2 moves to label 1, the rest stay;
     # delta moves population from target label 1 to target label 0
     rng = np.random.default_rng(seed)
-    t = Tolerance(tol, tol)
+    t = Tolerance(tol)
     p = _pops(rng, d)
     assume(_subset_sums_apart(p, 10.0 * d * tol))  # no second label map within reach
 
@@ -125,9 +125,9 @@ def test_fi_coarse_graining_at_threshold(tol, seed, d):
 @given(TOLS, SEEDS, st.integers(2, 5))
 def test_gi_extremality_rank_cut_at_threshold(tol, seed, d):
     # A = (1 - e) u u^dag + e I with |u_i| = 1 has eigenvalues d / (1 + r (d - 1)) once and
-    # e = r d / (1 + r (d - 1)) d - 1 times: r is the ratio that the rank cut compares to rel_eps
+    # e = r d / (1 + r (d - 1)) d - 1 times: r is the ratio that the rank cut compares to eps
     rng = np.random.default_rng(seed)
-    t = Tolerance(tol, tol)
+    t = Tolerance(tol)
     u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, d))
 
     def rank_required(ratio):
@@ -201,7 +201,7 @@ def _isometry(rng, rows, cols):
 def test_channel_flags_invariant_under_kraus_remixing(seed, d, family):
     # gi, sgi, mio, dio and tio are properties of the channel, not of its Kraus list:
     # a unitary re-mixing and an isometric pad by one operator keep the Choi matrix
-    # within abs_eps / 10 * d in Frobenius norm and leave the flags unchanged
+    # within eps / 10 * d in Frobenius norm and leave the flags unchanged
     rng = np.random.default_rng(seed)
     m = CHANNELS[family](rng, d)
     hamiltonian = Hamiltonian(tuple(np.sort(rng.normal(size=d))))
@@ -214,7 +214,7 @@ def test_channel_flags_invariant_under_kraus_remixing(seed, d, family):
     base = flags(m)
     for v in (rand_unitary(rng, n), _isometry(rng, n + 1, n)):
         remixed = KrausMap(np.tensordot(v, m.kraus, axes=1))
-        assert np.linalg.norm(choi_matrix(remixed) - choi_matrix(m)) <= Tolerance().abs_eps / 10 * d
+        assert np.linalg.norm(choi_matrix(remixed) - choi_matrix(m)) <= Tolerance().eps / 10 * d
         assert flags(remixed) == base
 
 
@@ -238,4 +238,4 @@ def test_class_order(seed, d, pairing):
     assert gi in (True, False) and fi in (True, False)
     assert fi or not gi
     assert majorizes(np.abs(phi.amplitudes) ** 2, np.abs(psi.amplitudes) ** 2, t) or not fi
-    assert sgi_optimal_probability(psi, phi, t).probability <= sfi_probability(psi, phi, t).lower_bound + t.abs_eps
+    assert sgi_optimal_probability(psi, phi, t).probability <= sfi_probability(psi, phi, t).lower_bound + t.eps
