@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ROUNDOFF, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, dagger, frobenius, hermitian_eigen
 from .states import DensityMatrix
 
 if TYPE_CHECKING:
@@ -239,12 +239,25 @@ def _diagonal_schur(x: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
         return None
 
 
-def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
-    """Diagonal Kraus representation of the entrywise-multiplication map for A."""
-    sm = a if isinstance(a, SchurMatrix) else SchurMatrix(as_matrix(a), tol)
+def _minimal_diagonals(sm: SchurMatrix, tol: Tolerance) -> np.ndarray:
+    # x[k] = sqrt(w_k) v_k, A's minimal diagonal Kraus operators, over the eigenpairs above tol.rank_cut of
+    # the top: a relative cut, which keeps the round-off eigenvalues of a list padded beyond the rank out
     w, v = sm.eigen
-    keep = w > max(float(w[-1]), 0.0) * ROUNDOFF + ROUNDOFF
-    x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[s]: diagonal of the s-th operator
+    keep = w > tol.rank_cut(float(w[-1]))
+    if w[-1] > 0.0 and not keep.any():
+        raise ValueError(f"eps = {tol.eps} cuts away every eigenvalue of the Schur matrix")
+    return (np.sqrt(w[keep]) * v[:, keep]).T
+
+
+def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
+    """Minimal diagonal Kraus representation of the entrywise-multiplication map for A.
+
+    One operator sqrt(w_k) diag(v_k) per eigenpair of A above tol.rank_cut of its top eigenvalue (a
+    single zero operator for A = 0), the operators gi_extremality tests; A's eigenpairs are the
+    SchurMatrix's own. ValueError when eps >= 1 cuts away every eigenvalue of a nonzero A.
+    """
+    sm = a if isinstance(a, SchurMatrix) else SchurMatrix(as_matrix(a), tol)
+    x = _minimal_diagonals(sm, tol)  # x[s]: diagonal of the s-th operator
     i = np.arange(sm.dim)
     ops = np.zeros((max(len(x), 1), sm.dim, sm.dim), dtype=complex)
     ops[: len(x), i, i] = x

@@ -21,6 +21,9 @@ Flags reported for a Kraus representation:
 io, fi and sio are properties of the listed representation; gi, sgi, mio,
 dio and tio are properties of the channel itself. A SchurMatrix A is accepted as
 the channel rho -> A * rho, every Kraus representation of which is diagonal.
+One private decision gives A and gi for a SchurMatrix, an exactly diagonal list
+and any other list alike: classify_channel adds the other flags, and
+gi_extremality and mixed_unitary_decompose read only A and gi.
 An exactly incoherent list (at most one nonzero entry in every operator column)
 has exactly diagonal basis-projector images: io, mio and gi cost it O(n d^2).
 """
@@ -33,7 +36,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
 from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
-from .channels import KrausMap, SchurMatrix, _kraus_tensor, extract_schur_matrix
+from .channels import KrausMap, SchurMatrix, _kraus_tensor, _minimal_diagonals, extract_schur_matrix
 
 __all__ = [
     "Hamiltonian",
@@ -155,33 +158,27 @@ def _image_norms(t: np.ndarray, live: np.ndarray, one_per_column: bool) -> tuple
     return np.sqrt(off), np.sqrt(off + moved)
 
 
-def _schur_form(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix | None, np.ndarray | None]:
-    # (A, None) for a Schur channel: a SchurMatrix is its own A, and an exactly diagonal list (no
-    # nonzero entry off the diagonal of any operator; exact, no eps) has extract_schur_matrix's A,
-    # kept on the list per tol, None when that A fails SchurMatrix's checks. (None, live) for any
-    # other list, live[a, i]: K_s[a, i] != 0 for some s
-    if isinstance(m, SchurMatrix):
-        return m, None
-    live = m.kraus.any(axis=0)  # m.kraus[s, a, i] = K_s[a, i]
-    if np.count_nonzero(live) > np.count_nonzero(np.diagonal(live)):
-        return None, live
-    return extract_schur_matrix(m, tol), None
+def _exactly_diagonal(live: np.ndarray) -> bool:
+    return np.count_nonzero(live) == np.count_nonzero(np.diagonal(live))
 
 
-def _unit_diagonal(schur: SchurMatrix | None, tol: Tolerance) -> bool:
-    # gi of a Schur channel: A passes SchurMatrix's checks and every |A_ii - 1| is within eps * d
-    return schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
-
-
-def _tensor_gi(
-    m: KrausMap, live: np.ndarray, one_per_column: bool, tol: Tolerance
-) -> tuple[SchurMatrix | None, bool, np.ndarray]:
-    # (A, gi, off) of a list that is not exactly diagonal: extract_schur_matrix's A; gi when A exists and
-    # every basis projector is fixed, moved[i] >= |A_ii - 1| as A_ii = map(|i><i|)[i, i]; off, the
-    # off-diagonal norms of the basis-projector images, which mio reads
-    schur = extract_schur_matrix(m, tol)
-    off, moved = _image_norms(m.kraus, live, one_per_column)
-    return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), off
+def _schur_gi(
+    m: KrausMap | SchurMatrix, tol: Tolerance
+) -> tuple[SchurMatrix | None, bool, np.ndarray | None, np.ndarray | None]:
+    # (A, gi, live, off): A is a SchurMatrix's own, else extract_schur_matrix's (None off the Schur form).
+    # A SchurMatrix or an exactly diagonal list (exact, no eps) is gi when every |A_ii - 1| is within
+    # eps * d, and has live = off = None. Any other list is gi when A exists and every basis projector
+    # is fixed, moved[i] >= |A_ii - 1|; live[a, i] is K_s[a, i] != 0 for some s, and off holds the image
+    # norms off the diagonal, which mio reads. One nonzero per operator column allows at most n d live
+    # entries, so a denser list skips that count
+    schur = m if isinstance(m, SchurMatrix) else extract_schur_matrix(m, tol)
+    live = None if isinstance(m, SchurMatrix) else m.kraus.any(axis=0)  # m.kraus[s, a, i] = K_s[a, i]
+    if live is None or _exactly_diagonal(live):
+        gi = schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
+        return schur, gi, None, None
+    t = m.kraus
+    off, moved = _image_norms(t, live, np.count_nonzero(live) <= len(t) * m.dim and _one_per_column(t))
+    return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), live, off
 
 
 def classify_channel(
@@ -210,20 +207,13 @@ def classify_channel(
     """
     if hamiltonian is not None and hamiltonian.dim != m.dim:
         raise ValueError("Hamiltonian dimension does not match the map")
-    schur, live = _schur_form(m, tol)
-    if live is not None:
-        return _classify_tensor(m, live, hamiltonian, tol)
-    gi = _unit_diagonal(schur, tol)
-    tio = None if hamiltonian is None else True
-    return ClassificationReport(
-        io=True, gi=gi, sgi=schur is not None, fi=True, sio=True, mio=True, dio=True, tio=tio, schur=schur
-    )
-
-
-def _classify_tensor(
-    m: KrausMap, live: np.ndarray, hamiltonian: Hamiltonian | None, tol: Tolerance
-) -> ClassificationReport:
-    # classify_channel on the Kraus tensor, for a Hamiltonian of the map's dimension or None
+    schur, gi, live, off = _schur_gi(m, tol)
+    sgi = schur is not None
+    tio = None if hamiltonian is None else True  # a Schur channel's; a list's is read below
+    if live is None:
+        return ClassificationReport(
+            io=True, gi=gi, sgi=sgi, fi=True, sio=True, mio=True, dio=True, tio=tio, schur=schur
+        )
     d = m.dim
     t = m.kraus
     mod = np.abs(t)
@@ -231,20 +221,17 @@ def _classify_tensor(
 
     # one mask gives io, sio and fi: hits per column (K incoherent), per row (K^dag incoherent) and
     # rows hit per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
-    # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms (0 when
-    # every operator column holds one nonzero at most)
+    # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms, 0 when
+    # every operator column holds one nonzero at most, as it does when io holds and every nonzero is hit
     io = bool((hit.sum(axis=1) <= 1).all())
-    one_per_column = io and _one_per_column(t)
     sio = io and bool((hit.sum(axis=2) <= 1).all())
-    if io and not one_per_column:
+    if io and np.count_nonzero(mod) > np.count_nonzero(hit):
         p = mod**2
         below = np.zeros_like(p)
         below[:, 1:] = p[:, :-1].cumsum(axis=1)
         io = bool(tol.close(np.sqrt(2.0 * (p * below).sum(axis=1)).max(), d))
     fi = io and _one_form(hit)
 
-    schur, gi, off = _tensor_gi(m, live, one_per_column, tol)
-    sgi = schur is not None
     mio = dio = bool(tol.close(off.max(), d))
     if mio and not (np.count_nonzero(t, axis=2) <= 1).all():
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
@@ -255,7 +242,6 @@ def _classify_tensor(
         diags[:, kk, kk] = 0.0
         dio = bool(tol.close(diags.max(), d))
 
-    tio: bool | None = None
     if hamiltonian is not None:
         # [sop, generator] at u = (a, i), v = (b, j) is X = D B B^dag - B B^dag D, B = K^T over the L
         # live entries (L x n) and D = diag(delta), delta_(a,i) = E_i - E_a. One thin QR
@@ -263,7 +249,7 @@ def _classify_tensor(
         # norm of a 2n x 2n matrix (smaller when L < 2n): O(L n^2), no L x L array
         e = np.asarray(hamiltonian.energies, dtype=float)
         flat = np.flatnonzero(live)
-        n = len(m.kraus)
+        n = len(t)
         b = t.reshape(n, d * d)[:, flat].T
         delta = (e[None, :] - e[:, None]).reshape(-1)[flat]
         r = np.linalg.qr(np.hstack((b, delta[:, None] * b)), mode="r")
@@ -303,11 +289,7 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
 def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMatrix, ExtremalityWitness]:
     # A of a gi channel (classify_channel's gi and A, none of its other flags) and its extremality,
     # kept on A per tol; the gi check runs on every call, so a map that is not gi raises under each tol
-    unit, live = _schur_form(m, tol)
-    if live is None:
-        gi = _unit_diagonal(unit, tol)
-    else:
-        unit, gi, _ = _tensor_gi(m, live, _one_per_column(m.kraus), tol)
+    unit, gi, _, _ = _schur_gi(m, tol)
     if not gi:
         raise ValueError("map is not a unit-diagonal Schur channel")
     if tol not in unit._extremality:
@@ -316,14 +298,10 @@ def _gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance) -> tuple[SchurMat
 
 
 def _rank_test(unit: SchurMatrix, tol: Tolerance) -> ExtremalityWitness:
-    # Choi's test on the minimal diagonal Kraus operators x_k from A's eigenpairs, kept above the cut:
-    # the n^2 vectors conj(x_i) * x_j are independent, read from one SVD of the n^2 x d matrix of them;
-    # minimal_representation's relative cut on the eigenvalues of A keeps round-off eigenvalues of a
-    # list padded beyond the rank out
-    w, v = unit.eigen
-    keep = np.flatnonzero(w > tol.rank_cut(float(w[-1])))
-    x = (np.sqrt(w[keep]) * v[:, keep]).T  # x[k]: diagonal of the k-th minimal Kraus operator
-    n = len(keep)  # row i * n + j holds conj(x_i) * x_j
+    # Choi's test on A's minimal diagonal Kraus operators x_k, schur_map's: the n^2 vectors conj(x_i) * x_j
+    # are independent, read from one SVD of the n^2 x d matrix of them
+    x = _minimal_diagonals(unit, tol)  # x[k]: diagonal of the k-th minimal Kraus operator
+    n = len(x)  # row i * n + j holds conj(x_i) * x_j
     rows = (np.conj(x)[:, None, :] * x[None, :, :]).reshape(n * n, unit.dim)
     sing = np.linalg.svd(rows, compute_uv=False)
     rank = int(np.sum(sing > tol.rank_cut(float(sing[0]))))
@@ -348,8 +326,10 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     classify_channel's, without its other flags: O(d) for a SchurMatrix, whose
     eigenpairs are those of its own PSD check; for a Kraus list, A's eigenpairs
     come from one SVD of the d x n Kraus diagonals, O(d^2 n) on the first call,
-    and A is never eigendecomposed. A and its eigenpairs are computed once per list
-    and Tolerance and then shared (extract_schur_matrix), and the n^2 x d SVD below
+    and A is never eigendecomposed. The operators are schur_map's, one per
+    eigenvalue of A above tol.rank_cut of the top; ValueError when eps >= 1 cuts
+    every one away. A and its eigenpairs are computed once per list and
+    Tolerance and then shared (extract_schur_matrix), and the n^2 x d SVD below
     runs once per A and tol: the answer is kept on the SchurMatrix and every later
     call (and mixed_unitary_decompose) returns the same read-only witness. The gi
     check still runs on every call. A list that is not

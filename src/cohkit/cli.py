@@ -14,9 +14,11 @@ state_vector, and the states of convert fi and prob state_vector. A
 state_vector is turned into its density for reduce, and for convert gi only
 where the other state is a density. The CLI adds no defaults of its own:
 without --budget each search runs on its library default, and --tol sets the
-eps of the one Tolerance that every comparison reads (default 1e-9). The
+eps of the one Tolerance that every comparison reads (default 1e-9), a number
+in (0, 1): from 1 on, the rank cut eps * top would keep no eigenvalue. The
 report's "tolerance" gives that eps under both of its keys, so that reports
-keep their layout.
+keep their layout. A state_vector with no amplitude above eps does not fit
+convert fi or prob (exit 3).
 
 Exit codes: 0 result computed (the verdict's truth value is part of the
 report, never the exit code), 2 unreadable or malformed document or bad
@@ -266,10 +268,11 @@ def _cmd_reduce(args, tol: Tolerance) -> tuple[str, list[str], dict, int]:
 
 
 def _tolerance(text: str) -> float:
-    # a zero tolerance rejects ordinary float documents, so only finite positive values parse
+    # a zero tolerance rejects ordinary float documents, and one of 1 or more cuts away every eigenvalue
+    # (Tolerance.rank_cut keeps those above eps times the top), so only values in (0, 1) parse
     value = float(text)
-    if not (np.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
     return value
 
 
@@ -290,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cohkit",
         description="Classify incoherence-compatible channels and decide basis-coherence conversions.",
     )
-    tol_help = "eps of every comparison, state validation included (finite, > 0)"
+    tol_help = "eps of every comparison, state validation included (0 < eps < 1)"
     parser.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL.eps, help=tol_help)
     parser.add_argument("--seed", type=_at_least(0), default=0, help="seed for randomized searches (>= 0)")
     budget_help = "iteration budget of convert's searches (>= 1); default: each search's own"

@@ -91,6 +91,18 @@ def _check_dims(a: int, b: int) -> None:
         raise ValueError(f"dimension mismatch: {a} vs {b}")
 
 
+def _supports(psi: PureState, phi: PureState, tol: Tolerance) -> tuple[np.ndarray, ...]:
+    # the moduli of psi's and phi's amplitudes and their masks above eps; ValueError, naming the state,
+    # where a mask is empty, as it is for every state once eps >= 1 / sqrt(d)
+    _check_dims(psi.dim, phi.dim)
+    amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
+    in_s, in_t = amp_s > tol.eps, amp_t > tol.eps
+    for name, mask in (("source", in_s), ("target", in_t)):
+        if not np.count_nonzero(mask):
+            raise ValueError(f"the {name} state has no amplitude above eps = {tol.eps}")
+    return amp_s, amp_t, in_s, in_t
+
+
 def gi_deterministic_pure(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL) -> ConversionVerdict:
     """Deterministic pure-to-pure conversion under unit-diagonal Schur channels.
 
@@ -238,10 +250,8 @@ def sgi_optimal_probability(psi: PureState, phi: PureState, tol: Tolerance = DEF
     min over the target support of |psi_i|^2 / |phi_i|^2 and is achieved by
     one diagonal operator K_tt = phi_t / psi_t on that support, max |K| = 1.
     """
-    _check_dims(psi.dim, phi.dim)
-    amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
-    tp = amp_t > tol.eps
-    if (tp & (amp_s <= tol.eps)).any():
+    amp_s, amp_t, in_s, tp = _supports(psi, phi, tol)
+    if (tp & ~in_s).any():
         return ConversionVerdict(False, 0.0, None, Reason.SUPPORT_VIOLATION)
     prob = float(min((amp_s[tp] ** 2 / amp_t[tp] ** 2).min(), 1.0))
     return ConversionVerdict(True, prob, _one_branch(psi, phi, tp, np.arange(psi.dim), tol), None)
@@ -413,10 +423,8 @@ def fi_deterministic_pure(
     must be one-form, trace preserving and of fidelity 1 - 10 tol.eps (or
     what f promises, if less), else ArithmeticError.
     """
-    _check_dims(psi.dim, phi.dim)
     d = psi.dim
-    amp_s, amp_t = np.abs(psi.amplitudes), np.abs(phi.amplitudes)
-    in_s, in_t = amp_s > tol.eps, amp_t > tol.eps
+    amp_s, amp_t, in_s, in_t = _supports(psi, phi, tol)
     src, tgt = in_s.nonzero()[0], in_t.nonzero()[0]
     if tgt.size > src.size:
         return ConversionVerdict(False, 0.0, None, Reason.RANK_VIOLATION)
@@ -478,11 +486,9 @@ def sfi_probability(psi: PureState, phi: PureState, tol: Tolerance = DEFAULT_TOL
     dimension cap. Exact when the coherence ranks agree; the optimal map is
     then returned, the branch of sgi_optimal_probability taken along sigma.
     """
-    _check_dims(psi.dim, phi.dim)
-    tp = np.abs(phi.amplitudes) > tol.eps  # mask of phi's amplitudes above eps
-    exact = bool(np.count_nonzero(np.abs(psi.amplitudes) > tol.eps) == np.count_nonzero(tp))
-    psq = np.abs(psi.amplitudes) ** 2
-    tsq = np.abs(phi.amplitudes) ** 2
+    amp_s, amp_t, in_s, tp = _supports(psi, phi, tol)
+    exact = bool(np.count_nonzero(in_s) == np.count_nonzero(tp))
+    psq, tsq = amp_s**2, amp_t**2
     sigma = _sorted_pairing(psq, tsq)
     worst = np.min(psq[sigma[tp]] / tsq[tp])
     bound = float(min(max(worst, 0.0), 1.0))

@@ -64,7 +64,7 @@ DEFAULT_TOL = Tolerance()
 # of angles, roots and sums. They do not follow a Tolerance.
 ROUNDOFF_SUM = 1e-12  # slack of probabilities, weights and conjugate pairs that round-off moves
 ROUNDOFF_PHASE = 1e-14  # entries at most this keep phase 0 when pushed onto the unit circle
-ROUNDOFF = 1e-15  # moduli, eigenvalues and steps at most this count as zero
+ROUNDOFF = 1e-15  # a step of the unimodular search below this has converged
 
 
 def as_matrix(m) -> np.ndarray:

@@ -318,7 +318,7 @@ def test_gi_extremality_reads_gi_and_a_without_classifying(monkeypatch):
     def unreachable(*args):
         raise AssertionError("gi_extremality ran the tensor classification")
 
-    monkeypatch.setattr(classify, "_classify_tensor", unreachable)
+    monkeypatch.setattr(classify, "_one_form", unreachable)  # read by classify_channel's tensor flags alone
     for m, report in zip(cases, reports):
         fresh = KrausMap(m.kraus, m.tol)  # m keeps classify_channel's A, which would answer the call below
         if not report.gi:
@@ -557,6 +557,54 @@ def test_peel_with_weight_near_one_ends_the_mixture(monkeypatch):
     rebuilt = sum(w * np.outer(np.exp(1j * ph), np.exp(-1j * ph)) for w, ph in terms)
     assert np.linalg.norm(rebuilt - v @ np.conj(v).T) <= 1e-8
     assert abs(sum(w for w, _ in terms) - 1.0) <= 1e-12
+
+
+def test_search_accepts_a_vector_near_the_range_after_all_restarts(monkeypatch):
+    # the first draw at d = 12, r = 6 of a corpus of mixtures (default_rng(0) over d in 2, 3, 4, 5, 6,
+    # 8, 12, r in 2..8 and 6 draws each), its diagonal set to 1: 3 of its 5 searches end on no vector
+    # within eps / 10 * sqrt(d) of the range after every restart, and take the best one, within
+    # eps * 10 * sqrt(d); the terms still rebuild A
+    rng = np.random.default_rng(0)
+    draws = {}
+    for d in (2, 3, 4, 5, 6, 8, 12):
+        for r in range(2, 9):
+            for _ in range(6):
+                draws.setdefault((d, r), (rng.dirichlet(np.ones(r)), rng.uniform(0.0, 2.0 * np.pi, (r, d))))
+    w, ph = draws[12, 6]
+    u = np.exp(1j * ph)
+    a = np.einsum("k,ki,kj->ij", w, u, u.conj())
+    np.fill_diagonal(a, 1.0)
+    residuals = []
+
+    def spy(basis, x, step, rng, tol):
+        # the search's own residual ||u - P u||, over sqrt(d)
+        found = unimodular(basis, x, step, rng, tol)
+        proj = basis @ np.conj(basis).T
+        residuals.append(float(np.linalg.norm(found - proj @ found)) / np.sqrt(len(found)))
+        return found
+
+    unimodular = classify._unimodular_in_range
+    monkeypatch.setattr(classify, "_unimodular_in_range", spy)
+    terms = mixed_unitary_decompose(SchurMatrix(a))
+    eps = DEFAULT_TOL.eps
+    relaxed = [res for res in residuals if res > eps / 10]
+    assert len(residuals) == 5 and len(relaxed) == 3 and max(relaxed) <= eps * 10
+    rebuilt = sum(wt * np.outer(np.exp(1j * p), np.exp(-1j * p)) for wt, p in terms)
+    assert np.linalg.norm(rebuilt - a) <= eps * 10
+
+
+def test_rank_cut_of_eps_one_keeps_no_kraus_operator():
+    # Tolerance.rank_cut keeps the eigenvalues above eps times the top, none once eps >= 1: the
+    # minimal diagonal factor that gi_extremality and schur_map read raises instead of testing or
+    # building nothing
+    a = np.array([[1.0, 0.5], [0.5, 1.0]])
+    for eps in (1.0, 2.0):
+        tol = Tolerance(eps)
+        for call in (lambda: gi_extremality(SchurMatrix(a, tol), tol), lambda: schur_map(a, tol)):
+            with pytest.raises(ValueError, match="cuts away every eigenvalue"):
+                call()
+    assert len(schur_map(a, Tolerance(0.5)).kraus) == 1  # 0.5 is cut at 0.5 * 1.5
+    assert len(schur_map(np.zeros((2, 2))).kraus) == 1  # A = 0: one zero operator
 
 
 def test_pio_witness_channel():

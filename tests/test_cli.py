@@ -480,7 +480,7 @@ def test_state_vector_validated_by_one_rule(tmp_path, capsys):
         assert codes == {expected}
 
 
-@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tiny"])
+@pytest.mark.parametrize("value", ["0", "-1e-9", "nan", "inf", "-inf", "tiny", "1", "2"])
 def test_exit_parse_on_bad_tolerance(tmp_path, capsys, value):
     plus = _write(tmp_path / "plus.json", _vector_doc(np.sqrt([0.5, 0.5])))
     code, out, err = _run(capsys, [f"--tol={value}", "prob", "sgi", plus, plus])
@@ -586,6 +586,17 @@ def test_library_tolerance_sets_the_rank_cut_the_cli_does(tmp_path, capsys):
         code, out, _ = _run(capsys, ["--tol", repr(eps), "extremal", channel])
         assert code == 0 and json.loads(out)["verdict"]["rank_required"] == rank
         assert gi_extremality(KrausMap(ops, Tolerance(eps)), Tolerance(eps)).rank_required == rank
+
+
+@pytest.mark.parametrize("command", [["convert", "fi"], ["prob", "sgi"], ["prob", "sfi"]])
+def test_pure_deciders_reject_a_state_with_no_amplitude_above_tol(tmp_path, capsys, command):
+    # every amplitude of the uniform state at d = 16 is 0.25, below --tol 0.3: its support is empty,
+    # a document that does not fit the command (3), named in the error
+    uniform = _write(tmp_path / "uniform.json", _vector_doc(np.full(16, 0.25)))
+    code, out, err = _run(capsys, ["--tol", "0.3", *command, uniform, uniform])
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "the source state has no amplitude above eps = 0.3"
+    assert _run(capsys, [*command, uniform, uniform])[0] == 0
 
 
 CONVERSION = {"possible", "probability", "reason"}

@@ -25,7 +25,7 @@ from cohkit import (
     sgi_mixed_to_pure,
     sgi_optimal_probability,
 )
-from cohkit.linalg import DEFAULT_TOL, dagger
+from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger
 
 from conftest import frustrated_cycle, pure_fidelity, rand_density, rand_gi_schur, rand_pure
 from exhibits import build_fi_rank2_map, fi_activation_demo
@@ -327,6 +327,18 @@ def test_sgi_probability_support_violation():
     v = sgi_optimal_probability(psi, phi)
     assert v.possible is False and v.probability == 0.0
     assert v.reason is Reason.SUPPORT_VIOLATION
+
+
+def test_pure_deciders_name_a_state_with_no_amplitude_above_eps():
+    # a unit vector has an amplitude of at least 1 / sqrt(d), none above eps once eps >= 1 / sqrt(d):
+    # sgi, sfi and fi read both supports through one check, which names the empty one
+    tol = Tolerance(0.3)
+    uniform, peaked = PureState(np.full(16, 0.25), tol), PureState(np.sqrt([0.91] + [0.06 / 15] * 15), tol)
+    for decide in (sgi_optimal_probability, sfi_probability, fi_deterministic_pure):
+        for psi, phi, name in ((uniform, peaked, "source"), (peaked, uniform, "target"), (uniform, uniform, "source")):
+            with pytest.raises(ValueError, match=f"^the {name} state has no amplitude above eps = 0.3$"):
+                decide(psi, phi, tol)
+        decide(peaked, peaked, tol)  # one amplitude above eps on each side: decided
 
 
 def test_sgi_probability_witness_branch():

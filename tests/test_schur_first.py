@@ -608,12 +608,14 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # its A; the tensor path gives the same bits on the same list. Its references run on a twin of m,
     # so that they build their own A: m keeps the diagonal path's, which extract_schur_matrix hands back
     d = m.dim
-    live = m.kraus.any(axis=0)
-    assert classify._schur_form(m, DEFAULT_TOL)[1] is None
+    assert classify._exactly_diagonal(m.kraus.any(axis=0))
     rng = np.random.default_rng(d)
     h = _hamiltonian(rng, d) if with_hamiltonian else None
     twin = KrausMap(m.kraus, m.tol)
-    got, ref = classify_channel(m, h), classify._classify_tensor(twin, live, h, DEFAULT_TOL)
+    got = classify_channel(m, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "_exactly_diagonal", lambda live: False)  # the tensor path
+        ref = classify_channel(twin, h)
     assert ref.schur is not got.schur or got.schur is None
     flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
     assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags]
@@ -630,7 +632,7 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # a decomposition that runs out of budget takes about 0.3 s at d >= 4, twice here
     decompose = got.gi and d <= 5
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_schur_form", lambda m, tol: (None, m.kraus.any(axis=0)))  # the tensor path
+        mp.setattr(classify, "_exactly_diagonal", lambda live: False)  # the tensor path
         ref_witness = _outcome(gi_extremality, twin)
         ref_terms = _outcome(mixed_unitary_decompose, twin) if decompose else None
     witness = _outcome(gi_extremality, m)
