@@ -66,6 +66,12 @@ def _kraus_tensor(kraus) -> np.ndarray:
     return t
 
 
+def _one_per_line(mask: np.ndarray, axis: int) -> bool:
+    # no line along axis holds two nonzero entries of mask (exact, no eps; any dtype): the nonzero
+    # entries number as many as the lines that hold one iff no line holds two
+    return bool(np.count_nonzero(mask) == np.count_nonzero(mask.any(axis=axis)))
+
+
 def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass:
     """Classify sum_i K_i^dag K_i as trace preserving, non-increasing, or invalid.
 
@@ -76,19 +82,19 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
     """
     t = _kraus_tensor(kraus)
     d = t.shape[1]
-    nonzero = np.count_nonzero(t)
-    # one nonzero in each nonzero row (at most n d of them, a cheap test for dense lists first): then
-    # (K^dag K)_ij = sum_a conj(K_ai) K_aj has no term at i != j
-    if nonzero <= t.shape[0] * d and nonzero == np.count_nonzero(t.any(axis=2)):
+    # one nonzero in each nonzero row: then (K^dag K)_ij = sum_a conj(K_ai) K_aj has no term at i != j
+    if _one_per_line(t, 2):
         w = np.sort((t.real**2 + t.imag**2).sum(axis=(0, 1)))
         if tol.close(frobenius(w - 1.0), d):
             return CompletenessClass.TRACE_PRESERVING
     else:
         s = (dagger(t) @ t).sum(axis=0)
-        if tol.close(frobenius(s - np.eye(d)), d):
+        shifted = s.copy()  # s - I; s itself goes to the eigh below
+        shifted.reshape(-1)[:: d + 1] -= 1.0
+        if tol.close(frobenius(shifted), d):
             return CompletenessClass.TRACE_PRESERVING
         w, _ = hermitian_eigen(s, tol)
-    if w[-1] <= tol.upper(1.0, float(np.max(np.abs(w)))):
+    if w[-1] <= tol.upper(1.0, float(max(-w[0], w[-1]))):  # max |w| of the ascending w
         return CompletenessClass.TRACE_NON_INCREASING
     return CompletenessClass.INVALID
 
@@ -241,11 +247,14 @@ def _diagonal_schur(x: np.ndarray, tol: Tolerance) -> SchurMatrix | None:
 
 def _minimal_diagonals(sm: SchurMatrix, tol: Tolerance) -> np.ndarray:
     # x[k] = sqrt(w_k) v_k, A's minimal diagonal Kraus operators, over the eigenpairs above tol.rank_cut of
-    # the top: a relative cut, which keeps the round-off eigenvalues of a list padded beyond the rank out
+    # the top: a relative cut, which keeps the round-off eigenvalues of a list padded beyond the rank out.
+    # A = 0 (no eigenvalue above 0) has the single zero operator
     w, v = sm.eigen
     keep = w > tol.rank_cut(float(w[-1]))
-    if w[-1] > 0.0 and not keep.any():
-        raise ValueError(f"eps = {tol.eps} cuts away every eigenvalue of the Schur matrix")
+    if not keep.any():
+        if w[-1] > 0.0:
+            raise ValueError(f"eps = {tol.eps} cuts away every eigenvalue of the Schur matrix")
+        return np.zeros((1, sm.dim), dtype=complex)
     return (np.sqrt(w[keep]) * v[:, keep]).T
 
 
@@ -259,8 +268,8 @@ def schur_map(a, tol: Tolerance = DEFAULT_TOL) -> KrausMap:
     sm = a if isinstance(a, SchurMatrix) else SchurMatrix(as_matrix(a), tol)
     x = _minimal_diagonals(sm, tol)  # x[s]: diagonal of the s-th operator
     i = np.arange(sm.dim)
-    ops = np.zeros((max(len(x), 1), sm.dim, sm.dim), dtype=complex)
-    ops[: len(x), i, i] = x
+    ops = np.zeros((len(x), sm.dim, sm.dim), dtype=complex)
+    ops[:, i, i] = x
     return KrausMap(ops, tol)
 
 

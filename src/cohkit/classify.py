@@ -36,7 +36,7 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, ROUNDOFF, ROUNDOFF_PHASE, ROUNDOFF_SUM, Tolerance
 from .linalg import as_matrix, dagger, frobenius, hermitian_eigen
-from .channels import KrausMap, SchurMatrix, _kraus_tensor, _minimal_diagonals, extract_schur_matrix
+from .channels import KrausMap, SchurMatrix, _kraus_tensor, _minimal_diagonals, _one_per_line, extract_schur_matrix
 
 __all__ = [
     "Hamiltonian",
@@ -103,8 +103,7 @@ class ExtremalityWitness:
 
 def is_incoherent_operator(k, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff each column holds at most one entry with modulus above eps."""
-    a = as_matrix(k)
-    return bool(np.all(np.sum(np.abs(a) > tol.eps, axis=0) <= 1))
+    return _one_per_line(np.abs(as_matrix(k)) > tol.eps, 0)
 
 
 def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -114,7 +113,7 @@ def same_form(kraus, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _one_form(hit: np.ndarray) -> bool:
     # hit[s, a, i] = |K_s[a, i]| > eps; per column, at most one row hit across operators
-    return bool((hit.any(axis=0).sum(axis=0) <= 1).all())
+    return _one_per_line(hit.any(axis=0), 0)
 
 
 def _support_grams(t: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,21 +132,17 @@ def _support_grams(t: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndar
     return c @ c.conj().transpose(0, 2, 1), rows
 
 
-def _one_per_column(t: np.ndarray) -> bool:
-    # every column of every operator holds at most one nonzero entry (exact, no eps)
-    return bool((np.count_nonzero(t, axis=1) <= 1).all())
-
-
 def _image_norms(t: np.ndarray, live: np.ndarray, one_per_column: bool) -> tuple[np.ndarray, np.ndarray]:
     # images[i] = map(|i><i|) = C_i C_i^dag, where C_i[a, s] = t[s, a, i], vanishes outside the rows
     # live in column i (live[a, i]: K_s[a, i] != 0 for some s); those rows and row i, which holds the
     # target 1, are kept. Returns the Frobenius norms of each image's off-diagonal part and of
     # images[i] - |i><i|, summed from non-negative squares only: a difference of squares cancels at
-    # eps * d. With one nonzero per operator column (_one_per_column) each image is
+    # eps * d. With one nonzero per operator column (one_per_column) each image is
     # sum_a P[a, i] |a><a|, P = sum_s |K_s|^2, exactly diagonal: off is 0, and no Gram is formed
     d = t.shape[1]
     if one_per_column:
-        p = (t.real**2 + t.imag**2).sum(axis=0) - np.eye(d)
+        p = (t.real**2 + t.imag**2).sum(axis=0)
+        p.reshape(-1)[:: d + 1] -= 1.0  # P - I
         return np.zeros(d), np.sqrt((p * p).sum(axis=0))
     images, rows = _support_grams(t, live | np.eye(d, dtype=bool))
     kk = np.arange(images.shape[1])
@@ -177,7 +172,7 @@ def _schur_gi(
         gi = schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
         return schur, gi, None, None
     t = m.kraus
-    off, moved = _image_norms(t, live, np.count_nonzero(live) <= len(t) * m.dim and _one_per_column(t))
+    off, moved = _image_norms(t, live, np.count_nonzero(live) <= len(t) * m.dim and _one_per_line(t, 1))
     return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), live, off
 
 
@@ -194,7 +189,10 @@ def classify_channel(
     within eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
     diagonal test and, on the first call, O(d^2 n) for A and its eigenpairs, which the
     list keeps per Tolerance and shares with every later call (extract_schur_matrix).
-    Any other list is classified on its Kraus tensor: io, sio and fi from one mask, sgi
+    Any other list is classified on its Kraus tensor: io, sio and fi from one mask. Every
+    test that each line holds at most one nonzero (on the mask, or exactly on the tensor)
+    compares two counts, the nonzero entries and the lines that hold one, equal iff no
+    line holds two. sgi
     from extract_schur_matrix (kept the same way; on the first call O(n d^2) when one
     off-diagonal entry already rules A out), the basis-projector images and dio's
     diagonals over the live support at O(n d w^2), w the widest
@@ -219,12 +217,12 @@ def classify_channel(
     mod = np.abs(t)
     hit = mod > tol.eps
 
-    # one mask gives io, sio and fi: hits per column (K incoherent), per row (K^dag incoherent) and
-    # rows hit per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
+    # one mask gives io, sio and fi (_one_per_line): at most one hit per column (K incoherent), per row
+    # (K^dag incoherent) and per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
     # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms, 0 when
     # every operator column holds one nonzero at most, as it does when io holds and every nonzero is hit
-    io = bool((hit.sum(axis=1) <= 1).all())
-    sio = io and bool((hit.sum(axis=2) <= 1).all())
+    io = _one_per_line(hit, 1)
+    sio = io and _one_per_line(hit, 2)
     if io and np.count_nonzero(mod) > np.count_nonzero(hit):
         p = mod**2
         below = np.zeros_like(p)
@@ -233,7 +231,7 @@ def classify_channel(
     fi = io and _one_form(hit)
 
     mio = dio = bool(tol.close(off.max(), d))
-    if mio and not (np.count_nonzero(t, axis=2) <= 1).all():
+    if mio and not _one_per_line(t, 2):
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
         # vanishes outside the columns live in row a; when no operator has two nonzeros in one row,
         # every i != j term has a zero factor
@@ -270,11 +268,12 @@ def expose_hidden_coherence(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> KrausM
     """
     ops = m.kraus
     hit = np.abs(ops) > tol.eps  # hit[s, a, i]
-    if np.any(np.sum(hit, axis=1) > 1):
+    has = hit.any(axis=1)  # has[s, i]: operator s hits column i
+    if np.count_nonzero(hit) != np.count_nonzero(has):  # _one_per_line(hit, 1), keeping has
         raise ValueError("representation is not incoherent")
     # pair[j, s1, s2]: s1 and s2 both hit column j, in different rows; the first pair in
     # (column, s1, s2) order has s1 < s2 and is mixed
-    has, row = np.any(hit, axis=1).T, np.argmax(hit, axis=1).T  # (column, operator)
+    has, row = has.T, np.argmax(hit, axis=1).T  # (column, operator)
     pair = has[:, :, None] & has[:, None, :] & (row[:, :, None] != row[:, None, :])
     if not pair.any():
         return None

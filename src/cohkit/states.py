@@ -94,8 +94,9 @@ def _shannon(p: np.ndarray) -> float:
 
 def _eigen(rho: DensityMatrix, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
     # rho's stored eigenpairs, read under tol: of hermitian_eigen(rho.matrix, tol), only its
-    # Hermiticity test depends on tol, so a tol tighter than rho's still raises ValueError
-    if not is_hermitian(rho.matrix, tol):
+    # Hermiticity test depends on tol, so a tol tighter than rho's still raises ValueError. Under
+    # rho's own tol the constructor has already passed that test on the same read-only matrix
+    if tol != rho.tol and not is_hermitian(rho.matrix, tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     return rho.eigen
 

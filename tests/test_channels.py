@@ -30,6 +30,7 @@ from cohkit import (
     sgi_mixed_to_pure,
     sgi_optimal_probability,
 )
+from cohkit.channels import _one_per_line
 from cohkit.linalg import DEFAULT_TOL, Tolerance, dagger, frobenius
 
 from conftest import (
@@ -137,6 +138,41 @@ def test_completeness_class_on_sparse_rows_matches_dense_product(t):
         # sums of |t|^2 that completeness_class reads instead
         assert np.count_nonzero(s - np.diag(np.diag(s))) == 0
         np.testing.assert_array_max_ulp(np.diag(s).real, (t.real**2 + t.imag**2).sum(axis=(0, 1)), maxulp=4)
+
+
+EPS = DEFAULT_TOL.eps
+# entry parts at and around the classification threshold, with signed zeros: -0.0 is no nonzero
+PARTS = [0.0, -0.0, 0.5 * EPS, EPS, 2.0 * EPS, -EPS, 1.0, -0.3]
+
+
+@st.composite
+def support_tensors(draw):
+    """(n, d, d) complex tensors whose real and imaginary parts are drawn from PARTS, each entry
+    kept with probability p (small p makes lines with one nonzero common), and a bool mask drawn
+    apart from them."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = np.array(PARTS)
+    t = parts[rng.integers(0, len(parts), (n, d, d))] + 1j * parts[rng.integers(0, len(parts), (n, d, d))]
+    t[rng.random((n, d, d)) >= draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))] = 0.0
+    mask = rng.random((n, d, d)) < draw(st.sampled_from([0.05, 0.2, 0.5]))
+    return t, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(support_tensors())
+def test_one_per_line_matches_the_per_line_counts(case):
+    # the count identity against per-line counts, on every axis of the tensor, of its eps mask and of
+    # a free mask, and on the 2-d masks that is_incoherent_operator and the one-form test read
+    t, mask = case
+    hit = np.abs(t) > EPS
+    for a in (t, hit, mask, hit[0], hit.any(axis=0), mask[-1]):
+        for axis in range(a.ndim):
+            got = _one_per_line(a, axis)
+            assert type(got) is bool  # a Python bool, as the CLI's JSON report needs
+            assert got == bool((np.count_nonzero(a, axis=axis) <= 1).all())
+            if a.dtype == bool:
+                assert got == bool((a.sum(axis=axis) <= 1).all())
 
 
 def test_completeness_class_one_entry_per_column_is_not_diagonal():

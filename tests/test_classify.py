@@ -607,6 +607,23 @@ def test_rank_cut_of_eps_one_keeps_no_kraus_operator():
     assert len(schur_map(np.zeros((2, 2))).kraus) == 1  # A = 0: one zero operator
 
 
+def test_zero_schur_matrix_under_a_loose_tol_is_rank_zero_of_one():
+    # gi allows A_ii = 0 once eps * d >= 1, so A = 0 at d = 2 is gi under eps = 0.5. Its minimal
+    # diagonal factor is schur_map's single zero operator: the rank test finds rank 0 of the 1
+    # required, not extremal, and the decomposition peels S A S, here the identity
+    tol = Tolerance(0.5)
+    zero = np.zeros((2, 2))
+    for m in (SchurMatrix(zero, tol), schur_map(zero, tol)):
+        assert classify_channel(m, tol=tol).gi
+        witness = gi_extremality(m, tol)
+        assert (witness.extremal, witness.rank_found, witness.rank_required) == (False, 0, 1)
+        terms = mixed_unitary_decompose(m, tol=tol)
+        weights = np.array([weight for weight, _ in terms])
+        u = np.exp(1j * np.array([phases for _, phases in terms]))
+        assert abs(weights.sum() - 1.0) <= 1e-12
+        assert np.linalg.norm((u.T * weights) @ u.conj() - np.eye(2)) <= 1e-9
+
+
 def test_pio_witness_channel():
     for theta in (np.pi / 3, np.pi / 5):
         m = pio_witness_channel(theta)

@@ -588,6 +588,22 @@ def test_library_tolerance_sets_the_rank_cut_the_cli_does(tmp_path, capsys):
         assert gi_extremality(KrausMap(ops, Tolerance(eps)), Tolerance(eps)).rank_required == rank
 
 
+def test_extremal_on_a_zero_schur_matrix_under_a_loose_tol(tmp_path, capsys):
+    # the 2 x 2 zero channel_schur document is gi under --tol 0.5 (eps * d >= 1 allows A_ii = 0):
+    # extremal reports rank 0 of 1, and --decompose rebuilds S A S, the identity
+    zero = _write(tmp_path / "zero.json", _schur_doc(np.zeros((2, 2))))
+    code, out, err = _run(capsys, ["--tol", "0.5", "extremal", zero])
+    assert code == 0 and err == ""
+    assert json.loads(out)["verdict"] == {"extremal": False, "rank_found": 0, "rank_required": 1}
+    code, out, err = _run(capsys, ["--tol", "0.5", "extremal", "--decompose", zero])
+    assert code == 0 and err == ""
+    terms = json.loads(out)["verdict"]["decomposition"]
+    weights = np.array([term["weight"] for term in terms])
+    u = np.exp(1j * np.array([term["phases"] for term in terms]))
+    assert abs(weights.sum() - 1.0) <= 1e-9
+    assert np.linalg.norm((u.T * weights) @ u.conj() - np.eye(2)) <= 1e-8
+
+
 @pytest.mark.parametrize("command", [["convert", "fi"], ["prob", "sgi"], ["prob", "sfi"]])
 def test_pure_deciders_reject_a_state_with_no_amplitude_above_tol(tmp_path, capsys, command):
     # every amplitude of the uniform state at d = 16 is 0.25, below --tol 0.3: its support is empty,

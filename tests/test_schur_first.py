@@ -27,7 +27,7 @@ from cohkit import (
     schur_map,
 )
 from cohkit import classify
-from cohkit.channels import _diagonal_schur
+from cohkit.channels import _diagonal_schur, _one_per_line
 from cohkit.classify import _image_norms
 from cohkit.linalg import dagger, frobenius
 
@@ -443,7 +443,7 @@ def sparse_channels(draw, tol=DEFAULT_TOL):
 def test_support_kernel_matches_image_tensor(case):
     m, h = case
     t = np.stack(m.kraus)
-    off, moved = _image_norms(t, np.any(t != 0.0, axis=0), classify._one_per_column(t))
+    off, moved = _image_norms(t, np.any(t != 0.0, axis=0), _one_per_line(t, 1))
     ref_off, ref_moved = _ref_image_norms(m)
     assert np.allclose(off, ref_off, rtol=1e-12, atol=1e-15)
     assert np.allclose(moved, ref_moved, rtol=1e-12, atol=1e-15)
@@ -708,7 +708,7 @@ def test_incoherent_lists_read_their_images_from_the_support(family, gram_calls)
     for tiny, calls_expected in ((0.0, gram_calls), (1e-12, 2)):
         ops[1][row, col] = tiny
         m = KrausMap(ops)
-        assert classify._one_per_column(m.kraus) == (tiny == 0.0)
+        assert _one_per_line(m.kraus, 1) == (tiny == 0.0)
         with pytest.MonkeyPatch.context() as mp:
             calls = []
             grams = classify._support_grams
@@ -754,7 +754,7 @@ def test_incoherent_images_match_image_tensor(case):
     m, h = case
     t = m.kraus
     live = t.any(axis=0)
-    assert classify._one_per_column(t)
+    assert _one_per_line(t, 1)
     off, moved = _image_norms(t, live, True)
     ref_off, ref_moved = _ref_image_norms(m)
     assert np.all(off == 0.0) and np.all(ref_off == 0.0)

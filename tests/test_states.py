@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cohkit import states
 from cohkit import DensityMatrix, PureState, gi_deterministic, plus_state, rel_entropy_coherence, sgi_mixed_to_pure
 from cohkit.linalg import DEFAULT_TOL, Tolerance, hermitian_eigen
 
@@ -92,6 +93,24 @@ def test_density_matrix_eigen_read_under_a_tighter_tol():
         sgi_mixed_to_pure(rho)
     assert rel_entropy_coherence(rho, loose) >= 0.0
     assert gi_deterministic(rho, sigma, loose).possible is True
+
+
+def test_density_matrix_hermiticity_retested_only_under_another_tol(monkeypatch):
+    # the constructor ran hermitian_eigen's Hermiticity test under rho.tol on the same read-only
+    # matrix, so a read under an equal tol does not run it again; a tighter tol still does, and
+    # rejects an anti-Hermitian gap of 2e-10 (Frobenius 2.8e-10) that passes the default bound 2e-9
+    rho = DensityMatrix(np.array([[0.5, 0.25 + 2e-10j], [0.25, 0.5]]))
+    calls = []
+    retest = states.is_hermitian
+    monkeypatch.setattr(states, "is_hermitian", lambda *args: calls.append(1) or retest(*args))
+    assert rel_entropy_coherence(rho) >= 0.0
+    assert rel_entropy_coherence(rho, Tolerance(DEFAULT_TOL.eps)) >= 0.0  # equal, not the same object
+    assert calls == []
+    with pytest.raises(ValueError, match="not Hermitian"):
+        rel_entropy_coherence(rho, Tolerance(1e-11))
+    assert calls == [1]
+    assert rel_entropy_coherence(rho, Tolerance(1e-6)) >= 0.0  # a looser tol re-tests and passes
+    assert calls == [1, 1]
 
 
 def test_conversions_never_eigendecompose_a_given_state(monkeypatch):
