@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -105,11 +106,12 @@ class KrausMap:
 
     Built from a list of d x d matrices, an (n, d, d) array or a KrausMap, `kraus` is one
     read-only complex copy, kraus[s, a, i] = K_s[a, i], checked once; iterate or index it per operator.
-    `completeness` is completeness_class of the map under its own tol, from that check.
-    `_schur` holds extract_schur_matrix's answer per Tolerance (a SchurMatrix, whose A and
-    eigenpairs are read-only, or None), so that A is computed once per map and Tolerance and
-    shared by every later question. `==` and `hash` go by identity; compare channels through
-    their Choi matrices.
+    `completeness` is completeness_class of the map under its own tol, from that check. `diagonal`,
+    computed on its first read and kept, is whether no entry off the diagonal of any operator is nonzero
+    (exact, no eps; -0.0 is zero): the one test that sends a list down the Schur path. `_schur` holds
+    extract_schur_matrix's answer per Tolerance (a SchurMatrix, whose A and eigenpairs are read-only,
+    or None), so that A is computed once per map and Tolerance and shared by every later question.
+    `==` and `hash` go by identity; compare channels through their Choi matrices.
     """
 
     kraus: np.ndarray
@@ -130,10 +132,15 @@ class KrausMap:
     def dim(self) -> int:
         return self.kraus.shape[1]
 
+    @cached_property
+    def diagonal(self) -> bool:
+        live = self.kraus.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
+        return bool(np.count_nonzero(live) == np.count_nonzero(np.diagonal(live)))
+
 
 @dataclass(frozen=True, eq=False)
 class SchurMatrix:
-    """PSD matrix with diagonal entries in [0, 1] defining rho -> A * rho entrywise.
+    """PSD matrix with diagonal entries in [0, 1] (within eps * d) defining rho -> A * rho entrywise.
 
     Holds a read-only copy of A and, in `eigen`, the read-only eigenvalues
     (ascending) and eigenvector columns of A, so that callers never
@@ -167,7 +174,7 @@ class SchurMatrix:
         if not self.tol.psd(w):
             raise ValueError("Schur matrix must be Hermitian PSD within tolerance")
         diag = np.real(np.diag(a))
-        if (diag < -self.tol.eps).any() or (diag > 1.0 + self.tol.eps).any():
+        if not self.tol.close(max(-diag.min(), diag.max() - 1.0, 0.0), len(diag)):
             raise ValueError("Schur matrix diagonal must lie in [0, 1] within tolerance")
         for x in (a, w, v):
             x.flags.writeable = False
@@ -201,8 +208,8 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
     (the norm of the basis-image entries A * X cannot produce, at most eps * d)
     is sqrt(2 tr(Gx Gy) + ||Gy||_F^2), Gx and Gy the n x n Gram matrices of the
     diagonal and off-diagonal parts of the operators: O(n^2 d^2) on the first call,
-    no d^4 tensor. A list whose off-diagonal entries are all exactly zero has
-    residual 0 and skips it, paying O(n d^2) for that test. The residual is at least
+    no d^4 tensor. An exactly diagonal list (m.diagonal, read once per list) has
+    residual 0 and skips it. The residual is at least
     ||Gy||_F >= (Gy)_ss >= |y_sk|^2 for every off-diagonal entry y_sk, so a list
     with one such entry above eps * d in squared modulus is answered None at
     O(n d^2), before either Gram product.
@@ -215,18 +222,13 @@ def extract_schur_matrix(m: KrausMap, tol: Tolerance = DEFAULT_TOL) -> SchurMatr
         d = m.dim
         i = np.arange(d)
         x = m.kraus[:, i, i]
-        m._schur[tol] = _diagonal_schur(x, tol) if _on_pattern(m.kraus, x, tol) else None
+        m._schur[tol] = _diagonal_schur(x, tol) if m.diagonal or _on_pattern(m.kraus, x, tol) else None
     return m._schur[tol]
 
 
 def _on_pattern(t: np.ndarray, x: np.ndarray, tol: Tolerance) -> bool:
-    # whether the off-pattern residual of the (n, d, d) Kraus tensor t with diagonals x is within
-    # eps * d; it is 0 when no word off the diagonal is nonzero, the two float64 halves of each
-    # entry read as integers
+    # whether the off-pattern residual of the (n, d, d) Kraus tensor t with diagonals x is within eps * d
     n, d = x.shape
-    words = t.view(np.int64).reshape(n, d * d, 2)
-    if np.count_nonzero(words) == np.count_nonzero(words[:, :: d + 1]):
-        return True
     y = t.reshape(n, d * d).copy()  # row s holds K_s, entry (a, i) at a*d + i
     y[:, np.arange(d) * (d + 1)] = 0.0
     if not tol.close(float(np.abs(y).max()) ** 2, d):

@@ -21,8 +21,8 @@ Flags reported for a Kraus representation:
 io, fi and sio are properties of the listed representation; gi, sgi, mio,
 dio and tio are properties of the channel itself. A SchurMatrix A is accepted as
 the channel rho -> A * rho, every Kraus representation of which is diagonal.
-One private decision gives A and gi for a SchurMatrix, an exactly diagonal list
-and any other list alike: classify_channel adds the other flags, and
+One private decision gives A and gi for a SchurMatrix, an exactly diagonal list (KrausMap.diagonal,
+decided once per list) and any other list alike: classify_channel adds the other flags, and
 gi_extremality and mixed_unitary_decompose read only A and gi.
 An exactly incoherent list (at most one nonzero entry in every operator column)
 has exactly diagonal basis-projector images: io, mio and gi cost it O(n d^2).
@@ -153,25 +153,21 @@ def _image_norms(t: np.ndarray, live: np.ndarray, one_per_column: bool) -> tuple
     return np.sqrt(off), np.sqrt(off + moved)
 
 
-def _exactly_diagonal(live: np.ndarray) -> bool:
-    return np.count_nonzero(live) == np.count_nonzero(np.diagonal(live))
-
-
 def _schur_gi(
     m: KrausMap | SchurMatrix, tol: Tolerance
 ) -> tuple[SchurMatrix | None, bool, np.ndarray | None, np.ndarray | None]:
     # (A, gi, live, off): A is a SchurMatrix's own, else extract_schur_matrix's (None off the Schur form).
-    # A SchurMatrix or an exactly diagonal list (exact, no eps) is gi when every |A_ii - 1| is within
+    # A SchurMatrix or an exactly diagonal list (m.diagonal) is gi when every |A_ii - 1| is within
     # eps * d, and has live = off = None. Any other list is gi when A exists and every basis projector
     # is fixed, moved[i] >= |A_ii - 1|; live[a, i] is K_s[a, i] != 0 for some s, and off holds the image
     # norms off the diagonal, which mio reads. One nonzero per operator column allows at most n d live
     # entries, so a denser list skips that count
     schur = m if isinstance(m, SchurMatrix) else extract_schur_matrix(m, tol)
-    live = None if isinstance(m, SchurMatrix) else m.kraus.any(axis=0)  # m.kraus[s, a, i] = K_s[a, i]
-    if live is None or _exactly_diagonal(live):
+    if isinstance(m, SchurMatrix) or m.diagonal:
         gi = schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
         return schur, gi, None, None
-    t = m.kraus
+    t = m.kraus  # t[s, a, i] = K_s[a, i]
+    live = t.any(axis=0)
     off, moved = _image_norms(t, live, np.count_nonzero(live) <= len(t) * m.dim and _one_per_line(t, 1))
     return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), live, off
 
@@ -186,9 +182,9 @@ def classify_channel(
     sio, mio and dio then hold, and so does tio for any Hamiltonian, since diagonal
     unitaries commute with entrywise multiplication. The answer comes from A alone:
     sgi is whether A passes SchurMatrix's checks and gi whether every |A_ii - 1| is
-    within eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the
-    diagonal test and, on the first call, O(d^2 n) for A and its eigenpairs, which the
-    list keeps per Tolerance and shares with every later call (extract_schur_matrix).
+    within eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the diagonal
+    test (KrausMap.diagonal) and O(d^2 n) for A and its eigenpairs (extract_schur_matrix, per
+    Tolerance), each on the first call only: the list keeps both for every later call.
     Any other list is classified on its Kraus tensor: io, sio and fi from one mask. Every
     test that each line holds at most one nonzero (on the mask, or exactly on the tensor)
     compares two counts, the nonzero entries and the lines that hold one, equal iff no
@@ -331,9 +327,10 @@ def gi_extremality(m: KrausMap | SchurMatrix, tol: Tolerance = DEFAULT_TOL) -> E
     Tolerance and then shared (extract_schur_matrix), and the n^2 x d SVD below
     runs once per A and tol: the answer is kept on the SchurMatrix and every later
     call (and mixed_unitary_decompose) returns the same read-only witness. The gi
-    check still runs on every call. A list that is not
-    exactly diagonal also pays the basis-projector images that gi reads, not the
-    io/sio/fi mask or dio's diagonals. No Choi matrix.
+    check still runs on every call; the exact-diagonal test runs once per list
+    (KrausMap.diagonal). A list that is not exactly diagonal also pays the
+    basis-projector images that gi reads, not the io/sio/fi mask or dio's
+    diagonals. No Choi matrix.
     """
     return _gi_extremality(m, tol)[1]
 

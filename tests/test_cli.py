@@ -604,6 +604,37 @@ def test_extremal_on_a_zero_schur_matrix_under_a_loose_tol(tmp_path, capsys):
     assert np.linalg.norm((u.T * weights) @ u.conj() - np.eye(2)) <= 1e-8
 
 
+def test_negative_zero_kraus_document_reports_as_its_positive_twin(tmp_path, capsys, monkeypatch):
+    # a channel_kraus document with -0.0 (re and im) off the diagonal is exactly diagonal: classify and
+    # extremal --decompose print the same bytes on it as on its 0.0 twin, written under the same name
+    diags = [np.full(3, np.sqrt(0.6)), np.sqrt(0.4) * np.array([1, 1j, -1])]
+    commands = (["classify", "mix3.json"], ["extremal", "--decompose", "mix3.json"])
+    runs = []
+    for folder, zero in (("negative", -0.0), ("positive", 0.0)):
+        ops = np.full((2, 3, 3), complex(zero, zero))
+        for k, x in zip(ops, diags):
+            np.fill_diagonal(k, x)
+        (tmp_path / folder).mkdir()
+        _write(tmp_path / folder / "mix3.json", _kraus_doc(ops))
+        monkeypatch.chdir(tmp_path / folder)
+        runs.append([_run(capsys, argv) for argv in commands])
+    assert "-0.0" in (tmp_path / "negative" / "mix3.json").read_text()
+    assert runs[0] == runs[1]
+    assert all(code == 0 and err == "" for code, _, err in runs[0])
+    assert json.loads(runs[0][0][1])["verdict"]["gi"] is True
+
+
+def test_trace_preserving_kraus_document_within_eps_d_is_gi(tmp_path, capsys):
+    # sqrt(1 + 1.5e-9) I_3: sum K^dag K is trace preserving within eps * d, and A_ii = 1 + 1.5e-9 lies in
+    # SchurMatrix's diagonal window [-eps * d, 1 + eps * d], so classify reports sgi and gi
+    band = _write(tmp_path / "band3.json", _kraus_doc([np.sqrt(1.0 + 1.5e-9) * np.eye(3)]))
+    code, out, err = _run(capsys, ["classify", band])
+    verdict = json.loads(out)["verdict"]
+    assert code == 0 and (verdict["sgi"], verdict["gi"]) == (True, True)
+    code, out, err = _run(capsys, ["extremal", band])
+    assert code == 0 and json.loads(out)["verdict"]["rank_required"] == 1
+
+
 @pytest.mark.parametrize("command", [["convert", "fi"], ["prob", "sgi"], ["prob", "sfi"]])
 def test_pure_deciders_reject_a_state_with_no_amplitude_above_tol(tmp_path, capsys, command):
     # every amplitude of the uniform state at d = 16 is 0.25, below --tol 0.3: its support is empty,

@@ -4,11 +4,12 @@ Kronecker-product commutator for tio, the per-operator io, sio and fi tests and
 the per-column pair search of expose_hidden_coherence. The references live here
 only. Also the structural guards of the Schur path: eigh calls and memory."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cohkit import (
@@ -27,7 +28,7 @@ from cohkit import (
     schur_map,
 )
 from cohkit import classify
-from cohkit.channels import _diagonal_schur, _one_per_line
+from cohkit.channels import CompletenessClass, _diagonal_schur, _one_per_line
 from cohkit.classify import _image_norms
 from cohkit.linalg import dagger, frobenius
 
@@ -608,13 +609,13 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # its A; the tensor path gives the same bits on the same list. Its references run on a twin of m,
     # so that they build their own A: m keeps the diagonal path's, which extract_schur_matrix hands back
     d = m.dim
-    assert classify._exactly_diagonal(m.kraus.any(axis=0))
+    assert m.diagonal
     rng = np.random.default_rng(d)
     h = _hamiltonian(rng, d) if with_hamiltonian else None
     twin = KrausMap(m.kraus, m.tol)
     got = classify_channel(m, h)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_exactly_diagonal", lambda live: False)  # the tensor path
+        mp.setattr(KrausMap, "diagonal", property(lambda self: False))  # the tensor path
         ref = classify_channel(twin, h)
     assert ref.schur is not got.schur or got.schur is None
     flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
@@ -632,7 +633,7 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     # a decomposition that runs out of budget takes about 0.3 s at d >= 4, twice here
     decompose = got.gi and d <= 5
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classify, "_exactly_diagonal", lambda live: False)  # the tensor path
+        mp.setattr(KrausMap, "diagonal", property(lambda self: False))  # the tensor path
         ref_witness = _outcome(gi_extremality, twin)
         ref_terms = _outcome(mixed_unitary_decompose, twin) if decompose else None
     witness = _outcome(gi_extremality, m)
@@ -652,6 +653,90 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
     else:
         assert len(terms) == len(ref_terms)
         assert all(w == rw and _same_bits(p, rp) for (w, p), (rw, rp) in zip(terms, ref_terms))
+
+
+def test_negative_zero_off_the_diagonal_is_zero():
+    # -0.0 is zero: a list with -0.0 (real and imaginary parts) everywhere off the diagonal is exactly
+    # diagonal and answers as its +0.0 twin, bit for bit
+    rng = np.random.default_rng(6)
+    pos = np.array(_mixture(rng, 6, 2, 3)[0])
+    neg = pos.copy()
+    off = ~np.eye(6, dtype=bool)
+    neg[:, off] = complex(-0.0, -0.0)
+    m, twin = KrausMap(neg), KrausMap(pos)
+    assert np.signbit(m.kraus.real[:, off]).all() and not np.signbit(twin.kraus.real[:, off]).any()
+    assert m.diagonal and twin.diagonal
+    h = _hamiltonian(rng, 6)
+    got, ref = classify_channel(m, h), classify_channel(twin, h)
+    flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
+    assert [getattr(got, f) for f in flags] == [getattr(ref, f) for f in flags] == [True] * 8
+    assert _same_bits(got.schur.matrix, ref.schur.matrix)
+    assert all(_same_bits(a, b) for a, b in zip(got.schur.eigen, ref.schur.eigen))
+    witness, ref_witness = gi_extremality(m), gi_extremality(twin)
+    assert (witness.extremal, witness.rank_found) == (ref_witness.extremal, ref_witness.rank_found)
+    terms, ref_terms = mixed_unitary_decompose(m), mixed_unitary_decompose(twin)
+    assert len(terms) == len(ref_terms) == 2
+    assert all(w == rw and _same_bits(p, rp) for (w, p), (rw, rp) in zip(terms, ref_terms))
+
+
+@pytest.mark.parametrize("off_diagonal", [0.0, 1e-12])
+def test_diagonal_is_read_once_per_list(monkeypatch, off_diagonal):
+    # KrausMap.diagonal scans the tensor on its first read and not before: building a list does not
+    # scan it, and classify_channel, gi_extremality and mixed_unitary_decompose, asked twice each, share
+    # one scan, on the Schur path and on the tensor path alike
+    rng = np.random.default_rng(16)
+    ops, _ = _mixture(rng, 16, 2, 3)
+    ops[1][4, 7] = off_diagonal
+    h = _hamiltonian(rng, 16)
+    scans = []
+    scan = KrausMap.diagonal.func
+    counted = functools.cached_property(lambda self: scans.append(self) or scan(self))
+    counted.__set_name__(KrausMap, "diagonal")
+    monkeypatch.setattr(KrausMap, "diagonal", counted)
+    m = KrausMap(ops)
+    assert scans == []
+    for _ in range(2):
+        assert classify_channel(m, h).gi
+        assert not gi_extremality(m).extremal
+        assert len(mixed_unitary_decompose(m)) == 2
+    assert scans == [m] and m.diagonal is (off_diagonal == 0.0)
+
+
+@st.composite
+def near_unit_diagonal_lists(draw):
+    """Diagonal lists, d <= 8 and n <= 3, under eps = 1e-9 or 1e-6, with A_ii = 1 + c_i * eps: c is
+    Gaussian on some entries, scaled to ||c|| = s * d, s in [0, 1.5] but 0.1% clear of 1, where
+    completeness_class and A's diagonal sum |x|^2 in different orders. s < 1 is trace preserving, and
+    when c sits on few entries some |c_i| exceeds 1: |A_ii - 1| then lies between eps and eps * d."""
+    d = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3))
+    tol = draw(st.sampled_from([DEFAULT_TOL, LOOSE]))
+    s = draw(st.floats(0.0, 1.5).filter(lambda s: abs(s - 1.0) > 1e-3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=(d, n)) + 1j * rng.normal(size=(d, n))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    c = rng.normal(size=d) * (rng.random(d) < draw(st.sampled_from([0.3, 1.0])))
+    if c.any():
+        c *= s * d / np.linalg.norm(c)
+    return [np.diag(x) for x in (v * np.sqrt(1.0 + c * tol.eps)[:, None]).T], tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_unit_diagonal_lists())
+def test_trace_preserving_diagonal_lists_are_gi(case):
+    # every exactly diagonal list that KrausMap calls trace preserving is sgi and gi: A_ii is the i-th
+    # column sum of |K_s|^2, all of them within eps * d of 1 (in norm, so each one), which is
+    # SchurMatrix's diagonal window and gi's rule
+    ops, tol = case
+    try:
+        m = KrausMap(ops, tol)
+    except ValueError:  # sum K^dag K exceeds 1
+        assume(False)
+    assume(m.completeness is CompletenessClass.TRACE_PRESERVING)
+    assert m.diagonal
+    report = classify_channel(m, tol=tol)
+    assert report.sgi and report.gi
+    assert gi_extremality(m, tol).rank_required >= 1  # the gi check passes: no ValueError
 
 
 @pytest.mark.parametrize("off_diagonal, image_norm_calls", [(0.0, 0), (1e-12, 1)])
@@ -850,14 +935,14 @@ def test_schur_matrix_answers_as_its_diagonal_list(sm, with_hamiltonian):
 @pytest.mark.parametrize("c", [0.5, 2.0])
 def test_gi_reads_the_diagonal_of_a(d, sign, c):
     # gi is max |A_ii - 1| <= eps * d for a SchurMatrix and a diagonal list alike. Above 1, A_ii
-    # beyond eps fails SchurMatrix's diagonal check: the list is then neither sgi nor gi
+    # beyond eps * d fails SchurMatrix's diagonal check: the list is then neither sgi nor gi
     rng = np.random.default_rng(d)
     v = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v[-1] *= np.sqrt(1.0 + sign * c * DEFAULT_TOL.eps * d)  # A = V V^dag, A_(d-1)(d-1) moved
     km = KrausMap([np.diag(x) for x in v.T], LOOSE)
-    sgi = sign < 0 or c * d <= 1
-    gi = sgi and c <= 1
+    sgi = sign < 0 or c <= 1
+    gi = c <= 1
     report = classify_channel(km)
     assert (report.sgi, report.gi) == (sgi, gi)
     if sgi:
