@@ -78,18 +78,21 @@ def completeness_class(kraus, tol: Tolerance = DEFAULT_TOL) -> CompletenessClass
 
     kraus is a KrausMap, a list of d x d matrices or an (n, d, d) array. When no row of
     any operator holds two nonzero entries (diagonal operators, permutations times
-    diagonals), the sum is exactly diagonal with the column sums of |K_i|^2 on its
-    diagonal, O(n d^2) with no d x d product.
+    diagonals; a KrausMap's one_per_row), the sum is exactly diagonal with the column sums
+    of |K_i|^2 on its diagonal, O(n d^2) with no d x d product. Otherwise it is one product
+    Y^dag Y of the nd x d stack Y of the operators.
     """
     t = _kraus_tensor(kraus)
     d = t.shape[1]
     # one nonzero in each nonzero row: then (K^dag K)_ij = sum_a conj(K_ai) K_aj has no term at i != j
-    if _one_per_line(t, 2):
+    one_per_row = kraus.one_per_row if isinstance(kraus, KrausMap) else _one_per_line(t, 2)
+    if one_per_row:
         w = np.sort((t.real**2 + t.imag**2).sum(axis=(0, 1)))
         if tol.close(frobenius(w - 1.0), d):
             return CompletenessClass.TRACE_PRESERVING
     else:
-        s = (dagger(t) @ t).sum(axis=0)
+        y = t.reshape(-1, d)  # row (s, a): row a of K_s, so that Y^dag Y = sum_s K_s^dag K_s
+        s = dagger(y) @ y
         shifted = s.copy()  # s - I; s itself goes to the eigh below
         shifted.reshape(-1)[:: d + 1] -= 1.0
         if tol.close(frobenius(shifted), d):
@@ -106,9 +109,14 @@ class KrausMap:
 
     Built from a list of d x d matrices, an (n, d, d) array or a KrausMap, `kraus` is one
     read-only complex copy, kraus[s, a, i] = K_s[a, i], checked once; iterate or index it per operator.
-    `completeness` is completeness_class of the map under its own tol, from that check. `diagonal`,
-    computed on its first read and kept, is whether no entry off the diagonal of any operator is nonzero
-    (exact, no eps; -0.0 is zero): the one test that sends a list down the Schur path. `_schur` holds
+    `completeness` is completeness_class of the map under its own tol, from that check. The list's
+    exact support facts (no eps; -0.0 is zero) are pure functions of the tensor and are kept beside it.
+    The check counts two of them: `nonzeros`, the number of nonzero entries, and `one_per_row`, whether
+    no row of any operator holds two. Three more are computed on their first read and kept, so that a
+    map that never asks (a conversion's witness) never pays for them: `live`, the read-only d x d mask
+    of entries nonzero in some operator; `one_per_column`, whether no column of any operator holds two
+    nonzero entries (an exactly incoherent list); and `diagonal`, whether no entry off the diagonal of
+    `live` is set, the one test that sends a list down the Schur path. `_schur` holds
     extract_schur_matrix's answer per Tolerance (a SchurMatrix, whose A and eigenpairs are read-only,
     or None), so that A is computed once per map and Tolerance and shared by every later question.
     `==` and `hash` go by identity; compare channels through their Choi matrices.
@@ -117,12 +125,18 @@ class KrausMap:
     kraus: np.ndarray
     tol: Tolerance = field(default=DEFAULT_TOL, repr=False)
     completeness: CompletenessClass = field(init=False, repr=False)
+    nonzeros: int = field(init=False, repr=False)
+    one_per_row: bool = field(init=False, repr=False)
     _schur: dict[Tolerance, SchurMatrix | None] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         t = _kraus_tensor(self.kraus)
         t.flags.writeable = False
         object.__setattr__(self, "kraus", t)
+        nonzeros = int(np.count_nonzero(t))
+        object.__setattr__(self, "nonzeros", nonzeros)
+        # the nonzero entries number as many as the rows that hold one iff no row holds two (_one_per_line)
+        object.__setattr__(self, "one_per_row", bool(nonzeros == np.count_nonzero(t.any(axis=2))))
         completeness = completeness_class(self, self.tol)
         if completeness is CompletenessClass.INVALID:
             raise ValueError("Kraus operators exceed trace preservation (sum K^dag K > 1)")
@@ -133,9 +147,20 @@ class KrausMap:
         return self.kraus.shape[1]
 
     @cached_property
-    def diagonal(self) -> bool:
+    def live(self) -> np.ndarray:
         live = self.kraus.any(axis=0)  # live[a, i]: K_s[a, i] != 0 for some s
-        return bool(np.count_nonzero(live) == np.count_nonzero(np.diagonal(live)))
+        live.flags.writeable = False
+        return live
+
+    @cached_property
+    def one_per_column(self) -> bool:
+        # one nonzero per operator column allows at most n d of them: a denser list is not counted
+        n, d = self.kraus.shape[:2]
+        return self.nonzeros <= n * d and bool(self.nonzeros == np.count_nonzero(self.kraus.any(axis=1)))
+
+    @cached_property
+    def diagonal(self) -> bool:
+        return bool(np.count_nonzero(self.live) == np.count_nonzero(np.diagonal(self.live)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,10 @@ the channel rho -> A * rho, every Kraus representation of which is diagonal.
 One private decision gives A and gi for a SchurMatrix, an exactly diagonal list (KrausMap.diagonal,
 decided once per list) and any other list alike: classify_channel adds the other flags, and
 gi_extremality and mixed_unitary_decompose read only A and gi.
-An exactly incoherent list (at most one nonzero entry in every operator column)
+io, sio and fi are decided from the list's exact support facts, which KrausMap keeps
+(nonzeros, one_per_row, and on first read live and one_per_column), and from the
+|K| > eps mask only where an exact test fails. An exactly incoherent list (at most one
+nonzero entry in every operator column, KrausMap.one_per_column) is io with no mask and
 has exactly diagonal basis-projector images: io, mio and gi cost it O(n d^2).
 """
 
@@ -159,17 +162,15 @@ def _schur_gi(
     # (A, gi, live, off): A is a SchurMatrix's own, else extract_schur_matrix's (None off the Schur form).
     # A SchurMatrix or an exactly diagonal list (m.diagonal) is gi when every |A_ii - 1| is within
     # eps * d, and has live = off = None. Any other list is gi when A exists and every basis projector
-    # is fixed, moved[i] >= |A_ii - 1|; live[a, i] is K_s[a, i] != 0 for some s, and off holds the image
-    # norms off the diagonal, which mio reads. One nonzero per operator column allows at most n d live
-    # entries, so a denser list skips that count
+    # is fixed, moved[i] >= |A_ii - 1|; live is the list's m.live, and off holds the image norms off the
+    # diagonal, which mio reads
     schur = m if isinstance(m, SchurMatrix) else extract_schur_matrix(m, tol)
     if isinstance(m, SchurMatrix) or m.diagonal:
         gi = schur is not None and tol.close(float(np.abs(np.diagonal(schur.matrix) - 1.0).max()), schur.dim)
         return schur, gi, None, None
     t = m.kraus  # t[s, a, i] = K_s[a, i]
-    live = t.any(axis=0)
-    off, moved = _image_norms(t, live, np.count_nonzero(live) <= len(t) * m.dim and _one_per_line(t, 1))
-    return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), live, off
+    off, moved = _image_norms(t, m.live, m.one_per_column)
+    return schur, schur is not None and bool(tol.close(moved.max(), m.dim)), m.live, off
 
 
 def classify_channel(
@@ -185,7 +186,11 @@ def classify_channel(
     within eps * d, O(d) for a SchurMatrix; a diagonal list costs O(n d^2) for the diagonal
     test (KrausMap.diagonal) and O(d^2 n) for A and its eigenpairs (extract_schur_matrix, per
     Tolerance), each on the first call only: the list keeps both for every later call.
-    Any other list is classified on its Kraus tensor: io, sio and fi from one mask. Every
+    Any other list is classified on its Kraus tensor: io, sio and fi from the list's exact
+    facts first (KrausMap.one_per_column and one_per_row, counted once per list, and the
+    one-form test on KrausMap.live), since an exact pass is a pass on the entries above
+    eps, and from the |K| > eps mask, its hits counted once, only where an exact test
+    fails. Every
     test that each line holds at most one nonzero (on the mask, or exactly on the tensor)
     compares two counts, the nonzero entries and the lines that hold one, equal iff no
     line holds two. sgi
@@ -210,24 +215,35 @@ def classify_channel(
         )
     d = m.dim
     t = m.kraus
-    mod = np.abs(t)
-    hit = mod > tol.eps
 
-    # one mask gives io, sio and fi (_one_per_line): at most one hit per column (K incoherent), per row
-    # (K^dag incoherent) and per column across operators (one form); io also bounds the off-diagonal norm of |c><c|,
-    # c a column with p = |c|^2: sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms, 0 when
-    # every operator column holds one nonzero at most, as it does when io holds and every nonzero is hit
-    io = _one_per_line(hit, 1)
-    sio = io and _one_per_line(hit, 2)
-    if io and np.count_nonzero(mod) > np.count_nonzero(hit):
-        p = mod**2
-        below = np.zeros_like(p)
-        below[:, 1:] = p[:, :-1].cumsum(axis=1)
-        io = bool(tol.close(np.sqrt(2.0 * (p * below).sum(axis=1)).max(), d))
-    fi = io and _one_form(hit)
+    # io, sio and fi ask whether at most one entry above eps (a hit) lies in each operator column (K
+    # incoherent), each operator row (K^dag incoherent) and each column across operators (one form);
+    # io also bounds the off-diagonal norm of |c><c|, c a column with p = |c|^2:
+    # sqrt(2 sum_a p_a sum_{b<a} p_b), a sum of non-negative terms. The list's exact facts come first:
+    # hits lie among the nonzero entries, so an exact pass is a pass on the hits, and one nonzero per
+    # operator column makes io's bound exactly 0. The mask is formed only where an exact test fails,
+    # and its hits are counted once (_one_per_line's identity)
+    incoherent = io = m.one_per_column
+    sio = io and m.one_per_row
+    fi = io and _one_per_line(live, 0)
+    if not (sio and fi):
+        mod = np.abs(t)
+        hit = mod > tol.eps
+        if not sio:
+            hits = np.count_nonzero(hit)
+            if not incoherent:
+                incoherent = io = bool(hits == np.count_nonzero(hit.any(axis=1)))
+                if io and m.nonzeros > hits:
+                    p = mod**2
+                    below = np.zeros_like(p)
+                    below[:, 1:] = p[:, :-1].cumsum(axis=1)
+                    io = bool(tol.close(np.sqrt(2.0 * (p * below).sum(axis=1)).max(), d))
+            # sio asks for one hit per operator column and row; io's bound does not enter it
+            sio = incoherent and bool(hits == np.count_nonzero(hit.any(axis=2)))
+        fi = fi or (io and _one_form(hit))
 
     mio = dio = bool(tol.close(off.max(), d))
-    if mio and not _one_per_line(t, 2):
+    if mio and not m.one_per_row:
         # diags[a, i, j] = map(|i><j|)[a, a] = (R_a R_a^dag)[i, j], where R_a[i, s] = t[s, a, i],
         # vanishes outside the columns live in row a; when no operator has two nonzeros in one row,
         # every i != j term has a zero factor

@@ -175,6 +175,66 @@ def test_one_per_line_matches_the_per_line_counts(case):
                 assert got == bool((a.sum(axis=axis) <= 1).all())
 
 
+# entry parts small enough that every tensor drawn from them is a Kraus list: signed zeros, the
+# classification threshold and around it, and the least subnormal, which is no zero
+TINY = [0.0, -0.0, 0.5 * EPS, EPS, 2.0 * EPS, 5e-324]
+
+
+@st.composite
+def tiny_tensors(draw):
+    """(n, d, d) complex tensors whose real and imaginary parts are drawn from TINY, each entry kept
+    with probability p and otherwise set to a signed zero."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = np.array(TINY)
+    t = np.empty((n, d, d), dtype=complex)
+    t.real = parts[rng.integers(0, len(parts), (n, d, d))]
+    t.imag = parts[rng.integers(0, len(parts), (n, d, d))]
+    gone = rng.random((n, d, d)) >= draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    t[gone] = rng.choice([0.0, -0.0], size=int(gone.sum()))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_tensors())
+def test_kraus_map_keeps_its_exact_support_facts(t):
+    # the facts a KrausMap keeps, against their per-line definitions: -0.0 is zero, 5e-324 is not.
+    # Each is a Python int or bool, as the CLI's JSON report needs, and live is read-only
+    m = KrausMap(t)
+    d = m.dim
+    assert type(m.nonzeros) is int and m.nonzeros == int(np.count_nonzero(t))
+    for name, axis in (("one_per_row", 2), ("one_per_column", 1)):
+        got = getattr(m, name)
+        assert type(got) is bool and got == bool((np.count_nonzero(t, axis=axis) <= 1).all())
+    live = np.count_nonzero(t, axis=0) > 0
+    assert m.live.dtype == bool and np.array_equal(m.live, live)
+    with pytest.raises(ValueError):
+        m.live[0, 0] = True
+    assert type(m.diagonal) is bool and m.diagonal == (not live[~np.eye(d, dtype=bool)].any())
+    # a plain array's class counts the row test itself, and agrees with the kept fact's
+    assert completeness_class(t) is m.completeness
+
+
+def test_witness_maps_compute_no_lazy_fact():
+    # a conversion's witness keeps the two facts its completeness check counted and never computes
+    # the lazy ones, which only classification reads
+    rng = np.random.default_rng(7)
+    chi = PureState(np.array([np.sqrt(0.5), 0.5, 0.5]))
+    psi = rand_pure(rng, 3)
+    sigma = DensityMatrix(rand_gi_schur(rng, 3).matrix * psi.density())
+    verdicts = [
+        sgi_optimal_probability(chi, plus_state(3)),
+        fi_deterministic_pure(plus_state(4), PureState(np.sqrt([0.75, 0.25, 0.0, 0.0]))),
+        fi_deterministic_pure(PureState(np.sqrt([0.5, 0.3, 0.2])), PureState(np.sqrt([0.2, 0.5, 0.3]))),
+        gi_deterministic(DensityMatrix(psi.density()), sigma),
+    ]
+    for v in verdicts:
+        assert v.possible is True and isinstance(v.map, KrausMap)
+        kept = vars(v.map)
+        assert "nonzeros" in kept and "one_per_row" in kept
+        assert "live" not in kept and "one_per_column" not in kept
+
+
 def test_completeness_class_one_entry_per_column_is_not_diagonal():
     # one entry per column, two in row 0: sum K^dag K = 0.64 [[1, 1], [1, 1]] has eigenvalue 1.28
     k = 0.8 * np.array([[1.0, 1.0], [0.0, 0.0]])

@@ -293,6 +293,29 @@ def test_gi_extremality_rejects_non_gi():
         gi_extremality(KrausMap([SX]))
 
 
+def test_classify_counts_no_complex_tensor(monkeypatch):
+    # the constructor counts the Kraus tensor's nonzeros, and the map keeps them: classify_channel
+    # counts only masks (live, the columns and rows that hold a nonzero, the eps mask), on its first
+    # call and on every later one. Lists: exactly incoherent, incoherent with a 1e-12 entry beside a
+    # nonzero in one column, of one form with fibres of two, dense
+    rng = np.random.default_rng(11)
+    sub = np.array(rand_sio_map(rng, 4).kraus)
+    sub[0, (np.flatnonzero(sub[0, :, 0])[0] + 1) % 4, 0] = 1e-12
+    maps = [rand_incoherent_not_same_form(rng, 4), KrausMap(sub), rand_fi_map(rng, 4), rand_cptp(rng, 4, 2)]
+    h = Hamiltonian((0.0, 1.0, 2.5, 4.0))
+    counted = []
+    count_nonzero = np.count_nonzero
+    spy = lambda a, *args, **kwargs: counted.append(np.asarray(a).dtype) or count_nonzero(a, *args, **kwargs)
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    for m in maps:
+        reports = []
+        for _ in range(2):
+            counted.clear()
+            reports.append(classify_channel(m, h))
+            assert counted and all(dtype == bool for dtype in counted)
+        assert reports[0] == reports[1]
+
+
 def test_gi_extremality_reads_gi_and_a_without_classifying(monkeypatch):
     # Kraus lists that are diagonal up to off-diagonal entries of at most eps: gi and A come from
     # extract_schur_matrix and the basis-image norms alone, as classify_channel gives them, and the

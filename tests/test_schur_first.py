@@ -655,6 +655,30 @@ def test_diagonal_path_matches_tensor_path(m, with_hamiltonian):
         assert all(w == rw and _same_bits(p, rp) for (w, p), (rw, rp) in zip(terms, ref_terms))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(channels().map(lambda case: case[1:]), sparse_channels()), st.booleans())
+def test_exact_facts_match_the_mask_path(case, with_hamiltonian):
+    # classify_channel decides io, sio and fi from the list's exact facts first and forms the eps mask
+    # only where an exact test fails. With one_per_column and one_per_row read as False, every list
+    # takes the mask path (and the image and row Grams), and the report is the same, bit for bit. The
+    # reference runs on a twin of m, built before the patch, so that it finds its own A
+    m, h = case
+    h = h if with_hamiltonian else None
+    twin = KrausMap(m.kraus, m.tol)
+    got = classify_channel(m, h)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KrausMap, "one_per_column", property(lambda self: False))
+        mp.setattr(KrausMap, "one_per_row", property(lambda self: False), raising=False)  # an instance field
+        ref = classify_channel(twin, h)
+    flags = ("io", "fi", "gi", "sgi", "sio", "mio", "dio", "tio")
+    typed = [[(type(getattr(r, f)), getattr(r, f)) for f in flags] for r in (got, ref)]
+    assert typed[0] == typed[1]
+    assert (got.schur is None) == (ref.schur is None)
+    if got.schur is not None:
+        assert _same_bits(got.schur.matrix, ref.schur.matrix)
+        assert all(_same_bits(a, b) for a, b in zip(got.schur.eigen, ref.schur.eigen))
+
+
 def test_negative_zero_off_the_diagonal_is_zero():
     # -0.0 is zero: a list with -0.0 (real and imaginary parts) everywhere off the diagonal is exactly
     # diagonal and answers as its +0.0 twin, bit for bit
